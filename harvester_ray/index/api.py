@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from ..analyzer import tokenize_query as _tokenize_query
 from .query import IndexReader
 
 
@@ -284,8 +283,8 @@ def search_request(
     if "highlight" in body and ids:
         if docs_ds is None:
             raise ValueError("highlight needs docs_ds (raw text is not indexed)")
-        qtext, _mode = _match_parts(query)
-        terms = sorted(set(_tokenize_query(qtext)))
+        qtext, mode = _match_parts(query)
+        terms = reader.prepare(qtext, mode).terms
         hspec = next(iter(body["highlight"].get("fields", {"text": {}}).values()))
         snips = extras.make_snippets(
             extras.fetch_texts(docs_ds, ids), ids, terms,

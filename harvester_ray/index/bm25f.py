@@ -25,7 +25,7 @@ import pandas as pd
 
 from .. import analyzer
 from . import bm25
-from .query import IndexReader
+from .query import IndexReader, shared_analyzer_version, topk_over
 
 
 def search_weighted_fields(
@@ -223,10 +223,10 @@ def search_cross_fields(
     BIGINTs BEFORE the max/sum (the dis_max discipline) so the ranking key
     is exact integer arithmetic on both sides. Engine shape: one
     exhaustive single-term pass per (term, field) through the normal
-    segment scorer with the blended idf injected."""
-    from .query import merge_topk, search_segment, tombstones_for_segment
-
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
+    segment scorer with the blended idf injected. Every field index must
+    share one analyzer version."""
+    shared_analyzer_version(readers.values())
+    terms = readers[min(readers)].prepare(query_text, "or").terms
     empty = pd.DataFrame({"doc_id": pd.array([], dtype="int64"), "score": []})
     if not terms:
         return empty
@@ -241,21 +241,11 @@ def search_cross_fields(
             r = readers[field]
             w = float(weights.get(field, 1.0))
             idf = float(bm25.idf(r.n_docs, dfb[t]))
-            for seg_meta in r.manifest["segments"]:
-                seg = r._segment(seg_meta)
-                exclude = tombstones_for_segment(
-                    r._tomb_ids, r._tomb_vers,
-                    seg_meta.get("created_version", r.manifest["_version"]),
-                )
-                d, s = search_segment(
-                    seg, [t], {t: idf}, r.avgdl, k=r.n_docs + 1,
-                    mode="or", exclude=exclude,
-                )
-                if d.size:
-                    sc = s * w
-                    all_docs.append(d)
-                    all_fp.append(np.floor(sc * 1e4 + 0.5).astype(np.int64))
-                    all_tid.append(np.full(d.size, ti, np.int64))
+            d, s = topk_over(r.segments(), [t], {t: idf}, r.avgdl, r.n_docs + 1, "or")
+            if d.size:
+                all_docs.append(d)
+                all_fp.append(np.floor(s * w * 1e4 + 0.5).astype(np.int64))
+                all_tid.append(np.full(d.size, ti, np.int64))
     if not all_docs:
         return empty
     docs = np.concatenate(all_docs)

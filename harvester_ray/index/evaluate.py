@@ -47,8 +47,7 @@ def _term_membership(reader, docs: np.ndarray, terms: list[str]) -> np.ndarray:
     rel = np.zeros(docs.size, dtype=np.int64)
     if docs.size == 0:
         return rel
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, _ in reader.segments():
         pos = np.searchsorted(seg.doc_ids, docs)
         pos_c = np.clip(pos, 0, max(seg.doc_ids.size - 1, 0))
         here = seg.doc_ids.size > 0
@@ -85,7 +84,7 @@ def evaluate_ranking(reader, queries: list[str] | None = None, k: int = 10) -> p
     queries = QUERY_SET if queries is None else queries
     rows = []
     for q in queries:
-        terms = sorted(set(analyzer.tokenize_query(q)))
+        terms = reader.prepare(q, "or").terms
         out = reader.search(q, k=k, mode="or").to_pandas()
         docs = out["doc_id"].to_numpy(dtype=np.int64)
         rel = _term_membership(reader, docs, terms)
@@ -171,7 +170,7 @@ def evaluate_ranking_mrr(
     queries = QUERY_SET if queries is None else queries
     rows = []
     for q in queries:
-        terms = sorted(set(analyzer.tokenize_query(q)))
+        terms = reader.prepare(q, "or").terms
         out = reader.search(q, k=k, mode="or").to_pandas()
         docs = out["doc_id"].to_numpy(dtype=np.int64)
         rel = _term_membership(reader, docs, terms)
@@ -257,7 +256,7 @@ def evaluate_ranking_err(
     queries = QUERY_SET if queries is None else queries
     rows = []
     for q in queries:
-        terms = sorted(set(analyzer.tokenize_query(q)))
+        terms = reader.prepare(q, "or").terms
         g = len(terms)
         out = reader.search(q, k=k, mode="or").to_pandas()
         docs = out["doc_id"].to_numpy(dtype=np.int64)

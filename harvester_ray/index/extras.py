@@ -20,7 +20,27 @@ import pyarrow.parquet as pq
 
 from .. import analyzer
 from . import bm25
-from .query import IndexReader, tombstones_for_segment
+from .query import (
+    IndexReader,
+    _topk,
+    attr_page,
+    count_matches,
+    counts_response,
+    exclude_terms,
+    iter_matches,
+    match_one_segment,
+    merge_topk,
+    or_exhaustive,
+    page_bounds,
+    page_frame,
+    phrase_match_segment,
+    prepare_terms,
+    relevance_page,
+    score_spans,
+    search_segment,
+    span_matches,
+    vocab_with_prefix,
+)
 
 
 def doc_top_terms(
@@ -32,8 +52,7 @@ def doc_top_terms(
     segment doc tables), and recovers the doc's terms from ONE vectorized
     whole-segment decode (``SegmentReader.all_postings``) rather than
     decoding every term's posting list separately."""
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, _ in reader.segments():
         pos = np.searchsorted(seg.doc_ids, doc_id)
         if pos >= seg.doc_ids.size or seg.doc_ids[pos] != doc_id:
             continue
@@ -68,15 +87,10 @@ def termvectors(reader: IndexReader, doc_id: int) -> pd.DataFrame:
         "tf": pd.Series(dtype=np.int64),
         "pos": pd.Series(dtype=np.int64),
     })
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, dead in reader.segments():
         p = np.searchsorted(seg.doc_ids, doc_id)
         if p >= seg.doc_ids.size or seg.doc_ids[p] != doc_id:
             continue
-        dead = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
         if dead.size and np.isin(doc_id, dead):
             continue
         if not seg.has_positions:
@@ -168,30 +182,6 @@ def suggest(reader: IndexReader, prefix: str, limit: int = 10) -> pd.DataFrame:
     return out.head(limit).reset_index(drop=True)
 
 
-def _segment_matches(
-    reader: IndexReader,
-    terms: list[str],
-    mode: str,
-    filters: dict[str, list] | None,
-):
-    """Yield ``(seg, matched_doc_ids)`` per segment: exact match enumeration
-    from posting intersections/unions (no scoring), tombstone- and
-    facet-filter-aware. Shared by match_counts and ordered search."""
-    from .query import match_one_segment
-
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        matched = match_one_segment(
-            seg, terms, mode, exclude, seg.allowed_docs(filters)
-        )
-        if matched.size:
-            yield seg, matched
-
-
 def match_counts(
     reader: IndexReader,
     query_text: str,
@@ -203,22 +193,9 @@ def match_counts(
     """Exact ``results_total`` + per-field value counts over the matching
     docs (``include_filter_counts`` analog). Matches are enumerated per
     segment from posting intersections/unions (k=∞ without scoring)."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    terms = [t for t in terms if dfs.get(t, 0) > 0]
-    if not terms or (mode == "and" and len(terms) < len(set(analyzer.tokenize_query(query_text)))):
-        if mode == "and" and terms != sorted(set(analyzer.tokenize_query(query_text))):
-            return {"results_total": {"value": 0, "is_precise": True}, "filter_counts": {}}
-    total = 0
-    counts: dict[str, dict] = {f: {} for f in (count_fields or [])}
-    for seg, matched in _segment_matches(reader, terms, mode, filters):
-        total += int(matched.size)
-        for f in counts:
-            vals = seg.attr_values(f, matched)
-            uniq, cnt = np.unique(vals, return_counts=True)
-            for v, c in zip(uniq, cnt):
-                counts[f][str(v)] = counts[f].get(str(v), 0) + int(c)
-    return {"results_total": {"value": total, "is_precise": True}, "filter_counts": counts}
+    return counts_response(*count_matches(
+        reader.matches(query_text, mode, filters), count_fields
+    ))
 
 
 def search_page(
@@ -240,50 +217,13 @@ def search_page(
     becomes a match predicate; ALL matches are enumerated per segment,
     globally sorted by the stored attribute (ties by doc_id asc), and the
     page is sliced. Returns (rank, doc_id, score|value)."""
-    if page < 1:
-        raise ValueError("page is 1-based")
-    lo, hi = (page - 1) * page_size, page * page_size
+    lo, hi = page_bounds(page, page_size)
     if ordering is None:
-        res = reader.search(query_text, k=hi, mode=mode, filters=filters).to_pandas()
-        out = res.iloc[lo:hi].reset_index(drop=True)
-        out["rank"] = np.arange(lo + 1, lo + 1 + len(out), dtype=np.int32)
-        return out
+        return relevance_page(reader.search, query_text, lo, hi, mode, filters)
     desc = ordering.startswith("-")
     field = ordering[1:] if desc else ordering
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if not live or (mode == "and" and len(live) < len(terms)):
-        return pd.DataFrame({"rank": pd.Series(dtype=np.int32),
-                             "doc_id": pd.Series(dtype=np.int64),
-                             field: pd.Series(dtype=object)})
-    doc_parts, val_parts = [], []
-    for seg, matched in _segment_matches(reader, live, mode, filters):
-        svals = np.asarray(seg.attr_values(field, matched))
-        # segment-local top-hi: the global page can only contain rows that
-        # are within the first `hi` of their own segment's ordering, so the
-        # driver merge holds O(n_segments * page_end) rows, never the full
-        # match set (the per-shard from+size bound ES serving relies on)
-        if matched.size > hi:
-            codes_s = np.unique(svals, return_inverse=True)[1]
-            ord_s = np.lexsort((matched, -codes_s if desc else codes_s))[:hi]
-            matched, svals = matched[ord_s], svals[ord_s]
-        doc_parts.append(matched)
-        val_parts.append(svals)
-    docs = np.concatenate(doc_parts) if doc_parts else np.empty(0, np.int64)
-    vals = np.concatenate(val_parts) if val_parts else np.empty(0, object)
-    # deterministic: field asc/desc, then doc_id asc (dense value codes so
-    # descending order works for any attr dtype, strings included)
-    codes = np.unique(vals, return_inverse=True)[1]
-    order = np.lexsort((docs, -codes if desc else codes))
-    sel = order[lo:hi]
-    return pd.DataFrame(
-        {
-            "rank": np.arange(lo + 1, lo + 1 + sel.size, dtype=np.int32),
-            "doc_id": docs[sel],
-            field: vals[sel],
-        }
-    )
+    docs, vals = attr_page(reader.matches(query_text, mode, filters), field, desc, hi)
+    return page_frame(docs, vals, field, desc, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +268,7 @@ def highlight_topk(
             {"doc_id": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64),
              "snippet": pd.Series(dtype=object)}
         )
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
+    terms = reader.prepare(query_text, "and").terms
     texts = fetch_texts(
         docs_ds, res["doc_id"].to_numpy(dtype=np.int64),
         id_col=id_col, text_col=text_col,
@@ -433,6 +373,21 @@ def _best_suggestion(tok: str, vocab: dict[str, int], max_edits: int) -> str:
     return cand[0][2]
 
 
+def suggest_tokens(prep, vocab, max_edits: int, prefix_length: int) -> pd.DataFrame:
+    """(token, suggestion) per distinct query token: '' for tokens the
+    index holds or shorter than ``prefix_length``, else the best
+    ``_best_suggestion`` over ``vocab(prefix, min_len, max_len)`` —
+    the {term: df} candidates sharing the prefix within the edit window."""
+    out = []
+    for tok in prep.terms:
+        if prep.dfs[tok] > 0 or len(tok) < prefix_length:
+            out.append((tok, ""))
+            continue
+        cands = vocab(tok[:prefix_length], len(tok) - max_edits, len(tok) + max_edits)
+        out.append((tok, _best_suggestion(tok, cands, max_edits)))
+    return pd.DataFrame(out, columns=["token", "suggestion"], dtype=object)
+
+
 def did_you_mean(
     reader: IndexReader,
     query_text: str,
@@ -448,29 +403,11 @@ def did_you_mean(
     bucket per segment — never a vocabulary scan. Returns one row per
     distinct query token, sorted: (token, suggestion) with suggestion = ''
     for tokens that are present (nothing to correct) or uncorrectable."""
-    tokens = sorted(set(analyzer.tokenize_query(query_text)))
-    if not tokens:
-        return pd.DataFrame({"token": pd.Series(dtype=object),
-                             "suggestion": pd.Series(dtype=object)})
-    dfs = reader.df(tokens)
-    out = []
-    for tok in tokens:
-        if dfs.get(tok, 0) > 0 or len(tok) < prefix_length:
-            out.append((tok, ""))
-            continue
-        from .query import _term_prefix_range
-
-        prefix = tok[:prefix_length]
-        vocab: dict[str, int] = {}
-        for seg_meta in reader.manifest["segments"]:
-            seg = reader._segment(seg_meta)
-            lo, hi = _term_prefix_range(seg, prefix)
-            if hi > lo:
-                for t, d in zip(seg._term_strings.slice(lo, hi - lo).to_pylist(),
-                                seg._df[lo:hi]):
-                    vocab[t] = vocab.get(t, 0) + int(d)
-        out.append((tok, _best_suggestion(tok, vocab, max_edits)))
-    return pd.DataFrame(out, columns=["token", "suggestion"])
+    return suggest_tokens(
+        reader.prepare(query_text, "or"),
+        lambda prefix, lo, hi: vocab_with_prefix(reader.segments(), prefix, lo, hi),
+        max_edits, prefix_length,
+    )
 
 
 def mine_hard_negatives(
@@ -539,29 +476,17 @@ def suggest_phrases(
     satisfy that)."""
     import itertools
 
-    from .query import _term_prefix_range
-
-    toks = analyzer.tokenize_query(query_text)
+    toks = analyzer.tokenize_query(query_text, reader.analyzer_version)  # order kept
     empty = pd.DataFrame({"phrase": pd.Series(dtype=object),
                           "score": pd.Series(dtype=np.int64)})
     if not toks:
         return empty
     cand_lists: list[list[tuple[str, int]]] = []
     for tok in toks:
-        vocab: dict[str, int] = {}
-        prefix = tok[:1]
-        for seg_meta in reader.manifest["segments"]:
-            seg = reader._segment(seg_meta)
-            lo, hi = _term_prefix_range(seg, prefix)
-            if hi > lo:
-                for t, d in zip(
-                    seg._term_strings.slice(lo, hi - lo).to_pylist(),
-                    seg._df[lo:hi],
-                ):
-                    vocab[t] = vocab.get(t, 0) + int(d)
-        names = sorted(
-            t for t in vocab if abs(len(t) - len(tok)) <= max_edits
+        vocab = vocab_with_prefix(
+            reader.segments(), tok[:1], len(tok) - max_edits, len(tok) + max_edits
         )
+        names = sorted(vocab)
         if names:
             dists = _levenshtein_batch(tok, names)
             ranked = sorted(
@@ -648,27 +573,20 @@ def search_after(
     rounding the API response carries). Deep cursors score each segment's
     full match set — the per-shard cost ES pays on deep pagination too —
     rather than inflating a top-k heap by the cursor depth."""
-    from . import bm25
-    from .query import match_one_segment
-
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if not live or (mode == "and" and len(live) < len(terms)):
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
-    idf = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
+    prep = reader.prepare(query_text, mode)
+    if prep.empty:
+        return _no_hits()
     doc_parts, score_parts = [], []
-    for seg, matched in _segment_matches(reader, live, mode, None):
+    for seg, matched in iter_matches(reader.segments(), prep.live, mode):
         dl = seg.doc_lengths(matched).astype(np.float64)
         s = np.zeros(matched.size, np.float64)
-        for t in sorted(live):
+        for t in prep.live:
             d, f = seg.postings(t)
             pos = np.searchsorted(d, matched)
             posc = np.clip(pos, 0, max(d.size - 1, 0))
             hit = (d.size > 0) & (d[posc] == matched) if d.size else np.zeros(matched.size, bool)
             tf = np.where(hit, f[posc], 0).astype(np.float64)
-            s += bm25.score(tf, dl, idf[t], reader.avgdl)
+            s += bm25.score(tf, dl, prep.idf[t], reader.avgdl)
         doc_parts.append(matched)
         score_parts.append(s)
     docs = np.concatenate(doc_parts)
@@ -692,16 +610,8 @@ def search_stats(
     next to the facet counts): per ``by``-field value, match count and
     token-length sum/mean of the matching docs. dl comes from the doc-table
     sidecars already in memory — no text is touched."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if not live or (mode == "and" and len(live) < len(terms)):
-        return pd.DataFrame({by: pd.Series(dtype=object),
-                             "n_matches": pd.Series(dtype=np.int64),
-                             "dl_sum": pd.Series(dtype=np.int64),
-                             "avg_dl": pd.Series(dtype=np.float64)})
     acc: dict[str, list[int]] = {}
-    for seg, matched in _segment_matches(reader, live, mode, None):
+    for seg, matched in reader.matches(query_text, mode):
         vals = seg.attr_values(by, matched)
         dl = seg.doc_lengths(matched)
         svals = np.asarray(vals, dtype=object)
@@ -717,7 +627,7 @@ def search_stats(
     n_m = np.array([v[0] for _, v in rows], np.int64)
     avg = np.floor(dl_sum / np.maximum(n_m, 1) * 1e6 + 0.5) / 1e6
     return pd.DataFrame({
-        by: [k for k, _ in rows],
+        by: pd.Series([k for k, _ in rows], dtype=object),
         "n_matches": n_m,
         "dl_sum": dl_sum,
         "avg_dl": avg,
@@ -738,31 +648,20 @@ def fuzzy_search(
     Levenshtein edits sharing the first ``prefix_length`` chars — the same
     prefix-bounded candidate walk did_you_mean uses — then score the
     expansion as a disjunction, each term with its own idf."""
-    from .query import _term_prefix_range
-
-    toks = analyzer.tokenize_query(query_text)
-    if len(toks) != 1:
-        raise ValueError("fuzzy_search takes exactly one token")
-    tok = toks[0]
-    prefix = tok[:prefix_length]
-    cands: set[str] = set()
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        lo, hi = _term_prefix_range(seg, prefix)
-        if hi > lo:
-            cands.update(seg._term_strings.slice(lo, hi - lo).to_pylist())
-    cand_list = sorted(c for c in cands if abs(len(c) - len(tok)) <= max_edits)
-    if not cand_list:
-        return pd.DataFrame({"rank": pd.Series(dtype=np.int32),
-                             "doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
-    dists = _levenshtein_batch(tok, cand_list)
-    terms = [c for c, d in zip(cand_list, dists) if d <= max_edits][:max_expansions]
-    if not terms:
-        return pd.DataFrame({"rank": pd.Series(dtype=np.int32),
-                             "doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
+    tok = _single_token(reader, query_text, "fuzzy_search takes exactly one token")
+    terms = _fuzzy_terms(reader, tok, max_edits, prefix_length)[:max_expansions]
     return reader._search_terms(terms, k, "or").to_pandas()
+
+
+def _fuzzy_terms(reader: IndexReader, tok: str, max_edits: int, prefix_length: int) -> list[str]:
+    """Sorted dictionary terms within ``max_edits`` Levenshtein edits of
+    ``tok`` sharing its first ``prefix_length`` chars."""
+    cands = sorted(vocab_with_prefix(
+        reader.segments(), tok[:prefix_length], len(tok) - max_edits, len(tok) + max_edits
+    ))
+    if not cands:
+        return []
+    return [c for c, d in zip(cands, _levenshtein_batch(tok, cands)) if d <= max_edits]
 
 
 def match_fuzzy(
@@ -782,33 +681,11 @@ def match_fuzzy(
     lexicographically (Lucene rewrite cap) and scored as one disjunction
     with per-term idf — so a typo'd token still contributes its neighbors'
     postings next to the clean tokens'."""
-    from .query import _term_prefix_range
-
-    toks = sorted(set(analyzer.tokenize_query(query_text)))
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-    if not toks:
-        return empty
-    union: set[str] = set()
-    for tok in toks:
-        if len(tok) < prefix_length:
-            continue
-        prefix = tok[:prefix_length]
-        cands: set[str] = set()
-        for seg_meta in reader.manifest["segments"]:
-            seg = reader._segment(seg_meta)
-            lo, hi = _term_prefix_range(seg, prefix)
-            if hi > lo:
-                cands.update(seg._term_strings.slice(lo, hi - lo).to_pylist())
-        cand_list = sorted(c for c in cands if abs(len(c) - len(tok)) <= max_edits)
-        if not cand_list:
-            continue
-        dists = _levenshtein_batch(tok, cand_list)
-        union.update(c for c, d in zip(cand_list, dists) if d <= max_edits)
-    terms = sorted(union)[:max_expansions]
-    if not terms:
-        return empty
-    out = reader._search_terms(terms, k, "or").to_pandas()
+    union = {
+        t for tok in reader.prepare(query_text, "or").terms if len(tok) >= prefix_length
+        for t in _fuzzy_terms(reader, tok, max_edits, prefix_length)
+    }
+    out = reader._search_terms(sorted(union)[:max_expansions], k, "or").to_pandas()
     out["score"] = out["score"].round(4)
     return out[["doc_id", "score"]]
 
@@ -851,23 +728,21 @@ def explain(reader: IndexReader, query_text: str, doc_id: int | None = None) -> 
         "df": pd.Series(dtype=np.int64),
         "score": pd.Series(dtype=np.float64),
     })
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
+    prep = reader.prepare(query_text, "and")
+    if not prep.terms:
         return empty
     if doc_id is None:
-        top = reader.search(query_text, k=1, mode="and")
+        top = reader._search(prep, 1, "and")
         if top.num_rows == 0:
             return empty
         doc_id = int(top["doc_id"][0].as_py())
-    dfs = reader.df(terms)
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, _ in reader.segments():
         pos = np.searchsorted(seg.doc_ids, doc_id)
         if pos >= seg.doc_ids.size or seg.doc_ids[pos] != doc_id:
             continue
         dl = float(seg.doc_lengths(np.array([doc_id], dtype=np.int64))[0])
         rows = []
-        for t in terms:
+        for t in prep.terms:
             p = seg.postings(t)
             if p is None:
                 continue
@@ -876,15 +751,73 @@ def explain(reader: IndexReader, query_text: str, doc_id: int | None = None) -> 
             if i >= docs.size or docs[i] != doc_id:
                 continue
             tf = int(tfs[i])
-            idf = float(bm25.idf(reader.n_docs, dfs[t]))
             s = float(bm25.score(np.array([tf], dtype=np.int64),
-                                 np.array([dl]), idf, reader.avgdl)[0])
-            rows.append((t, tf, int(dfs[t]), round(s, 4)))
+                                 np.array([dl]), prep.idf[t], reader.avgdl)[0])
+            rows.append((t, tf, int(prep.dfs[t]), round(s, 4)))
         if not rows:
             return empty
         out = pd.DataFrame(rows, columns=["term", "tf", "df", "score"])
         return out.sort_values("term").reset_index(drop=True)
     return empty
+
+
+def _entries(seg, live: list[str], mode: str) -> dict | None:
+    """The segment's dictionary entries of the ``live`` terms, or None when
+    the segment cannot match (no term, or a missing AND term)."""
+    entries = {t: e for t in live if (e := seg.entry(t)) is not None}
+    if not entries or (mode == "and" and len(entries) < len(live)):
+        return None
+    return entries
+
+
+def scored_matches(reader: IndexReader, live: list[str], idf_map: dict, mode: str):
+    """Yield ``(segment, exclude, docs, scores)`` per segment with a match,
+    EVERY matching doc BM25-scored (``or_exhaustive``; AND through
+    min_should_match) — for ops that rank, group or fold all matches."""
+    msm = len(live) if mode == "and" else None
+    for _, seg, exclude in reader.segments():
+        entries = _entries(seg, live, mode)
+        if entries is None:
+            continue
+        docs, scores = or_exhaustive(
+            seg, entries, idf_map, reader.avgdl, k=2**31,
+            exclude=exclude, min_should_match=msm,
+        )
+        if docs.size:
+            yield seg, exclude, docs, scores
+
+
+def scored_query(reader: IndexReader, query_text: str, mode: str):
+    """``scored_matches`` of the prepared query; nothing when it cannot
+    match."""
+    prep = reader.prepare(query_text, mode)
+    return iter(()) if prep.empty else scored_matches(reader, prep.live, prep.idf, mode)
+
+
+def _span_topk(reader: IndexReader, match, k: int, positions: str | None = None) -> pd.DataFrame:
+    """(doc_id, score) top-k of a span query: ``match(seg)`` gives each
+    segment's (docs, span tf); scored by ``score_spans``, rounded to 4."""
+    out = score_spans(
+        *span_matches(reader.segments(), match, positions=positions),
+        reader.n_docs, reader.avgdl, k,
+    ).to_pandas()
+    out["score"] = out["score"].round(4)
+    return out[["doc_id", "score"]]
+
+
+_NO_SPANS = (np.empty(0, np.int64), np.empty(0, np.int64))
+
+
+def _no_hits() -> pd.DataFrame:
+    return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
+                         "score": pd.Series(dtype=np.float64)})
+
+
+def _single_token(reader: IndexReader, text: str, what: str) -> str:
+    toks = reader.prepare(text, "or").terms
+    if len(toks) != 1:
+        raise ValueError(what)
+    return toks[0]
 
 
 def author_suggestions(
@@ -909,37 +842,9 @@ def author_suggestions(
     then a LOCAL top-k cut — merge fan-in is O(segments × k). Scores round
     to 4 before the cut with doc_id tie-break, so oracle LIMIT selection is
     identical."""
-    from .query import or_exhaustive
-
-    empty = pd.DataFrame({
-        "doc_id": pd.Series(dtype=np.int64),
-        "score": pd.Series(dtype=np.float64),
-    })
-    terms = sorted(set(analyzer.tokenize_query(author_name)))
-    if not terms:
-        return empty
-    dfs = reader.df(terms)
-    live = [t for t in terms if dfs[t] > 0]
-    if not live:
-        return empty
-    idf_map = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
     name_norm = author_name.strip().lower()
     docs_parts, score_parts = [], []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        entries = {t: seg.entry(t) for t in live}
-        entries = {t: e for t, e in entries.items() if e is not None}
-        if not entries:
-            continue
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs, scores = or_exhaustive(
-            seg, entries, idf_map, reader.avgdl, k=2**31, exclude=exclude,
-        )
-        if docs.size == 0:
-            continue
+    for seg, _, docs, scores in scored_query(reader, author_name, "or"):
         vals = pd.Series(np.asarray(seg.attr_values(authors_field, docs),
                                     dtype=object)).fillna("")
         codes, uniques = pd.factorize(vals)
@@ -956,7 +861,7 @@ def author_suggestions(
         docs_parts.append(docs[order])
         score_parts.append(scores[order])
     if not docs_parts:
-        return empty
+        return _no_hits()
     docs = np.concatenate(docs_parts)
     scores = np.concatenate(score_parts)
     order = np.lexsort((docs, -scores))[:k]
@@ -982,41 +887,13 @@ def search_collapse(
     merge fan-in is O(segments × distinct values), never O(matches).
     Scores are rounded to 4 decimals BEFORE group selection on both engine
     and oracle sides, so representative choice is byte-identical."""
-    from .query import or_exhaustive
-
     empty = pd.DataFrame({
         field: pd.Series(dtype=object),
         "doc_id": pd.Series(dtype=np.int64),
         "score": pd.Series(dtype=np.float64),
     })
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
-        return empty
-    dfs = reader.df(terms)
-    if mode == "and" and any(dfs[t] == 0 for t in terms):
-        return empty
-    live = [t for t in terms if dfs[t] > 0]
-    if not live:
-        return empty
-    idf_map = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
-    msm = len(live) if mode == "and" else None
     vals_parts, docs_parts, score_parts = [], [], []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        entries = {t: seg.entry(t) for t in live}
-        entries = {t: e for t, e in entries.items() if e is not None}
-        if not entries or (mode == "and" and len(entries) < len(live)):
-            continue
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs, scores = or_exhaustive(
-            seg, entries, idf_map, reader.avgdl, k=2**31,
-            exclude=exclude, min_should_match=msm,
-        )
-        if docs.size == 0:
-            continue
+    for seg, _, docs, scores in scored_query(reader, query_text, mode):
         scores = np.round(scores, 4)
         vals = seg.attr_values(field, docs)
         # one row per field value leaves the segment
@@ -1060,27 +937,14 @@ def terms_stats_agg(
     exact regime only (every value reported), so counts are exact and the
     oracle mirrors byte-identically. Buckets ordered count desc, value asc,
     cut at ``size``."""
-    from .query import match_one_segment
-
     empty = pd.DataFrame({
         field: pd.Series(dtype=object),
         "doc_count": pd.Series(dtype=np.int64),
         "sum_dl": pd.Series(dtype=np.int64),
         "avg_dl": pd.Series(dtype=np.float64),
     })
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
-        return empty
     parts: list[pd.DataFrame] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs = match_one_segment(seg, terms, mode, exclude, None)
-        if docs.size == 0:
-            continue
+    for seg, docs in reader.matches(query_text, mode):
         vals = seg.attr_values(field, docs)
         dl = seg.doc_lengths(docs).astype(np.int64)
         order = np.argsort(vals, kind="mergesort")
@@ -1137,27 +1001,14 @@ def terms_agg(
     unscored match enumeration + one sort/reduceat count fold, and only
     ``shard_size`` rows leave each segment regardless of match count.
     ``shard_size=None`` keeps everything (exact mode, bounds ≡ 0)."""
-    from .query import match_one_segment
-
     empty = pd.DataFrame({
         field: pd.Series(dtype=object),
         "doc_count": pd.Series(dtype=np.int64),
         "doc_count_error_upper_bound": pd.Series(dtype=np.int64),
     })
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
-        return empty
     seg_reports: list[pd.DataFrame] = []
     seg_worst: list[int] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs = match_one_segment(seg, terms, mode, exclude, None)
-        if docs.size == 0:
-            continue
+    for seg, docs in reader.matches(query_text, mode):
         vals = seg.attr_values(field, docs)
         order = np.argsort(vals, kind="mergesort")
         vals = vals[order]
@@ -1211,22 +1062,13 @@ def count_terminate_after(
     vectorized enumeration; termination saves the REMAINING segments, which
     is where the win is at 100 TB (thousands of segments, threshold hit in
     the first few)."""
-    from .query import match_one_segment
-
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
     count = 0
     terminated = False
-    if terms:
-        for seg_meta in reader.manifest["segments"]:
-            seg = reader._segment(seg_meta)
-            exclude = tombstones_for_segment(
-                reader._tomb_ids, reader._tomb_vers,
-                seg_meta.get("created_version", reader.manifest["_version"]),
-            )
-            count += int(match_one_segment(seg, terms, mode, exclude, None).size)
-            if count >= terminate_after:
-                terminated = True
-                break
+    for _, matched in reader.matches(query_text, mode):
+        count += int(matched.size)
+        if count >= terminate_after:
+            terminated = True
+            break
     return pd.DataFrame({
         "count": [np.int64(count)],
         "terminated": [bool(terminated)],
@@ -1248,34 +1090,24 @@ def profile_search(
     needs a rarer term or a filter."""
     import time as _time
 
-    from .query import match_one_segment
-
     t0 = _time.time()
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
+    prep = reader.prepare(query_text, mode)
     seg_total = len(reader.manifest["segments"])
     seg_touched = 0
     postings = 0
     candidates = 0
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        entries = {t: seg.entry(t) for t in live}
-        entries = {t: e for t, e in entries.items() if e is not None}
-        if not entries or (mode == "and" and len(entries) < len(live)):
+    for _, seg, exclude in reader.segments():
+        entries = _entries(seg, prep.live, mode)
+        if entries is None:
             continue
         seg_touched += 1
         postings += int(sum(e["df"] for e in entries.values()))
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        candidates += int(match_one_segment(seg, live, mode, exclude, None).size)
+        candidates += int(match_one_segment(seg, prep.live, mode, exclude, None).size)
     return pd.DataFrame({
         "segments_total": [np.int64(seg_total)],
         "segments_touched": [np.int64(seg_touched)],
-        "query_terms": [np.int64(len(terms))],
-        "live_terms": [np.int64(len(live))],
+        "query_terms": [np.int64(len(prep.terms))],
+        "live_terms": [np.int64(len(prep.live))],
         "postings_decoded": [np.int64(postings)],
         "candidates": [np.int64(candidates)],
         "wall_ms": [round((_time.time() - t0) * 1000, 3)],
@@ -1293,27 +1125,17 @@ def cardinality_agg(
     (per-segment distinct attr values union-folded on the driver; the
     value set is facet-bounded). The index-free approximate siblings for
     unbounded fields are ops/sketch.py's HLL/KMV gates."""
-    from .query import match_one_segment
-
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
     vals: set = set()
-    if terms:
-        for seg_meta in reader.manifest["segments"]:
-            seg = reader._segment(seg_meta)
-            exclude = tombstones_for_segment(
-                reader._tomb_ids, reader._tomb_vers,
-                seg_meta.get("created_version", reader.manifest["_version"]),
-            )
-            docs = match_one_segment(seg, terms, mode, exclude, None)
-            if docs.size:
-                vals.update(np.unique(seg.attr_values(field, docs)).tolist())
+    for seg, docs in reader.matches(query_text, mode):
+        vals.update(np.unique(seg.attr_values(field, docs)).tolist())
     return pd.DataFrame({"n_distinct": [np.int64(len(vals))]})
 
 
-def parse_boosted_query(query_text: str) -> dict[str, float]:
+def parse_boosted_query(query_text: str, version: str = "v1") -> dict[str, float]:
     """simple_query_string per-term ``^boost`` syntax (``spark^2 window``)
     → {term: boost}; repeated terms keep the LAST boost, bare terms boost
-    1.0. Tokens are analyzed exactly like plain queries."""
+    1.0. Tokens are analyzed exactly like plain queries, with the index's
+    analyzer ``version``."""
     out: dict[str, float] = {}
     for raw in query_text.split():
         if "^" in raw:
@@ -1324,7 +1146,7 @@ def parse_boosted_query(query_text: str) -> dict[str, float]:
                 body, boost = raw, 1.0
         else:
             body, boost = raw, 1.0
-        for tok in analyzer.tokenize_query(body):
+        for tok in analyzer.tokenize_query(body, version):
             out[tok] = boost
     return out
 
@@ -1340,39 +1162,15 @@ def search_boosted_terms(
     term-query sum, implemented by scaling the term's idf before the
     existing exhaustive scorer (contribution is linear in idf, so no new
     scoring path)."""
-    from .query import or_exhaustive
-
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-    boosts = parse_boosted_query(query_text)
-    if not boosts:
-        return empty
-    terms = sorted(boosts)
-    dfs = reader.df(terms)
-    live = [t for t in terms if dfs[t] > 0]
-    if not live:
-        return empty
-    idf_map = {
-        t: float(bm25.idf(reader.n_docs, dfs[t])) * boosts[t] for t in live
-    }
-    parts = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        entries = {t: seg.entry(t) for t in live}
-        entries = {t: e for t, e in entries.items() if e is not None}
-        if not entries:
-            continue
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs, scores = or_exhaustive(
-            seg, entries, idf_map, reader.avgdl, k=2**31, exclude=exclude
-        )
-        if docs.size:
-            parts.append((docs, np.round(scores, 4)))
+    boosts = parse_boosted_query(query_text, reader.analyzer_version)
+    prep = prepare_terms(boosts, "or", reader.df, reader.n_docs)
+    idf_map = {t: idf * boosts[t] for t, idf in prep.idf.items()}
+    parts = [
+        (docs, np.round(scores, 4))
+        for _, _, docs, scores in scored_matches(reader, prep.live, idf_map, "or")
+    ]
     if not parts:
-        return empty
+        return _no_hits()
     docs = np.concatenate([p[0] for p in parts])
     scores = np.concatenate([p[1] for p in parts])
     order = np.lexsort((docs, -scores))[:k]
@@ -1442,25 +1240,18 @@ def search_span_near(
     same bound Lucene's span iterator pays); each candidate's minimal
     window is the classic two-pointer sweep over its term-tagged position
     multiset. Requires ``store_positions=True``."""
-    from .query import match_one_segment
-
     empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
                           "span_w": pd.Series(dtype=np.int64)})
-    terms = sorted(set(analyzer.tokenize_query(phrase)))
+    terms = reader.prepare(phrase, "and").terms
     if len(terms) < 2:
         return empty
     W = len(terms) + slop
     rows_d, rows_w = [], []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, exclude in reader.segments():
         if not seg.has_positions:
             raise ValueError(
                 "span_near needs positions — build_index(store_positions=True)"
             )
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
         cand = match_one_segment(seg, terms, "and", exclude, None)
         if cand.size == 0:
             continue
@@ -1559,6 +1350,16 @@ LIMIT {k}
 """.strip()
 
 
+def _add_bincount(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``counts`` plus the bincount of non-negative int ``values``."""
+    part = np.bincount(values)
+    if part.size > counts.size:
+        part[: counts.size] += counts
+        return part
+    counts[: part.size] += part
+    return counts
+
+
 def percentiles_agg(
     reader: IndexReader,
     query_text: str,
@@ -1574,30 +1375,11 @@ def percentiles_agg(
     power-of-two rational, so float64 evaluation is bit-exact against the
     oracle's ``quantile_cont``. Counting-sort percentiles are the
     scale-path alternative to shipping every value."""
-    from .query import match_one_segment
-
     empty = pd.DataFrame({"q": pd.Series(dtype=np.float64),
                           "value": pd.Series(dtype=np.float64)})
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
-        return empty
     counts = np.zeros(1, dtype=np.int64)
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs = match_one_segment(seg, terms, mode, exclude, None)
-        if docs.size == 0:
-            continue
-        dl = seg.doc_lengths(docs).astype(np.int64)
-        part = np.bincount(dl)
-        if part.size > counts.size:
-            part[: counts.size] += counts
-            counts = part
-        else:
-            counts[: part.size] += part
+    for seg, docs in reader.matches(query_text, mode):
+        counts = _add_bincount(counts, seg.doc_lengths(docs).astype(np.int64))
     n = int(counts.sum())
     if n == 0:
         return empty
@@ -1631,25 +1413,12 @@ def date_histogram(
     the merge is bounded by the time range, never the match count. Bucket
     keys are epoch-microsecond integers (``(epoch_us // interval) ·
     interval``) — exact on both sides."""
-    from .query import match_one_segment
-
     empty = pd.DataFrame({
         "bucket_us": pd.Series(dtype=np.int64),
         "doc_count": pd.Series(dtype=np.int64),
     })
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
-        return empty
     partials: list[pd.DataFrame] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs = match_one_segment(seg, terms, mode, exclude, None)
-        if docs.size == 0:
-            continue
+    for seg, docs in reader.matches(query_text, mode):
         ts = seg.attr_values(ts_field, docs)
         ts_int = ts.astype("datetime64[us]").astype(np.int64)
         bucket = (ts_int // interval_us) * interval_us
@@ -1689,44 +1458,12 @@ def search_boosting(
     Per segment the negative set is one unscored match enumeration; the
     demotion mask is a sorted membership test, so the negative query adds
     posting decode but no extra exchange."""
-    from .query import match_one_segment, or_exhaustive
-
-    empty = pd.DataFrame({
-        "doc_id": pd.Series(dtype=np.int64),
-        "score": pd.Series(dtype=np.float64),
-    })
     nbn = round(negative_boost * 10)
     if abs(nbn / 10.0 - negative_boost) > 1e-9:
         raise ValueError("negative_boost must be a multiple of 0.1 for exact ranking")
-    terms = sorted(set(analyzer.tokenize_query(positive)))
-    neg_terms = sorted(set(analyzer.tokenize_query(negative)))
-    if not terms:
-        return empty
-    dfs = reader.df(terms)
-    if mode == "and" and any(dfs[t] == 0 for t in terms):
-        return empty
-    live = [t for t in terms if dfs[t] > 0]
-    if not live:
-        return empty
-    idf_map = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
-    msm = len(live) if mode == "and" else None
+    neg_terms = reader.prepare(negative, "or").terms
     docs_parts, key_parts = [], []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        entries = {t: seg.entry(t) for t in live}
-        entries = {t: e for t, e in entries.items() if e is not None}
-        if not entries or (mode == "and" and len(entries) < len(live)):
-            continue
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs, scores = or_exhaustive(
-            seg, entries, idf_map, reader.avgdl, k=2**31,
-            exclude=exclude, min_should_match=msm,
-        )
-        if docs.size == 0:
-            continue
+    for seg, exclude, docs, scores in scored_query(reader, positive, mode):
         fp = np.floor(scores * 1e4 + 0.5).astype(np.int64)
         key = fp * 10
         if neg_terms:
@@ -1739,7 +1476,7 @@ def search_boosting(
         docs_parts.append(docs)
         key_parts.append(key)
     if not docs_parts:
-        return empty
+        return _no_hits()
     docs = np.concatenate(docs_parts)
     keys = np.concatenate(key_parts)
     order = np.lexsort((docs, -keys))[:k]
@@ -1782,41 +1519,13 @@ def search_parents(
     Driver merge is O(segments × parents-with-hits); at 100 TB that merge
     becomes one small Dataset groupby over the partial rows, same combiner.
     """
-    from .query import or_exhaustive
-
     empty = pd.DataFrame({
         parent_field: pd.Series(dtype=object),
         "score": pd.Series(dtype=np.float64),
         "n_hits": pd.Series(dtype=np.int64),
     })
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
-        return empty
-    dfs = reader.df(terms)
-    if mode == "and" and any(dfs[t] == 0 for t in terms):
-        return empty
-    live = [t for t in terms if dfs[t] > 0]
-    if not live:
-        return empty
-    idf_map = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
-    msm = len(live) if mode == "and" else None
     partials: list[pd.DataFrame] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        entries = {t: seg.entry(t) for t in live}
-        entries = {t: e for t, e in entries.items() if e is not None}
-        if not entries or (mode == "and" and len(entries) < len(live)):
-            continue
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs, scores = or_exhaustive(
-            seg, entries, idf_map, reader.avgdl, k=2**31,
-            exclude=exclude, min_should_match=msm,
-        )
-        if docs.size == 0:
-            continue
+    for seg, _, docs, scores in scored_query(reader, query_text, mode):
         fp = np.floor(scores * 1e4 + 0.5).astype(np.int64)
         parents = seg.attr_values(parent_field, docs)
         order = np.argsort(parents, kind="mergesort")
@@ -1860,8 +1569,6 @@ def top_hits(
     so the merge fan-in is O(segments × groups × per_group). Scores round
     to 4 before any selection, ties by doc_id asc — identical on both
     sides."""
-    from .query import or_exhaustive
-
     empty = pd.DataFrame({
         field: pd.Series(dtype=object),
         "group_rank": pd.Series(dtype=np.int64),
@@ -1869,34 +1576,8 @@ def top_hits(
         "doc_id": pd.Series(dtype=np.int64),
         "score": pd.Series(dtype=np.float64),
     })
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
-        return empty
-    dfs = reader.df(terms)
-    if mode == "and" and any(dfs[t] == 0 for t in terms):
-        return empty
-    live = [t for t in terms if dfs[t] > 0]
-    if not live:
-        return empty
-    idf_map = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
-    msm = len(live) if mode == "and" else None
     parts = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        entries = {t: seg.entry(t) for t in live}
-        entries = {t: e for t, e in entries.items() if e is not None}
-        if not entries or (mode == "and" and len(entries) < len(live)):
-            continue
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs, scores = or_exhaustive(
-            seg, entries, idf_map, reader.avgdl, k=2**31,
-            exclude=exclude, min_should_match=msm,
-        )
-        if docs.size == 0:
-            continue
+    for seg, _, docs, scores in scored_query(reader, query_text, mode):
         scores = np.round(scores, 4)
         vals = seg.attr_values(field, docs)
         order = np.lexsort((docs, -scores, vals))
@@ -1971,28 +1652,15 @@ def significant_terms(
     sorted-membership mask against the foreground set, and one reduceat —
     per-term foreground partials leave each segment as (term, count) rows,
     a vocabulary-bounded fold."""
-    from .query import match_one_segment
-
     empty = pd.DataFrame({
         "term": pd.Series(dtype=object),
         "fg_df": pd.Series(dtype=np.int64),
         "bg_df": pd.Series(dtype=np.int64),
         "score": pd.Series(dtype=np.int64),
     })
-    qterms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not qterms:
-        return empty
     fg_parts = []
     partials: list[pd.DataFrame] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        fg = match_one_segment(seg, qterms, mode, exclude, None)
-        if fg.size == 0:
-            continue
+    for seg, fg in reader.matches(query_text, mode):
         fg_parts.append(fg)
         term_rows, df_s, d_all, _ = seg.all_postings()
         idx = np.searchsorted(fg, d_all)
@@ -2040,8 +1708,7 @@ def rescore(
     Window membership and the final order both use 4-decimal-rounded
     component scores with doc_id tie-break, so the oracle's LIMIT-based cut
     selects the identical window. Needs ``store_positions=True``."""
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
+    empty = _no_hits()
     prim = reader.search(query_text, k=2**31, mode=mode).to_pandas()
     if prim.empty:
         return empty
@@ -2079,23 +1746,11 @@ def search_random(
     ops/sampling.py uses), so engine and oracle agree byte-identically.
     Each segment contributes only its local k smallest keys to the merge."""
     from ..ops.sampling import _KNUTH, _MOD
-    from .query import match_one_segment
 
     empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
                           "h": pd.Series(dtype=np.int64)})
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
-        return empty
     docs_parts, h_parts = [], []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        matched = match_one_segment(seg, terms, mode, exclude, None)
-        if matched.size == 0:
-            continue
+    for _, matched in reader.matches(query_text, mode):
         h = (matched * _KNUTH + seed) % _MOD
         if matched.size > k:  # local top-k: only k keys leave the segment
             part = np.argpartition(h, k)[:k]
@@ -2127,21 +1782,13 @@ def filters_agg(
     names = sorted(named_filters)
     counts = {nm: 0 for nm in names}
     other = 0
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            any_mask = np.zeros(matched.size, dtype=bool)
-            for nm in names:
-                m = np.ones(matched.size, dtype=bool)
-                for field, values in named_filters[nm].items():
-                    m &= np.isin(
-                        seg.attr_values(field, matched), np.asarray(values)
-                    )
-                counts[nm] += int(m.sum())
-                any_mask |= m
-            other += int((~any_mask).sum())
+    for seg, matched in reader.matches(query_text, mode):
+        any_mask = np.zeros(matched.size, dtype=bool)
+        for nm in names:
+            m = _filter_mask(seg, matched, named_filters[nm])
+            counts[nm] += int(m.sum())
+            any_mask |= m
+        other += int((~any_mask).sum())
     rows = [(nm, counts[nm]) for nm in names]
     if other_bucket:
         rows.append(("_other_", other))
@@ -2149,6 +1796,15 @@ def filters_agg(
     out = out.sort_values("bucket").reset_index(drop=True)
     out["doc_count"] = out["doc_count"].astype(np.int64)
     return out
+
+
+def _filter_mask(seg, matched: np.ndarray, spec: dict[str, list]) -> np.ndarray:
+    """Which ``matched`` docs satisfy a named filter (value membership per
+    field, AND across fields)."""
+    m = np.ones(matched.size, dtype=bool)
+    for field, values in spec.items():
+        m &= np.isin(seg.attr_values(field, matched), np.asarray(values))
+    return m
 
 
 def adjacency_matrix(
@@ -2166,20 +1822,11 @@ def adjacency_matrix(
     names = sorted(named_filters)
     F = len(names)
     grid = np.zeros((F, F), dtype=np.int64)
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            M = np.zeros((F, matched.size), dtype=np.int64)
-            for i, nm in enumerate(names):
-                m = np.ones(matched.size, dtype=bool)
-                for field, values in named_filters[nm].items():
-                    m &= np.isin(
-                        seg.attr_values(field, matched), np.asarray(values)
-                    )
-                M[i] = m
-            grid += M @ M.T
+    for seg, matched in reader.matches(query_text, mode):
+        M = np.zeros((F, matched.size), dtype=np.int64)
+        for i, nm in enumerate(names):
+            M[i] = _filter_mask(seg, matched, named_filters[nm])
+        grid += M @ M.T
     rows = []
     for i in range(F):
         if grid[i, i]:
@@ -2213,13 +1860,8 @@ def composite_agg(
         {**{c: pd.Series(dtype=object) for c in cols},
          "doc_count": pd.Series(dtype=np.int64)}
     )
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if not live or (mode == "and" and len(live) < len(terms)):
-        return empty
     partials = []
-    for seg, matched in _segment_matches(reader, live, mode, None):
+    for seg, matched in reader.matches(query_text, mode):
         dfp = pd.DataFrame({c: seg.attr_values(c, matched) for c in cols})
         partials.append(dfp.groupby(cols, as_index=False).size())
     if not partials:
@@ -2255,53 +1897,20 @@ def search_span_first(
     contract as search_phrase/search_proximity). One positional decode of
     the single term per segment; a reduceat over posting boundaries counts
     qualifying positions — no per-doc loop."""
-    from . import bm25
-    from .query import merge_topk, tombstones_for_segment
+    tok = _single_token(reader, term, "span_first takes exactly one term")
 
-    toks = analyzer.tokenize_query(term)
-    if len(toks) != 1:
-        raise ValueError("span_first takes exactly one term")
-    tok = toks[0]
-    matches = []
-    df = 0
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        if not seg.has_positions:
-            raise ValueError(
-                "span_first needs positions — build_index(store_positions=True)"
-            )
+    def match(seg):
         hit = seg.positions(tok)
         if hit is None:
-            continue
+            return _NO_SPANS
         docs, tfs, pos = hit
         offs = np.zeros(tfs.size, dtype=np.int64)
         np.cumsum(tfs[:-1], out=offs[1:])
         cnt = np.add.reduceat((pos < end).astype(np.int64), offs)
         keep = cnt > 0
-        docs, cnt = docs[keep], cnt[keep]
-        if docs.size == 0:
-            continue
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        if exclude.size:
-            live = ~np.isin(docs, exclude)
-            docs, cnt = docs[live], cnt[live]
-        if docs.size:
-            df += int(docs.size)
-            matches.append((docs, cnt, seg.doc_lengths(docs)))
-    if not matches or df == 0:
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
-    term_idf = float(bm25.idf(reader.n_docs, df))
-    parts = [
-        (docs, bm25.score(cnt, dl, term_idf, reader.avgdl))
-        for docs, cnt, dl in matches
-    ]
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+        return docs[keep], cnt[keep]
+
+    return _span_topk(reader, match, k, "span_first")
 
 
 def search_match_phrase_prefix(
@@ -2322,40 +1931,19 @@ def search_match_phrase_prefix(
     (doc,start)-keys are intersected ONCE, then each expansion only
     intersects its own positions against that chain — the lead terms are
     never re-decoded per expansion."""
-    from . import bm25
-    from .query import merge_topk, tombstones_for_segment
-
-    toks = analyzer.tokenize_query(phrase)
+    toks = analyzer.tokenize_query(phrase, reader.analyzer_version)  # order kept
     if not toks:
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
+        return _no_hits()
     fixed, prefix = toks[:-1], toks[-1]
-    exp: set[str] = set()
-    segs = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        if not seg.has_positions:
-            raise ValueError(
-                "match_phrase_prefix needs positions — "
-                "build_index(store_positions=True)"
-            )
-        segs.append((seg_meta, seg))
-        exp.update(seg.terms_with_prefix(prefix))
-    expansions = sorted(exp)[:max_expansions]
-    if not expansions:
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
-    matches = []
-    df = 0
+    expansions = reader.terms_with_prefix(prefix)[:max_expansions]
     last_i = len(fixed)
-    for seg_meta, seg in segs:
+
+    def match(seg):
         keys: np.ndarray | None = None
-        dead = False
         for i, t in enumerate(fixed):
             res = seg.positions(t)
             if res is None:
-                dead = True
-                break
+                return _NO_SPANS
             docs, tfs, pos = res
             local = np.searchsorted(seg.doc_ids, docs)
             tok_local = np.repeat(local, tfs)
@@ -2366,10 +1954,7 @@ def search_match_phrase_prefix(
                 keys, kk, assume_unique=True
             )
             if keys.size == 0:
-                dead = True
-                break
-        if dead:
-            continue
+                return _NO_SPANS
         start_parts = []
         for e in expansions:
             res = seg.positions(e)
@@ -2387,31 +1972,12 @@ def search_match_phrase_prefix(
             if hit.size:
                 start_parts.append(hit >> 31)
         if not start_parts:
-            continue
+            return _NO_SPANS
         # one token per position → keys are distinct across expansions
         uniq, ptf = np.unique(np.concatenate(start_parts), return_counts=True)
-        docs, cnt = seg.doc_ids[uniq], ptf.astype(np.int64)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        if exclude.size:
-            live = ~np.isin(docs, exclude)
-            docs, cnt = docs[live], cnt[live]
-        if docs.size:
-            df += int(docs.size)
-            matches.append((docs, cnt, seg.doc_lengths(docs)))
-    if not matches or df == 0:
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
-    term_idf = float(bm25.idf(reader.n_docs, df))
-    parts = [
-        (docs, bm25.score(cnt, dl, term_idf, reader.avgdl))
-        for docs, cnt, dl in matches
-    ]
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+        return seg.doc_ids[uniq], ptf.astype(np.int64)
+
+    return _span_topk(reader, match, k, "match_phrase_prefix")
 
 
 def matrix_stats(
@@ -2434,21 +2000,17 @@ def matrix_stats(
 
     n = 0
     s_dl = s_ts = s_dl2 = s_ts2 = s_dlts = 0
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            dl = seg.doc_lengths(matched).astype(np.int64)
-            ts = seg.attr_values(ts_field, matched)
-            ts = ts.astype("datetime64[us]").astype(np.int64) // 1_000_000
-            ts = ts - ts_base_s
-            n += int(matched.size)
-            s_dl += int(dl.sum())
-            s_ts += int(ts.sum())
-            s_dl2 += int((dl * dl).sum())
-            s_ts2 += int((ts * ts).sum())
-            s_dlts += int((dl * ts).sum())
+    for seg, matched in reader.matches(query_text, mode):
+        dl = seg.doc_lengths(matched).astype(np.int64)
+        ts = seg.attr_values(ts_field, matched)
+        ts = ts.astype("datetime64[us]").astype(np.int64) // 1_000_000
+        ts = ts - ts_base_s
+        n += int(matched.size)
+        s_dl += int(dl.sum())
+        s_ts += int(ts.sum())
+        s_dl2 += int((dl * dl).sum())
+        s_ts2 += int((ts * ts).sum())
+        s_dlts += int((dl * ts).sum())
     empty = pd.DataFrame({
         "n": pd.Series(dtype=np.int64),
         "mean_dl": pd.Series(dtype=np.float64),
@@ -2530,25 +2092,19 @@ def search_exists(
     import pyarrow.compute as _pc
 
     parts = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, exclude in reader.segments():
         if field not in seg.attrs:
             raise KeyError(
                 f"attribute {field!r} not stored — build with attr_cols=[{field!r}]"
             )
         mask = np.asarray(_pc.is_valid(seg.attrs[field]))
         docs = seg.doc_ids[mask]
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
         if exclude.size and docs.size:
             docs = docs[~np.isin(docs, exclude)]
         if docs.size:
             parts.append(docs[:k])  # per-segment pre-cut: ids are sorted
     if not parts:
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
+        return _no_hits()
     docs = np.sort(np.concatenate(parts))[:k]
     return pd.DataFrame({
         "doc_id": docs.astype(np.int64),
@@ -2602,19 +2158,15 @@ def range_agg(
         for lo, hi in ranges
     ]
     counts = np.zeros(len(ranges), dtype=np.int64)
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            dl = seg.doc_lengths(matched)
-            for i, (lo, hi) in enumerate(ranges):
-                m = np.ones(dl.size, dtype=bool)
-                if lo is not None:
-                    m &= dl >= lo
-                if hi is not None:
-                    m &= dl < hi
-                counts[i] += int(m.sum())
+    for seg, matched in reader.matches(query_text, mode):
+        dl = seg.doc_lengths(matched)
+        for i, (lo, hi) in enumerate(ranges):
+            m = np.ones(dl.size, dtype=bool)
+            if lo is not None:
+                m &= dl >= lo
+            if hi is not None:
+                m &= dl < hi
+            counts[i] += int(m.sum())
     out = pd.DataFrame({"bucket": labels, "doc_count": counts})
     out["doc_count"] = out["doc_count"].astype(np.int64)
     return out  # ES returns ranges in the given order
@@ -2633,17 +2185,12 @@ def rare_terms_agg(
     ordered count-ascending then value. Exact regime (ES's CuckooFilter
     approximation exists to bound coordinator memory; per-segment partials
     already bound ours at distinct-values-per-segment)."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
     empty = pd.DataFrame({
         field: pd.Series(dtype=object),
         "doc_count": pd.Series(dtype=np.int64),
     })
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if not live or (mode == "and" and len(live) < len(terms)):
-        return empty
     partials = []
-    for seg, matched in _segment_matches(reader, live, mode, None):
+    for seg, matched in reader.matches(query_text, mode):
         vals = seg.attr_values(field, matched)
         uniq, counts = np.unique(vals, return_counts=True)
         partials.append(pd.DataFrame({field: uniq, "doc_count": counts}))
@@ -2670,39 +2217,18 @@ def search_bool(
     empty ``must``, should-terms become the match set — plain OR.) Scoring
     order is fixed (sorted term order, must and should interleaved by term
     string) so scores are bit-comparable with the oracle's grouped sum."""
-    from . import bm25
-    from .query import match_one_segment, merge_topk, tombstones_for_segment
-
-    must_terms = sorted(set(analyzer.tokenize_query(must)))
-    should_terms = sorted(
-        set(analyzer.tokenize_query(should)) - set(must_terms)
-    )
-    neg_terms = sorted(set(analyzer.tokenize_query(must_not)))
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-    all_terms = sorted(set(must_terms) | set(should_terms))
-    if not all_terms:
+    must_terms = reader.prepare(must, "and").terms
+    should_terms = reader.prepare(should, "or").terms
+    neg_terms = reader.prepare(must_not, "or").terms
+    empty = _no_hits()
+    prep = prepare_terms(must_terms + should_terms, "or", reader.df, reader.n_docs)
+    if not prep.terms or any(prep.dfs[t] == 0 for t in must_terms):
         return empty
-    dfs = reader.df(all_terms)
-    if any(dfs.get(t, 0) == 0 for t in must_terms):
-        return empty
-    scoring = [t for t in all_terms if dfs.get(t, 0) > 0]
-    idf = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in scoring}
+    scoring, idf = prep.live, prep.idf
     parts = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
+    for _, seg, exclude in reader.segments():
         if neg_terms:
-            neg_parts = [exclude] if exclude.size else []
-            for nt in neg_terms:
-                p = seg.postings(nt)
-                if p is not None and p[0].size:
-                    neg_parts.append(p[0])
-            if neg_parts:
-                exclude = np.unique(np.concatenate(neg_parts))
+            exclude = exclude_terms(seg, exclude, neg_terms)
         cand = match_one_segment(
             seg, must_terms if must_terms else scoring,
             "and" if must_terms else "or", exclude, None,
@@ -2744,13 +2270,7 @@ def delete_by_query(index_root: str, query_text: str, *, mode: str = "or") -> di
     from . import incremental
 
     reader = IndexReader(index_root)
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    ids: list[np.ndarray] = []
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for _seg, matched in _segment_matches(reader, live, mode, None):
-            ids.append(matched)
+    ids = [matched for _, matched in reader.matches(query_text, mode)]
     doomed = np.sort(np.concatenate(ids)) if ids else np.empty(0, np.int64)
     if doomed.size == 0:
         return {"deleted": 0, "version": reader.manifest["_version"]}
@@ -2794,21 +2314,15 @@ def update_by_query(
         raise ValueError("update_by_query needs store_source=True")
     attr_cols = list(man.get("attr_cols") or [])
     reader = IndexReader(index_root)
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
     frames = []
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            cols = {
-                "doc_id": matched.astype(np.int64),
-                "text": transform(
-                    seg.stored_values("_source", matched)
-                ).to_pylist(),
-            }
-            for a in attr_cols:
-                cols[a] = seg.attr_values(a, matched)
-            frames.append(pd_.DataFrame(cols))
+    for seg, matched in reader.matches(query_text, mode):
+        cols = {
+            "doc_id": matched.astype(np.int64),
+            "text": transform(seg.stored_values("_source", matched)).to_pylist(),
+        }
+        for a in attr_cols:
+            cols[a] = seg.attr_values(a, matched)
+        frames.append(pd_.DataFrame(cols))
     if not frames:
         return {"updated": 0, "version": reader.manifest["_version"]}
     delta = pd_.concat(frames)
@@ -2851,8 +2365,7 @@ def assemble_context(
     ).reset_index(drop=True)
     ids = ranked["doc_id"].to_numpy(np.int64)
     dl = np.zeros(ids.size, dtype=np.int64)
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, _ in reader.segments():
         idx = np.searchsorted(seg.doc_ids, ids)
         idx_c = np.clip(idx, 0, max(seg.doc_ids.size - 1, 0))
         hit = (seg.doc_ids.size > 0) & (seg.doc_ids[idx_c] == ids)
@@ -2868,30 +2381,33 @@ def assemble_context(
     return out.reset_index(drop=True)
 
 
-def parse_query_string(qs: str) -> dict:
+def parse_query_string(qs: str, version: str = "v1") -> dict:
     """Shared clause parser for the combined ``simple_query_string``
     surface (the reference's actual query language,
     core/models/search/query.py:73-98): ``"quoted phrases"`` must match
     adjacently, ``-term`` negates, ``term*`` expands against the
     dictionary, bare terms are AND-required. One definition used by BOTH
-    the engine and the SQL oracle builder."""
+    the engine and the SQL oracle builder; clauses are analyzed with the
+    index's analyzer ``version``."""
     import re
 
-    phrases = [h for h in re.findall(r'"([^"]*)"', qs)
-               if analyzer.tokenize_query(h)]
+    def toks(text: str) -> list[str]:
+        return analyzer.tokenize_query(text, version)
+
+    phrases = [h for h in re.findall(r'"([^"]*)"', qs) if toks(h)]
     rest = re.sub(r'"[^"]*"', " ", qs)
     plain: list[str] = []
     prefixes: list[str] = []
     negs: list[str] = []
     for tok in rest.split():
         if tok.startswith("-"):
-            negs.extend(analyzer.tokenize_query(tok[1:]))
+            negs.extend(toks(tok[1:]))
         elif tok.endswith("*"):
-            stem = analyzer.tokenize_query(tok[:-1])
+            stem = toks(tok[:-1])
             if len(stem) == 1:
                 prefixes.append(stem[0])
         else:
-            plain.extend(analyzer.tokenize_query(tok))
+            plain.extend(toks(tok))
     return {
         "plain": sorted(set(plain)),
         "phrases": phrases,
@@ -2915,28 +2431,15 @@ def search_query_string(
     (per-expansion idf, the search_prefix contract). Expansion sets are
     global and lexicographically capped. Requires positions when the query
     has phrases."""
-    from . import bm25
-    from .query import (
-        match_one_segment,
-        merge_topk,
-        phrase_match_segment,
-        tombstones_for_segment,
-    )
-
-    c = parse_query_string(qs)
+    c = parse_query_string(qs, reader.analyzer_version)
     plain, prefixes, negs = c["plain"], c["prefixes"], c["negs"]
-    phrases = [analyzer.tokenize_query(h) for h in c["phrases"]]
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
+    phrases = [analyzer.tokenize_query(h, reader.analyzer_version) for h in c["phrases"]]
+    empty = _no_hits()
     if not (plain or phrases):
         raise ValueError("query string needs at least one bare term or phrase")
-    segs = [(m, reader._segment(m)) for m in reader.manifest["segments"]]
     expmap: dict[str, list[str]] = {}
     for x in prefixes:
-        u: set[str] = set()
-        for _m, s in segs:
-            u.update(s.terms_with_prefix(x))
-        expmap[x] = sorted(u)[:max_expansions]
+        expmap[x] = reader.terms_with_prefix(x)[:max_expansions]
         if not expmap[x]:
             return empty
     all_exp = sorted({e for xs in expmap.values() for e in xs})
@@ -2950,20 +2453,8 @@ def search_query_string(
 
     collected = []
     df_phrase = [0] * len(phrases)
-    for meta, seg in segs:
-        tomb = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            meta.get("created_version", reader.manifest["_version"]),
-        )
-        exclude = tomb
-        if negs:
-            parts = [tomb] if tomb.size else []
-            for nt in negs:
-                p = seg.postings(nt)
-                if p is not None and p[0].size:
-                    parts.append(p[0])
-            if parts:
-                exclude = np.unique(np.concatenate(parts))
+    for _, seg, tomb in reader.segments():
+        exclude = exclude_terms(seg, tomb, negs) if negs else tomb
         if plain:
             cand = match_one_segment(seg, plain, "and", exclude, None)
         else:
@@ -3063,29 +2554,19 @@ def search_span_not(
     positions pack into ``(local_doc << 31) | pos`` keys; a binary-search
     range probe per include token finds whether an exclude key lands in
     its ±distance window — no per-doc loop."""
-    from . import bm25
-    from .query import merge_topk, tombstones_for_segment
+    what = "span_not takes exactly one include and one exclude term"
+    inc = _single_token(reader, include_term, what)
+    exc = _single_token(reader, exclude_term, what)
 
-    inc = analyzer.tokenize_query(include_term)
-    exc = analyzer.tokenize_query(exclude_term)
-    if len(inc) != 1 or len(exc) != 1:
-        raise ValueError("span_not takes exactly one include and one exclude term")
-    matches = []
-    df = 0
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        if not seg.has_positions:
-            raise ValueError(
-                "span_not needs positions — build_index(store_positions=True)"
-            )
-        hit = seg.positions(inc[0])
+    def match(seg):
+        hit = seg.positions(inc)
         if hit is None:
-            continue
+            return _NO_SPANS
         docs, tfs, pos = hit
         local = np.searchsorted(seg.doc_ids, docs)
         tok_local = np.repeat(local, tfs).astype(np.int64)
         inc_keys = (tok_local << 31) | pos
-        ex = seg.positions(exc[0])
+        ex = seg.positions(exc)
         if ex is None:
             good = np.ones(inc_keys.size, dtype=bool)
         else:
@@ -3104,30 +2585,9 @@ def search_span_not(
             np.concatenate(([0], np.cumsum(tfs)[:-1])),
         ) if tfs.size else np.zeros(0, np.int64)
         keep = cnt > 0
-        d2, c2 = docs[keep], cnt[keep]
-        if d2.size == 0:
-            continue
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        if exclude.size:
-            live = ~np.isin(d2, exclude)
-            d2, c2 = d2[live], c2[live]
-        if d2.size:
-            df += int(d2.size)
-            matches.append((d2, c2, seg.doc_lengths(d2)))
-    if not matches or df == 0:
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
-    term_idf = float(bm25.idf(reader.n_docs, df))
-    parts = [
-        (d2, bm25.score(c2, dl, term_idf, reader.avgdl))
-        for d2, c2, dl in matches
-    ]
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+        return docs[keep], cnt[keep]
+
+    return _span_topk(reader, match, k, "span_not")
 
 
 def multi_terms_agg(
@@ -3168,19 +2628,14 @@ def percentile_ranks_agg(
     derived with the shared floor(x·1e6+0.5) rule."""
     import math
 
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
     empty = pd.DataFrame({
         "value": pd.Series(dtype=np.float64),
         "n_le": pd.Series(dtype=np.int64),
         "pct_rank": pd.Series(dtype=np.float64),
     })
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if not live or (mode == "and" and len(live) < len(terms)):
-        return empty
     total = 0
     n_le = np.zeros(len(values), dtype=np.int64)
-    for seg, matched in _segment_matches(reader, live, mode, None):
+    for seg, matched in reader.matches(query_text, mode):
         dl = seg.doc_lengths(matched)
         total += int(matched.size)
         for i, v in enumerate(values):
@@ -3210,17 +2665,12 @@ def attr_value_suggest(
     import pyarrow.compute as _pc
 
     partials = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, exclude in reader.segments():
         if field not in seg.attrs:
             raise KeyError(f"attribute {field!r} not stored")
         arr = seg.attrs[field]
         mask = np.asarray(
             _pc.fill_null(_pc.starts_with(arr, prefix), False)
-        )
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
         )
         if exclude.size:
             mask &= ~np.isin(seg.doc_ids, exclude)
@@ -3259,34 +2709,22 @@ def export_search(
 
     import pyarrow.parquet as _pq
 
-    from . import bm25
-    from .query import search_segment, tombstones_for_segment
-
     os.makedirs(out_dir, exist_ok=True)
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if not live or (mode == "and" and len(live) < len(terms)):
+    prep = reader.prepare(query_text, mode)
+    if prep.empty:
         return {"rows": 0, "shards": 0, "skipped": 0}
-    idf = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
     rows = shards = skipped = 0
-    for seg_meta in reader.manifest["segments"]:
+    for seg_meta, seg, exclude in reader.segments():
         name = os.path.basename(seg_meta["path"])
         shard = os.path.join(out_dir, f"{name}.parquet")
         done = shard + ".done"
         if os.path.exists(done):
             skipped += 1
-            t = _pq.read_table(shard)
-            rows += t.num_rows
+            rows += _pq.read_metadata(shard).num_rows
             shards += 1
             continue
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
         d, s = search_segment(
-            seg, live, idf, reader.avgdl, k=seg.doc_ids.size + 1,
+            seg, prep.live, prep.idf, reader.avgdl, k=seg.doc_ids.size + 1,
             mode=mode, exclude=exclude,
         )
         if d.size == 0:
@@ -3324,19 +2762,8 @@ def boxplot_agg(
     })
     if q.empty:
         return empty
-    from .query import match_one_segment
-
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
     lo, hi = None, None
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs = match_one_segment(seg, terms, mode, exclude, None)
-        if docs.size == 0:
-            continue
+    for seg, docs in reader.matches(query_text, mode):
         dl = seg.doc_lengths(docs)
         lo = int(dl.min()) if lo is None else min(lo, int(dl.min()))
         hi = int(dl.max()) if hi is None else max(hi, int(dl.max()))
@@ -3403,20 +2830,9 @@ def search_match_bool_prefix(
     prefix ranges, lexicographically capped at ``max_expansions`` (the
     Lucene MultiTermQuery rewrite contract shared by match_fuzzy /
     wildcard); the fixed lead terms are always scored, cap or not."""
-    toks = analyzer.tokenize_query(query_text)
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-    if not toks:
-        return empty
-    fixed, prefix = toks[:-1], toks[-1]
-    exp: set[str] = set()
-    for seg_meta in reader.manifest["segments"]:
-        exp.update(reader._segment(seg_meta).terms_with_prefix(prefix))
-    expansions = sorted(exp)[:max_expansions]
-    terms = sorted(set(fixed) | set(expansions))
-    if not terms:
-        return empty
-    out = reader._search_terms(terms, k, "or").to_pandas()
+    toks = analyzer.tokenize_query(query_text, reader.analyzer_version)  # last = prefix
+    expansions = reader.terms_with_prefix(toks[-1])[:max_expansions] if toks else []
+    out = reader._search_terms(toks[:-1] + expansions, k, "or").to_pandas()
     out["score"] = out["score"].round(4)
     return out[["doc_id", "score"]]
 
@@ -3441,32 +2857,35 @@ def search_terms_set(
     score aggregation (the or_exhaustive shape), per-doc match counts from
     the posting-stream run lengths, the minimum vector gathered in ONE
     ``attr_values`` take — no per-doc Python."""
-    from .query import merge_topk
-
-    tset = sorted(set(terms))
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-    if not tset:
-        return empty
-    dfs = reader.df(tset)
-    live = [t for t in tset if dfs.get(t, 0) > 0]
-    if not live:
-        return empty
-    idf_map = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
+    prep = prepare_terms(terms, "or", reader.df, reader.n_docs)
     parts = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for seg, uniq, sums, n_matched in _term_sums(reader, prep):
+        keep = n_matched >= np.asarray(seg.attr_values(min_field, uniq), dtype=np.int64)
+        parts.append((uniq[keep], sums[keep]))
+    if not parts:
+        return _no_hits()
+    out = merge_topk(parts, k).to_pandas()
+    out["score"] = out["score"].round(4)
+    return out[["doc_id", "score"]]
+
+
+def _term_sums(reader: IndexReader, prep):
+    """Yield ``(segment, docs, score sums, matched-term counts)`` per
+    segment with a live doc: every posting of the live terms scored and
+    summed per doc in sorted term order (deterministic accumulation),
+    tombstoned docs dropped."""
+    for _, seg, exclude in reader.segments():
         docs_parts, score_parts = [], []
-        for t in live:  # sorted order → deterministic accumulation
+        for t in prep.live:
             p = seg.postings(t)
             if p is None:
                 continue
             d, f = p
-            dl = seg.doc_lengths(d).astype(np.float64)
             docs_parts.append(d)
-            score_parts.append(
-                bm25.score(f.astype(np.float64), dl, idf_map[t], reader.avgdl)
-            )
+            score_parts.append(bm25.score(
+                f.astype(np.float64), seg.doc_lengths(d).astype(np.float64),
+                prep.idf[t], reader.avgdl,
+            ))
         if not docs_parts:
             continue
         alld = np.concatenate(docs_parts)
@@ -3476,23 +2895,11 @@ def search_terms_set(
         uniq, starts = np.unique(alld, return_index=True)
         sums = np.add.reduceat(alls, starts)
         n_matched = np.diff(np.append(starts, alld.size))
-        req = np.asarray(seg.attr_values(min_field, uniq), dtype=np.int64)
-        keep = n_matched >= req
-        uniq, sums = uniq[keep], sums[keep]
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        if exclude.size and uniq.size:
-            m = ~np.isin(uniq, exclude)
-            uniq, sums = uniq[m], sums[m]
+        if exclude.size:
+            live = ~np.isin(uniq, exclude)
+            uniq, sums, n_matched = uniq[live], sums[live], n_matched[live]
         if uniq.size:
-            parts.append((uniq, sums))
-    if not parts:
-        return empty
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+            yield seg, uniq, sums, n_matched
 
 
 def search_span_or(
@@ -3507,54 +2914,23 @@ def search_span_or(
     tf = TOTAL occurrences of any clause term in the doc, df = live docs
     with >=1 occurrence, one shared idf. Positions are not needed — the
     union's occurrence count is just the sum of the clause tfs."""
-    from . import bm25
-    from .query import merge_topk, tombstones_for_segment
+    return _span_or_terms(reader, reader.prepare(terms_text, "or").terms, k)
 
-    terms = sorted(set(analyzer.tokenize_query(terms_text)))
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-    if not terms:
-        return empty
-    matches = []
-    df = 0
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        docs_parts, tf_parts = [], []
-        for t in terms:
-            p = seg.postings(t)
-            if p is None:
-                continue
-            docs_parts.append(p[0])
-            tf_parts.append(p[1].astype(np.int64))
-        if not docs_parts:
-            continue
-        alld = np.concatenate(docs_parts)
-        allf = np.concatenate(tf_parts)
+
+def _span_or_terms(reader: IndexReader, terms: list[str], k: int) -> pd.DataFrame:
+    """``span_or`` over already-analyzed terms."""
+    def match(seg):
+        posts = [p for p in (seg.postings(t) for t in terms) if p is not None]
+        if not posts:
+            return _NO_SPANS
+        alld = np.concatenate([p[0] for p in posts])
+        allf = np.concatenate([p[1].astype(np.int64) for p in posts])
         order = np.argsort(alld, kind="stable")
         alld, allf = alld[order], allf[order]
         uniq, starts = np.unique(alld, return_index=True)
-        cnt = np.add.reduceat(allf, starts)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        if exclude.size:
-            live = ~np.isin(uniq, exclude)
-            uniq, cnt = uniq[live], cnt[live]
-        if uniq.size:
-            df += int(uniq.size)
-            matches.append((uniq, cnt, seg.doc_lengths(uniq)))
-    if not matches or df == 0:
-        return empty
-    term_idf = float(bm25.idf(reader.n_docs, df))
-    parts = [
-        (d, bm25.score(c.astype(np.float64), dl.astype(np.float64),
-                       term_idf, reader.avgdl))
-        for d, c, dl in matches
-    ]
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+        return uniq, np.add.reduceat(allf, starts)
+
+    return _span_topk(reader, match, k)
 
 
 def search_span_multi(
@@ -3571,17 +2947,8 @@ def search_span_multi(
     (tf = total occurrences of ANY expanded term, one shared df/idf).
     Deliberately different ranking from ``search_prefix``'s per-term-idf
     disjunction — the degeneracy test asserts they diverge."""
-    pfx = analyzer.tokenize_query(prefix)
-    if len(pfx) != 1:
-        raise ValueError("span_multi prefix must normalize to exactly one token")
-    expanded: set[str] = set()
-    for seg_meta in reader.manifest["segments"]:
-        expanded.update(reader._segment(seg_meta).terms_with_prefix(pfx[0]))
-    terms = sorted(expanded)[:max_expansions]
-    if not terms:
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
-    return search_span_or(reader, " ".join(terms), k=k)
+    pfx = _single_token(reader, prefix, "span_multi prefix must normalize to exactly one token")
+    return _span_or_terms(reader, reader.terms_with_prefix(pfx)[:max_expansions], k)
 
 
 def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -3636,37 +3003,23 @@ def search_span_containing(
     span-family contract shared with span_near/span_first/span_not).
     Fully vectorized: packed (doc << 31 | pos) keys, two binary searches
     per side, run-length pair materialization — no per-doc loop."""
-    from . import bm25
-    from .query import merge_topk, tombstones_for_segment
-
-    t1s = analyzer.tokenize_query(big[0])
-    t2s = analyzer.tokenize_query(big[1])
-    t3s = analyzer.tokenize_query(little)
-    if len(t1s) != 1 or len(t2s) != 1 or len(t3s) != 1:
-        raise ValueError("span_containing takes single-token clauses")
+    what = "span_containing takes single-token clauses"
+    t1, t2, t3 = (_single_token(reader, x, what) for x in (big[0], big[1], little))
     if mode not in ("containing", "within"):
         raise ValueError(f"unknown mode {mode!r}")
-    t1, t2, t3 = t1s[0], t2s[0], t3s[0]
-    matches = []
-    df = 0
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        if not seg.has_positions:
-            raise ValueError(
-                "span_containing needs positions — "
-                "build_index(store_positions=True)"
-            )
+
+    def match(seg):
         k1 = _span_tokens(seg, t1)
         k2 = _span_tokens(seg, t2)
         k3 = _span_tokens(seg, t3)
         if k1 is None or k2 is None or k3 is None:
-            continue
+            return _NO_SPANS
         # ordered big windows: p2 in (p1, p1 + slop + 1], same doc
         lo2 = np.searchsorted(k2, k1 + 1)
         hi2 = np.searchsorted(k2, k1 + slop + 1, side="right")
         owner, idx2 = _expand_ranges(lo2, hi2)
         if owner.size == 0:
-            continue
+            return _NO_SPANS
         span_lo = k1[owner]          # packed (doc, p1)
         span_hi = k2[idx2]           # packed (doc, p2), same doc by range
         a = np.searchsorted(k3, span_lo)
@@ -3675,37 +3028,17 @@ def search_span_containing(
             good = b > a             # span encloses >=1 little occurrence
             keys = span_lo[good]     # one key per qualifying span
         else:
-            in_owner, idx3 = _expand_ranges(a, b)
-            if idx3.size == 0:
-                continue
+            _, idx3 = _expand_ranges(a, b)
             keys = k3[np.unique(idx3)]  # distinct enclosed little tokens
-        if keys.size == 0:
-            continue
-        uniq_local, cnt = np.unique(keys >> 31, return_counts=True)
-        d2 = seg.doc_ids[uniq_local]
-        c2 = cnt.astype(np.int64)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        if exclude.size:
-            live = ~np.isin(d2, exclude)
-            d2, c2 = d2[live], c2[live]
-        if d2.size:
-            df += int(d2.size)
-            matches.append((d2, c2, seg.doc_lengths(d2)))
-    if not matches or df == 0:
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
-    term_idf = float(bm25.idf(reader.n_docs, df))
-    parts = [
-        (d2, bm25.score(c2.astype(np.float64), dl.astype(np.float64),
-                        term_idf, reader.avgdl))
-        for d2, c2, dl in matches
-    ]
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+        return _span_counts(seg, keys)
+
+    return _span_topk(reader, match, k, "span_containing")
+
+
+def _span_counts(seg, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(docs, span count) of packed ``(local_doc << 31) | pos`` span keys."""
+    uniq_local, cnt = np.unique(keys >> 31, return_counts=True)
+    return seg.doc_ids[uniq_local], cnt.astype(np.int64)
 
 
 def extended_stats_agg(
@@ -3724,20 +3057,16 @@ def extended_stats_agg(
     quantization cannot diverge)."""
     import math
 
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
     n = 0
     s = s2 = 0
     mn, mx = None, None
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            dl = seg.doc_lengths(matched).astype(np.int64)
-            n += int(matched.size)
-            s += int(dl.sum())
-            s2 += int((dl * dl).sum())
-            mn = int(dl.min()) if mn is None else min(mn, int(dl.min()))
-            mx = int(dl.max()) if mx is None else max(mx, int(dl.max()))
+    for seg, matched in reader.matches(query_text, mode):
+        dl = seg.doc_lengths(matched).astype(np.int64)
+        n += int(matched.size)
+        s += int(dl.sum())
+        s2 += int((dl * dl).sum())
+        mn = int(dl.min()) if mn is None else min(mn, int(dl.min()))
+        mx = int(dl.max()) if mx is None else max(mx, int(dl.max()))
     if n == 0:
         return pd.DataFrame({
             "n": pd.Series(dtype=np.int64),
@@ -3783,21 +3112,17 @@ def missing_agg(
     null bitmap of the stored attr column."""
     import pyarrow.compute as _pc
 
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
     total = 0
     nmiss = 0
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            if field not in seg.attrs:
-                raise KeyError(
-                    f"attribute {field!r} not stored — build with attr_cols=[{field!r}]"
-                )
-            idx = np.searchsorted(seg.doc_ids, matched)
-            valid = np.asarray(_pc.is_valid(seg.attrs[field].take(pa.array(idx))))
-            total += int(matched.size)
-            nmiss += int(matched.size - valid.sum())
+    for seg, matched in reader.matches(query_text, mode):
+        if field not in seg.attrs:
+            raise KeyError(
+                f"attribute {field!r} not stored — build with attr_cols=[{field!r}]"
+            )
+        idx = np.searchsorted(seg.doc_ids, matched)
+        valid = np.asarray(_pc.is_valid(seg.attrs[field].take(pa.array(idx))))
+        total += int(matched.size)
+        nmiss += int(matched.size - valid.sum())
     return pd.DataFrame(
         [{"missing_count": np.int64(nmiss), "doc_count": np.int64(total)}]
     )
@@ -3816,19 +3141,9 @@ def histogram_agg(
     max_dl/interval, never by matches."""
     if interval <= 0:
         raise ValueError("interval must be positive")
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
     counts = np.zeros(0, np.int64)
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            b = seg.doc_lengths(matched).astype(np.int64) // interval
-            part = np.bincount(b)
-            if part.size > counts.size:
-                part[: counts.size] += counts
-                counts = part
-            else:
-                counts[: part.size] += part
+    for seg, matched in reader.matches(query_text, mode):
+        counts = _add_bincount(counts, seg.doc_lengths(matched).astype(np.int64) // interval)
     nz = np.flatnonzero(counts)
     return pd.DataFrame(
         {
@@ -3865,19 +3180,9 @@ def mad_agg(
     median via quantile_cont interpolation from ranks, then a SECOND exact
     histogram over the integer 2·|dl − median| deviations (median is a
     multiple of 1/2, deviations of 1/4 — all exact in binary floats)."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
     counts = np.zeros(0, np.int64)
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            dl = seg.doc_lengths(matched).astype(np.int64)
-            c = np.bincount(dl)
-            if c.size > counts.size:
-                c[: counts.size] += counts
-                counts = c
-            else:
-                counts[: c.size] += c
+    for seg, matched in reader.matches(query_text, mode):
+        counts = _add_bincount(counts, seg.doc_lengths(matched).astype(np.int64))
     n = int(counts.sum())
     if n == 0:
         return pd.DataFrame({
@@ -3932,23 +3237,18 @@ def string_stats_agg(
     import math
     from collections import Counter
 
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
     n = 0
     len_sum = 0
     mn, mx = None, None
     chars: Counter = Counter()
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            vals = [str(v) for v in seg.attr_values(field, matched)]
-            n += len(vals)
-            lens = [len(v) for v in vals]
-            len_sum += sum(lens)
-            if lens:
-                mn = min(lens) if mn is None else min(mn, min(lens))
-                mx = max(lens) if mx is None else max(mx, max(lens))
-            chars.update("".join(vals))
+    for seg, matched in reader.matches(query_text, mode):
+        vals = [str(v) for v in seg.attr_values(field, matched)]
+        n += len(vals)
+        lens = [len(v) for v in vals]
+        len_sum += sum(lens)
+        mn = min(lens) if mn is None else min(mn, min(lens))
+        mx = max(lens) if mx is None else max(mx, max(lens))
+        chars.update("".join(vals))
     if n == 0:
         return pd.DataFrame({
             "n": pd.Series(dtype=np.int64),
@@ -3989,21 +3289,15 @@ def t_test_agg(
     mirrored verbatim and floor-1e4 quantized."""
     import math
 
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
     stats = {group_a: [0, 0, 0], group_b: [0, 0, 0]}  # n, sum, sumsq
-    if live and not (mode == "and" and len(live) < len(terms)):
-        for seg, matched in _segment_matches(reader, live, mode, None):
-            dl = seg.doc_lengths(matched).astype(np.int64)
-            vals = np.asarray(seg.attr_values(field, matched), dtype=object)
-            for g in (group_a, group_b):
-                sel = vals == g
-                if sel.any():
-                    d = dl[sel]
-                    stats[g][0] += int(d.size)
-                    stats[g][1] += int(d.sum())
-                    stats[g][2] += int((d * d).sum())
+    for seg, matched in reader.matches(query_text, mode):
+        dl = seg.doc_lengths(matched).astype(np.int64)
+        vals = np.asarray(seg.attr_values(field, matched), dtype=object)
+        for g in (group_a, group_b):
+            d = dl[vals == g]
+            stats[g][0] += int(d.size)
+            stats[g][1] += int(d.sum())
+            stats[g][2] += int((d * d).sum())
     n1, s1, q1 = stats[group_a]
     n2, s2, q2 = stats[group_b]
     if n1 < 2 or n2 < 2:
@@ -4046,48 +3340,9 @@ def search_function_score(
     the multiply is exact because the decay is per-doc."""
     import math
 
-    from .query import _topk, merge_topk, tombstones_for_segment
-
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-    dfs = reader.df(terms) if terms else {}
-    live = [t for t in terms if dfs.get(t, 0) > 0]
-    if not live:
-        return empty
-    idf_map = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
     ln_decay = math.log(decay)
     parts = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        docs_parts, score_parts = [], []
-        for t in live:
-            p = seg.postings(t)
-            if p is None:
-                continue
-            d, f = p
-            dl = seg.doc_lengths(d).astype(np.float64)
-            docs_parts.append(d)
-            score_parts.append(
-                bm25.score(f.astype(np.float64), dl, idf_map[t], reader.avgdl)
-            )
-        if not docs_parts:
-            continue
-        alld = np.concatenate(docs_parts)
-        alls = np.concatenate(score_parts)
-        order = np.argsort(alld, kind="stable")
-        alld, alls = alld[order], alls[order]
-        uniq, starts = np.unique(alld, return_index=True)
-        sums = np.add.reduceat(alls, starts)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        if exclude.size and uniq.size:
-            m = ~np.isin(uniq, exclude)
-            uniq, sums = uniq[m], sums[m]
-        if not uniq.size:
-            continue
+    for seg, uniq, sums, _ in _term_sums(reader, reader.prepare(query_text, "or")):
         ts = (
             seg.attr_values(ts_field, uniq)
             .astype("datetime64[us]").astype(np.int64)
@@ -4097,7 +3352,7 @@ def search_function_score(
         final = sums * np.exp(ln_decay * (m_ * m_))
         parts.append(_topk(uniq, final, k))
     if not parts:
-        return empty
+        return _no_hits()
     out = merge_topk(parts, k).to_pandas()
     out["score"] = out["score"].round(4)
     return out[["doc_id", "score"]]
@@ -4122,10 +3377,7 @@ def search_has_parent(
     (one row per parent-with-hits); child enumeration is one broadcast-map
     pass over each segment's parent-key sidecar (at 100 TB: broadcast the
     parent score table, map_batches over the doc sidecars)."""
-    from .query import tombstones_for_segment
-
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
+    empty = _no_hits()
     parents = search_parents(
         reader, parent_query, parent_field=parent_field, k=2**31,
         mode=mode, score_mode="sum",
@@ -4136,8 +3388,7 @@ def search_has_parent(
     fp = np.floor(parents["score"].to_numpy() * 1e4 + 0.5).astype(np.int64)
     fp_map = dict(zip(parents[parent_field], fp))
     parts = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, exclude in reader.segments():
         vals = pd.Series(np.asarray(seg.attrs[parent_field], dtype=object))
         child_fp = vals.map(fp_map)
         sel = child_fp.notna().to_numpy()
@@ -4145,10 +3396,6 @@ def search_has_parent(
             continue
         docs = seg.doc_ids[sel]
         cfp = child_fp.to_numpy()[sel].astype(np.int64)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
         if exclude.size:
             live = ~np.isin(docs, exclude)
             docs, cfp = docs[live], cfp[live]
@@ -4185,26 +3432,16 @@ def search_intervals(
     after the current one minimizes the chain's end for a given anchor, so
     an anchor has a valid chain iff its greedy chain is valid — one
     vectorized searchsorted per link, no per-doc loop."""
-    from . import bm25
-    from .query import merge_topk, tombstones_for_segment
-
-    toks = analyzer.tokenize_query(terms_text)
+    toks = analyzer.tokenize_query(terms_text, reader.analyzer_version)  # order kept
     if len(toks) < 2:
         raise ValueError("intervals needs at least two ordered tokens")
-    matches = []
-    df = 0
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        if not seg.has_positions:
-            raise ValueError(
-                "intervals needs positions — build_index(store_positions=True)"
-            )
+
+    def match(seg):
         keys = [_span_tokens(seg, t) for t in toks]
         if any(kk is None for kk in keys):
-            continue
+            return _NO_SPANS
         anchor = keys[0]
         cur = anchor
-        dead = False
         for nxt in keys[1:]:
             # earliest occurrence of the next token strictly after cur,
             # within the same packed doc (doc boundary = key monotonicity)
@@ -4216,36 +3453,8 @@ def search_intervals(
             alive = cur >= 0
             anchor, cur = anchor[alive], cur[alive]
             if anchor.size == 0:
-                dead = True
-                break
-        if dead:
-            continue
+                return _NO_SPANS
         span_ok = (cur - anchor) <= (len(toks) - 1 + max_gaps)
-        anchor = anchor[span_ok]
-        if anchor.size == 0:
-            continue
-        uniq_local, cnt = np.unique(anchor >> 31, return_counts=True)
-        d2 = seg.doc_ids[uniq_local]
-        c2 = cnt.astype(np.int64)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        if exclude.size:
-            live = ~np.isin(d2, exclude)
-            d2, c2 = d2[live], c2[live]
-        if d2.size:
-            df += int(d2.size)
-            matches.append((d2, c2, seg.doc_lengths(d2)))
-    if not matches or df == 0:
-        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                             "score": pd.Series(dtype=np.float64)})
-    term_idf = float(bm25.idf(reader.n_docs, df))
-    parts = [
-        (d2, bm25.score(c2.astype(np.float64), dl.astype(np.float64),
-                        term_idf, reader.avgdl))
-        for d2, c2, dl in matches
-    ]
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+        return _span_counts(seg, anchor[span_ok])
+
+    return _span_topk(reader, match, k, "intervals")

@@ -16,28 +16,29 @@ here, exactly like the reference's product ids across indices).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
-from .. import analyzer
-from . import bm25
 from .query import (
-    ROUND_MARGIN,
     IndexReader,
+    PreparedQuery,
     _empty_result,
     merge_topk,
-    search_segment,
-    tombstones_for_segment,
+    prepare_query,
+    shared_analyzer_version,
+    topk_over,
 )
 
 
 class FederatedReader:
-    """Read-only search over the union of several index versions."""
+    """Read-only search over the union of several index versions. Members
+    must share one analyzer version (``ValueError`` naming each root's
+    version otherwise): a query is analyzed once for all of them."""
 
     def __init__(self, roots: list[str]):
         if not roots:
             raise ValueError("need at least one index root")
         self.readers = [IndexReader(r) for r in roots]
+        self.analyzer_version = shared_analyzer_version(self.readers)
         self.n_docs = int(sum(r.n_docs for r in self.readers))
         dl_sum = int(sum(int(r.manifest["dl_sum"]) for r in self.readers))
         # exact integer combination — identical to a single index built over
@@ -51,34 +52,15 @@ class FederatedReader:
                 out[t] += int(d)
         return out
 
+    def prepare(self, text: str, mode: str = "and") -> PreparedQuery:
+        return prepare_query(text, mode, self.analyzer_version, self.df, self.n_docs)
+
     def search(self, query_text: str, k: int = 10, mode: str = "and") -> pa.Table:
         """Top-k BM25 over the union: per-segment local top-k with GLOBAL
         idf/avgdl, early-θ propagated across segments of ALL members (one
         fan-out, one merge — the same plan the per-index reader runs)."""
-        terms = sorted(set(analyzer.tokenize_query(query_text)))
-        if not terms:
+        prep = self.prepare(query_text, mode)
+        if prep.empty:
             return _empty_result()
-        dfs = self.df(terms)
-        if mode == "and" and any(dfs[t] == 0 for t in terms):
-            return _empty_result()
-        terms = [t for t in terms if dfs[t] > 0]
-        if not terms:
-            return _empty_result()
-        idf_map = {t: float(bm25.idf(self.n_docs, dfs[t])) for t in terms}
-        parts = []
-        theta = -np.inf
-        for r in self.readers:
-            for seg_meta in r.manifest["segments"]:
-                seg = r._segment(seg_meta)
-                exclude = tombstones_for_segment(
-                    r._tomb_ids, r._tomb_vers,
-                    seg_meta.get("created_version", r.manifest["_version"]),
-                )
-                d, s = search_segment(
-                    seg, terms, idf_map, self.avgdl, k,
-                    mode=mode, threshold=theta, exclude=exclude,
-                )
-                parts.append((d, s))
-                if s.size >= k:
-                    theta = max(theta, float(np.sort(s)[-k]) - ROUND_MARGIN)
-        return merge_topk(parts, k)
+        segments = (s for r in self.readers for s in r.segments())
+        return merge_topk([topk_over(segments, prep.live, prep.idf, self.avgdl, k, mode)], k)

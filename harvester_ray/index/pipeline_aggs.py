@@ -28,9 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .. import analyzer
-from . import bm25
-from .query import IndexReader, match_one_segment, tombstones_for_segment
+from .extras import date_histogram, scored_query
+from .query import IndexReader
 
 HOUR_US = 3_600_000_000
 
@@ -45,21 +44,10 @@ def _match_frame(
 ) -> pd.DataFrame:
     """Matched doc ids + requested attribute columns, one segment at a
     time. Only used by aggs whose per-segment reduction genuinely needs
-    row-level pairs (cardinality, top_metrics); histogram aggs reduce to
-    (bucket, count) before concatenating."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
+    row-level pairs (top_metrics); histogram aggs reduce to (bucket, count)
+    before concatenating."""
     parts: list[pd.DataFrame] = []
-    if not terms:
-        return pd.DataFrame()
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs = match_one_segment(seg, terms, mode, exclude, None)
-        if docs.size == 0:
-            continue
+    for seg, docs in reader.matches(query_text, mode):
         cols = {"doc_id": docs}
         for a in attrs:
             cols[a] = seg.attr_values(a, docs)
@@ -69,52 +57,6 @@ def _match_frame(
     if not parts:
         return pd.DataFrame()
     return pd.concat(parts, ignore_index=True)
-
-
-def _ts_buckets(
-    reader: IndexReader,
-    query_text: str,
-    *,
-    ts_field: str,
-    interval_us: int,
-    mode: str,
-) -> pd.DataFrame:
-    """(bucket_us, doc_count) histogram — same contract as
-    extras.date_histogram; duplicated minimally here so the pipeline aggs
-    depend only on this module's partial shape."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    empty = pd.DataFrame({
-        "bucket_us": pd.Series(dtype=np.int64),
-        "doc_count": pd.Series(dtype=np.int64),
-    })
-    if not terms:
-        return empty
-    partials: list[pd.DataFrame] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs = match_one_segment(seg, terms, mode, exclude, None)
-        if docs.size == 0:
-            continue
-        ts_int = (
-            seg.attr_values(ts_field, docs)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        bucket = (ts_int // interval_us) * interval_us
-        uniq, counts = np.unique(bucket, return_counts=True)
-        partials.append(pd.DataFrame({"bucket_us": uniq, "doc_count": counts}))
-    if not partials:
-        return empty
-    out = (
-        pd.concat(partials)
-        .groupby("bucket_us", as_index=False)["doc_count"].sum()
-        .sort_values("bucket_us")
-        .reset_index(drop=True)
-    )
-    return out.astype({"bucket_us": np.int64, "doc_count": np.int64})
 
 
 def _fixed_div(num: np.ndarray, den: np.ndarray, digits: int) -> np.ndarray:
@@ -144,7 +86,7 @@ def moving_fn(
     buckets actually present (SQL ``ROWS BETWEEN window-1 PRECEDING AND
     CURRENT ROW`` semantics — documented deviation from ES's
     shift-defaults, which exclude the current bucket)."""
-    h = _ts_buckets(
+    h = date_histogram(
         reader, query_text, ts_field=ts_field, interval_us=interval_us,
         mode=mode,
     )
@@ -170,7 +112,7 @@ def serial_diff(
     """ES ``serial_diff`` pipeline agg: ``doc_count - lag(doc_count, lag)``
     over the bucket sequence; the first ``lag`` buckets (no predecessor)
     are omitted, mirroring ES's skip gap policy. Integer-exact."""
-    h = _ts_buckets(
+    h = date_histogram(
         reader, query_text, ts_field=ts_field, interval_us=interval_us,
         mode=mode,
     )
@@ -201,7 +143,7 @@ def bucket_sort(
     buckets with ``doc_count >= min_count`` (selector), order by
     ``doc_count DESC, bucket_us ASC`` and truncate to ``size`` (sort).
     Pure integer ranking — no parity risk."""
-    h = _ts_buckets(
+    h = date_histogram(
         reader, query_text, ts_field=ts_field, interval_us=interval_us,
         mode=mode,
     )
@@ -229,25 +171,14 @@ def cumulative_cardinality(
     leave the worker; the merge takes each key's first bucket then a
     cumulative sum of first-appearance counts, so the exchange is bounded
     by key-cardinality × time-range, never the match count."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
     empty = pd.DataFrame({
         "bucket_us": pd.Series(dtype=np.int64),
         "doc_count": pd.Series(dtype=np.int64),
         "cum_card": pd.Series(dtype=np.int64),
     })
-    if not terms:
-        return empty
     hist_parts: list[pd.DataFrame] = []
     pair_parts: list[pd.DataFrame] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs = match_one_segment(seg, terms, mode, exclude, None)
-        if docs.size == 0:
-            continue
+    for seg, docs in reader.matches(query_text, mode):
         ts_int = (
             seg.attr_values(ts_field, docs)
             .astype("datetime64[us]").astype(np.int64)
@@ -291,27 +222,17 @@ def weighted_avg(
     ``(epoch_us // 3600s) % 24 + 1`` on both sides). One (Σv·w, Σw) pair
     per segment; the quotient is emitted with 6-digit half-away
     fixed-point."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
     vw_sum = 0
     w_sum = 0
-    if terms:
-        for seg_meta in reader.manifest["segments"]:
-            seg = reader._segment(seg_meta)
-            exclude = tombstones_for_segment(
-                reader._tomb_ids, reader._tomb_vers,
-                seg_meta.get("created_version", reader.manifest["_version"]),
-            )
-            docs = match_one_segment(seg, terms, mode, exclude, None)
-            if docs.size == 0:
-                continue
-            ts_int = (
-                seg.attr_values(ts_field, docs)
-                .astype("datetime64[us]").astype(np.int64)
-            )
-            w = (ts_int // HOUR_US) % 24 + 1
-            v = seg.doc_lengths(docs).astype(np.int64)
-            vw_sum += int((v * w).sum())
-            w_sum += int(w.sum())
+    for seg, docs in reader.matches(query_text, mode):
+        ts_int = (
+            seg.attr_values(ts_field, docs)
+            .astype("datetime64[us]").astype(np.int64)
+        )
+        w = (ts_int // HOUR_US) % 24 + 1
+        v = seg.doc_lengths(docs).astype(np.int64)
+        vw_sum += int((v * w).sum())
+        w_sum += int(w.sum())
     if w_sum == 0:
         return pd.DataFrame({
             "weight_sum": pd.Series(dtype=np.int64),
@@ -376,39 +297,13 @@ def diversified_sampler(
     de-duplicated sample ES feeds into sub-aggs. Scores quantize to 1e-4
     fixed-point BEFORE ranking (CLAUDE.md rank-composition rule) so the
     (score, doc_id) order is exact integer on both sides."""
-    from .query import or_exhaustive
-
     empty = pd.DataFrame({
         "doc_id": pd.Series(dtype=np.int64),
         field: pd.Series(dtype=object),
         "score": pd.Series(dtype=np.float64),
     })
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
-        return empty
-    dfs = reader.df(terms)
-    live = [t for t in terms if dfs[t] > 0]
-    if not live or (mode == "and" and len(live) < len(terms)):
-        return empty
-    idf_map = {t: float(bm25.idf(reader.n_docs, dfs[t])) for t in live}
-    msm = len(live) if mode == "and" else None
     parts: list[pd.DataFrame] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        entries = {t: seg.entry(t) for t in live}
-        entries = {t: e for t, e in entries.items() if e is not None}
-        if not entries or (mode == "and" and len(entries) < len(live)):
-            continue
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs, scores = or_exhaustive(
-            seg, entries, idf_map, reader.avgdl, k=2**31,
-            exclude=exclude, min_should_match=msm,
-        )
-        if docs.size == 0:
-            continue
+    for seg, _, docs, scores in scored_query(reader, query_text, mode):
         fp = np.floor(scores * 1e4 + 0.5).astype(np.int64)
         order = np.lexsort((docs, -fp))
         part = pd.DataFrame({
@@ -467,16 +362,13 @@ def auto_date_histogram(
     multiple of the 1-minute base, so min/max, the interval choice AND the
     final counts all re-derive from those bounded partials without a second
     pass over the match set."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
     empty = pd.DataFrame({
         "interval_us": pd.Series(dtype=np.int64),
         "bucket_us": pd.Series(dtype=np.int64),
         "doc_count": pd.Series(dtype=np.int64),
     })
-    if not terms:
-        return empty
     base = AUTO_LADDER_US[0]
-    fine = _ts_buckets(
+    fine = date_histogram(
         reader, query_text, ts_field=ts_field, interval_us=base, mode=mode,
     )
     if fine.empty:
@@ -518,25 +410,14 @@ def bucket_script(
     ``(bucket, doc_count, tool_count)`` partial row per non-empty bucket
     leaves the worker; the ratio uses the shared half-away fixed-point
     quotient so the oracle hash is exact."""
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
     empty = pd.DataFrame({
         "bucket_us": pd.Series(dtype=np.int64),
         "doc_count": pd.Series(dtype=np.int64),
         "tool_count": pd.Series(dtype=np.int64),
         "tool_share": pd.Series(dtype=np.float64),
     })
-    if not terms:
-        return empty
     partials: list[pd.DataFrame] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        docs = match_one_segment(seg, terms, mode, exclude, None)
-        if docs.size == 0:
-            continue
+    for seg, docs in reader.matches(query_text, mode):
         ts_int = (
             seg.attr_values(ts_field, docs)
             .astype("datetime64[us]").astype(np.int64)
@@ -578,7 +459,7 @@ def normalize_agg(
     bucket's doc_count as a percentage of the histogram total. Integer
     sufficient statistics; percent = fixed-point (100·count)/total with the
     shared half-away quotient."""
-    h = _ts_buckets(
+    h = date_histogram(
         reader, query_text, ts_field=ts_field, interval_us=interval_us,
         mode=mode,
     )
@@ -610,7 +491,7 @@ def rate_agg(
     stays in int64 for any sane unit pair."""
     import math
 
-    h = _ts_buckets(
+    h = date_histogram(
         reader, query_text, ts_field=ts_field, interval_us=interval_us,
         mode=mode,
     )
@@ -643,7 +524,7 @@ def moving_percentiles(
     current one; partial leading windows use the buckets present (the
     moving_fn convention). Integer counts → dyadic interpolated values,
     bit-exact against the SQL window quantile_cont."""
-    h = _ts_buckets(
+    h = date_histogram(
         reader, query_text, ts_field=ts_field, interval_us=interval_us,
         mode=mode,
     )
@@ -676,7 +557,7 @@ def extended_stats_bucket(
     the histogram. One row."""
     import math
 
-    h = _ts_buckets(
+    h = date_histogram(
         reader, query_text, ts_field=ts_field, interval_us=interval_us,
         mode=mode,
     )
@@ -755,7 +636,7 @@ def percentiles_bucket(
     quarter-quantiles of integer counts are dyadic rationals → exact float
     equality (the role_token_quantiles rule). One row
     ``(n_buckets, p25, p50, p75)``."""
-    h = _ts_buckets(
+    h = date_histogram(
         reader, query_text, ts_field=ts_field, interval_us=interval_us, mode=mode,
     )
     if h.empty:

@@ -21,6 +21,7 @@ Two serving modes:
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -841,6 +842,60 @@ class TermStats:
         return {t: self._cache[t] for t in terms}
 
 
+@dataclass(frozen=True)
+class PreparedQuery:
+    """A query analyzed with its index's analyzer, plus the global stats
+    every reader surface needs: the sorted distinct ``terms`` with their
+    ``dfs``, the ``live`` (df > 0) terms in sorted order with their BM25
+    ``idf``, and ``empty`` when nothing can match — no live term, or an AND
+    query holding a term the index does not have."""
+
+    terms: list[str]
+    dfs: dict[str, int]
+    live: list[str]
+    idf: dict[str, float]
+    empty: bool
+
+
+def prepare_terms(tokens, mode: str, df, n_docs: int) -> PreparedQuery:
+    """``PreparedQuery`` over already-analyzed tokens (dictionary
+    expansions, exact terms). ``df`` is the index's term → df lookup."""
+    terms = sorted(set(tokens))
+    dfs = df(terms) if terms else {}
+    live = [t for t in terms if dfs[t] > 0]
+    return PreparedQuery(
+        terms=terms,
+        dfs=dfs,
+        live=live,
+        idf={t: float(bm25.idf(n_docs, dfs[t])) for t in live},
+        empty=not live or (mode == "and" and len(live) < len(terms)),
+    )
+
+
+def prepare_query(
+    text: str, mode: str, analyzer_version: str, df, n_docs: int
+) -> PreparedQuery:
+    """Analyze ``text`` with the index's analyzer (the manifest's
+    ``analyzer_version``) and look up its stats: the one query prep of every
+    bag-of-terms reader surface. One tokenize and one ``df`` call."""
+    return prepare_terms(
+        analyzer.tokenize_query(text, analyzer_version), mode, df, n_docs
+    )
+
+
+def shared_analyzer_version(readers) -> str:
+    """The analyzer version every reader's manifest records; ``ValueError``
+    naming each root and its version when they differ (one query cannot be
+    analyzed two ways)."""
+    versions = {r.root: r.analyzer_version for r in readers}
+    if len(set(versions.values())) > 1:
+        raise ValueError(
+            "indexes use different analyzer versions: "
+            + ", ".join(f"{root}={v}" for root, v in versions.items())
+        )
+    return next(iter(versions.values()))
+
+
 class IndexReader:
     """In-process reader over an index version (default: CURRENT)."""
 
@@ -848,7 +903,7 @@ class IndexReader:
         self.root = index_root
         self.manifest = mf.read_manifest(index_root, version)
         # queries must tokenize with the INDEX's analyzer (a v2 index
-        # stores stems); extras/evaluate helpers still assume v1
+        # stores stems): every surface goes through prepare()
         self.analyzer_version = self.manifest.get("analyzer", "v1")
         self.avgdl = float(self.manifest["avgdl"])
         self.n_docs = int(self.manifest["n_docs"])
@@ -865,8 +920,37 @@ class IndexReader:
             self._segments[key] = SegmentReader(os.path.join(self.root, key))
         return self._segments[key]
 
+    def segments(self):
+        """Yield ``(meta, segment, exclude)`` per manifest segment — the
+        triples a ``QuerySegmentActor`` holds: the segment reader (opened
+        on first use, then cached) and the doc ids tombstoned in it."""
+        for meta in self.manifest["segments"]:
+            yield meta, self._segment(meta), tombstones_for_segment(
+                self._tomb_ids, self._tomb_vers,
+                meta.get("created_version", self.manifest["_version"]),
+            )
+
     def df(self, terms: list[str]) -> dict[str, int]:
         return self._termstats.df(terms)
+
+    def prepare(self, text: str, mode: str = "and") -> PreparedQuery:
+        return prepare_query(text, mode, self.analyzer_version, self.df, self.n_docs)
+
+    def matches(self, text: str, mode: str, filters: dict | None = None):
+        """``iter_matches`` of the prepared query over this reader's
+        segments; yields nothing when the query cannot match."""
+        prep = self.prepare(text, mode)
+        if prep.empty:
+            return iter(())
+        return iter_matches(self.segments(), prep.live, mode, filters)
+
+    def terms_with_prefix(self, prefix: str) -> list[str]:
+        """Sorted distinct dictionary terms starting with ``prefix``, over
+        every segment."""
+        out: set[str] = set()
+        for _, seg, _ in self.segments():
+            out.update(seg.terms_with_prefix(prefix))
+        return sorted(out)
 
     def search(
         self,
@@ -888,12 +972,34 @@ class IndexReader:
         terms are excluded before top-k, per segment, via the same exclude
         mask tombstones use. ``min_should_match`` (OR mode) keeps only docs
         matching at least that many distinct query terms."""
-        terms = sorted(set(analyzer.tokenize_query(query_text, self.analyzer_version)))
-        neg_terms = sorted(set(analyzer.tokenize_query(must_not, self.analyzer_version))) if must_not else []
-        return self._search_terms(
-            terms, k, mode, filters=filters, recency=recency,
-            neg_terms=neg_terms, min_should_match=min_should_match,
+        neg_terms = self.prepare(must_not, "or").terms if must_not else []
+        return self._search(
+            self.prepare(query_text, mode), k, mode, filters=filters,
+            recency=recency, neg_terms=neg_terms,
+            min_should_match=min_should_match,
         )
+
+    def _search_terms(self, terms: list[str], k: int, mode: str) -> pa.Table:
+        """Top-k over already-analyzed terms (dictionary expansions)."""
+        return self._search(prepare_terms(terms, mode, self.df, self.n_docs), k, mode)
+
+    def _search(
+        self,
+        prep: PreparedQuery,
+        k: int,
+        mode: str,
+        filters: dict[str, list] | None = None,
+        recency: dict | None = None,
+        neg_terms: list[str] | None = None,
+        min_should_match: int | None = None,
+    ) -> pa.Table:
+        if prep.empty:
+            return _empty_result()
+        return merge_topk([topk_over(
+            self.segments(), prep.live, prep.idf, self.avgdl, k, mode,
+            filters=filters, recency=recency, neg_terms=neg_terms,
+            min_should_match=min_should_match,
+        )], k)
 
     def search_prefix(self, prefix: str, k: int = 10, max_expansions: int = 50) -> pa.Table:
         """Prefix (wildcard ``pre*``) top-k: expand against the segment
@@ -901,16 +1007,20 @@ class IndexReader:
         ``max_expansions`` distinct terms in lexicographic order (Lucene
         MultiTermQuery rewrite cap), then score as a disjunction where each
         expanded term keeps its own idf."""
-        pfx = analyzer.tokenize_query(prefix, self.analyzer_version)
+        pfx = self.prepare(prefix, "or").terms
         if len(pfx) != 1:
             raise ValueError("prefix must normalize to exactly one token")
+        return self._search_terms(self.terms_with_prefix(pfx[0])[:max_expansions], k, "or")
+
+    def _expand_pattern(self, kernel, pattern: str, k: int, max_expansions: int) -> pa.Table:
+        """Top-k disjunction over the dictionary terms one vectorized Arrow
+        ``kernel`` selects per segment, capped at the first
+        ``max_expansions`` distinct terms lexicographically."""
         expanded: set[str] = set()
-        for seg_meta in self.manifest["segments"]:
-            expanded.update(self._segment(seg_meta).terms_with_prefix(pfx[0]))
-        terms = sorted(expanded)[:max_expansions]
-        if not terms:
-            return _empty_result()
-        return self._search_terms(terms, k, "or")
+        for _, seg, _ in self.segments():
+            hit = kernel(seg._term_strings, pattern)
+            expanded.update(seg._term_strings.filter(hit).to_pylist())
+        return self._search_terms(sorted(expanded)[:max_expansions], k, "or")
 
     def search_wildcard(
         self, pattern: str, k: int = 10, max_expansions: int = 50
@@ -928,15 +1038,7 @@ class IndexReader:
             return _empty_result()
         # escape SQL-LIKE metacharacters, then map * → %
         like = raw.replace("%", "\\%").replace("_", "\\_").replace("*", "%")
-        expanded: set[str] = set()
-        for seg_meta in self.manifest["segments"]:
-            seg = self._segment(seg_meta)
-            hit = pc.match_like(seg._term_strings, like)
-            expanded.update(seg._term_strings.filter(hit).to_pylist())
-        terms = sorted(expanded)[:max_expansions]
-        if not terms:
-            return _empty_result()
-        return self._search_terms(terms, k, "or")
+        return self._expand_pattern(pc.match_like, like, k, max_expansions)
 
     def search_regexp(
         self, pattern: str, k: int = 10, max_expansions: int = 50
@@ -951,16 +1053,9 @@ class IndexReader:
         raw = pattern.strip().lower()
         if not raw:
             return _empty_result()
-        anchored = f"^(?:{raw})$"
-        expanded: set[str] = set()
-        for seg_meta in self.manifest["segments"]:
-            seg = self._segment(seg_meta)
-            hit = pc.match_substring_regex(seg._term_strings, anchored)
-            expanded.update(seg._term_strings.filter(hit).to_pylist())
-        terms = sorted(expanded)[:max_expansions]
-        if not terms:
-            return _empty_result()
-        return self._search_terms(terms, k, "or")
+        return self._expand_pattern(
+            pc.match_substring_regex, f"^(?:{raw})$", k, max_expansions
+        )
 
     def msearch(
         self,
@@ -971,119 +1066,26 @@ class IndexReader:
         """Batched multi-query top-k (ES ``_msearch`` analog — the reference
         fires one bulk request per sync cycle, search/views/document.py).
 
-        The point is AMORTIZATION, which is what makes offline query
-        workloads (ranking evals, decontamination-by-search, percolation
-        sweeps) viable at scale: the segment list is swept ONCE for all Q
-        queries — each segment is opened once, the df lookup for the union
-        of all query terms is ONE TermStats call (one bucket-file touch per
-        hash bucket instead of per query), and a term shared by several
-        queries is decoded once into the segment's postings LRU and reused.
-        Per-query early-termination thresholds (θ) carry across segments
-        exactly as in ``search``, so results are identical to Q independent
-        ``search`` calls — asserted in tests.
+        Offline query workloads (ranking evals, decontamination-by-search,
+        percolation sweeps) share this reader's warm state: each segment is
+        opened once, term stats load one bucket file per hash bucket, and a
+        term shared by several queries is decoded once into the segment's
+        postings LRU. Each query runs the same top-k as ``search``, so
+        results are identical to Q independent ``search`` calls — asserted
+        in tests.
 
         Returns one table (query, doc_id, score): each query's top-k stacked
         in input order. Duplicate query strings are evaluated once."""
-        uniq_queries = list(dict.fromkeys(queries))
-        qterms = {q: sorted(set(analyzer.tokenize_query(q, self.analyzer_version))) for q in uniq_queries}
-        union_terms = sorted({t for ts in qterms.values() for t in ts})
-        dfs = self.df(union_terms) if union_terms else {}
-        idf_map = {
-            t: float(bm25.idf(self.n_docs, dfs[t]))
-            for t in union_terms
-            if dfs[t] > 0
-        }
-        live: dict[str, list[str] | None] = {}
-        for q, ts in qterms.items():
-            if not ts or (mode == "and" and any(dfs[t] == 0 for t in ts)):
-                live[q] = None
-                continue
-            lt = [t for t in ts if dfs[t] > 0]
-            live[q] = lt or None
-        parts: dict[str, list] = {q: [] for q in uniq_queries}
-        theta = {q: -np.inf for q in uniq_queries}
-        for seg_meta in self.manifest["segments"]:
-            seg = self._segment(seg_meta)
-            exclude = tombstones_for_segment(
-                self._tomb_ids, self._tomb_vers,
-                seg_meta.get("created_version", self.manifest["_version"]),
-            )
-            for q in uniq_queries:
-                lt = live[q]
-                if lt is None:
-                    continue
-                d, s = search_segment(
-                    seg, lt, idf_map, self.avgdl, k,
-                    mode=mode, threshold=theta[q], exclude=exclude,
-                )
-                parts[q].append((d, s))
-                if s.size >= k:
-                    kth = np.sort(s)[-k]
-                    theta[q] = max(theta[q], kth - ROUND_MARGIN)
-        empty = pa.table({
+        out = [pa.table({
             "query": pa.array([], pa.string()),
             "rank": pa.array([], pa.int32()),
             "doc_id": pa.array([], pa.int64()),
             "score": pa.array([], pa.float64()),
-        })
-        out = [empty]
-        for q in uniq_queries:
-            res = merge_topk(parts[q], k) if live[q] is not None else _empty_result()
-            out.append(
-                pa.table({
-                    "query": pa.array([q] * res.num_rows, pa.string()),
-                    "rank": res["rank"],
-                    "doc_id": res["doc_id"],
-                    "score": res["score"],
-                })
-            )
+        })]
+        for q in dict.fromkeys(queries):
+            res = self._search(self.prepare(q, mode), k, mode)
+            out.append(res.add_column(0, "query", pa.array([q] * res.num_rows, pa.string())))
         return pa.concat_tables(out)
-
-    def _search_terms(
-        self,
-        terms: list[str],
-        k: int,
-        mode: str,
-        filters: dict[str, list] | None = None,
-        recency: dict | None = None,
-        neg_terms: list[str] | None = None,
-        min_should_match: int | None = None,
-    ) -> pa.Table:
-        if not terms:
-            return _empty_result()
-        dfs = self.df(terms)
-        if mode == "and" and any(dfs[t] == 0 for t in terms):
-            return _empty_result()
-        terms = [t for t in terms if dfs[t] > 0]
-        if not terms:
-            return _empty_result()
-        idf_map = {t: float(bm25.idf(self.n_docs, dfs[t])) for t in terms}
-        parts = []
-        theta = -np.inf
-        for seg_meta in self.manifest["segments"]:
-            seg = self._segment(seg_meta)
-            exclude = tombstones_for_segment(
-                self._tomb_ids, self._tomb_vers,
-                seg_meta.get("created_version", self.manifest["_version"]),
-            )
-            if neg_terms:
-                neg_parts = [exclude] if exclude.size else []
-                for nt in neg_terms:
-                    p = seg.postings(nt)
-                    if p is not None and p[0].size:
-                        neg_parts.append(p[0])
-                if neg_parts:
-                    exclude = np.unique(np.concatenate(neg_parts))
-            d, s = search_segment(
-                seg, terms, idf_map, self.avgdl, k, mode=mode, threshold=theta,
-                exclude=exclude, include=seg.allowed_docs(filters), recency=recency,
-                min_should_match=min_should_match,
-            )
-            parts.append((d, s))
-            if s.size >= k and recency is None:
-                kth = np.sort(s)[-k]
-                theta = max(theta, kth - ROUND_MARGIN)
-        return merge_topk(parts, k)
 
     def search_phrase(
         self,
@@ -1099,39 +1101,10 @@ class IndexReader:
         terms = analyzer.tokenize_query(phrase, self.analyzer_version)  # order + duplicates kept
         if not terms:
             return _empty_result()
-        matches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        df = 0
-        for seg_meta in self.manifest["segments"]:
-            seg = self._segment(seg_meta)
-            if not seg.has_positions:
-                raise ValueError(
-                    "phrase search needs positions — build_index(store_positions=True)"
-                )
-            docs, ptf = phrase_match_segment(seg, terms)
-            if docs.size == 0:
-                continue
-            exclude = tombstones_for_segment(
-                self._tomb_ids, self._tomb_vers,
-                seg_meta.get("created_version", self.manifest["_version"]),
-            )
-            if exclude.size:
-                keep = ~np.isin(docs, exclude)
-                docs, ptf = docs[keep], ptf[keep]
-            df += int(docs.size)  # live docs with the phrase, pre-filter
-            include = seg.allowed_docs(filters)
-            if include is not None:
-                keep = np.isin(docs, include)
-                docs, ptf = docs[keep], ptf[keep]
-            if docs.size:
-                matches.append((docs, ptf, seg.doc_lengths(docs)))
-        if not matches or df == 0:
-            return _empty_result()
-        term_idf = float(bm25.idf(self.n_docs, df))
-        parts = [
-            (docs, bm25.score(ptf, dl, term_idf, self.avgdl))
-            for docs, ptf, dl in matches
-        ]
-        return merge_topk(parts, k)
+        return score_spans(*span_matches(
+            self.segments(), lambda seg: phrase_match_segment(seg, terms),
+            filters, positions="phrase search",
+        ), self.n_docs, self.avgdl, k)
 
     def search_proximity(
         self,
@@ -1153,39 +1126,203 @@ class IndexReader:
         terms = analyzer.tokenize_query(phrase, self.analyzer_version)
         if not terms:
             return _empty_result()
-        matches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        df = 0
-        for seg_meta in self.manifest["segments"]:
-            seg = self._segment(seg_meta)
-            if not seg.has_positions:
-                raise ValueError(
-                    "proximity search needs positions — build_index(store_positions=True)"
-                )
-            docs, ptf = proximity_match_segment(seg, terms, slop)
-            if docs.size == 0:
-                continue
-            exclude = tombstones_for_segment(
-                self._tomb_ids, self._tomb_vers,
-                seg_meta.get("created_version", self.manifest["_version"]),
+        return score_spans(*span_matches(
+            self.segments(), lambda seg: proximity_match_segment(seg, terms, slop),
+            filters, positions="proximity search",
+        ), self.n_docs, self.avgdl, k)
+
+
+# ---------------------------------------------------------------------------
+# Per-segment operators, each written once. ``segments`` is an iterable of
+# ``(meta, segment, exclude)`` triples — ``IndexReader.segments()`` in
+# process, ``QuerySegmentActor.readers`` on the serving path — so the
+# in-process reader and the actors run the same code.
+# ---------------------------------------------------------------------------
+
+
+def exclude_terms(seg: SegmentReader, exclude: np.ndarray, neg_terms) -> np.ndarray:
+    """``exclude`` plus the segment's docs holding any ``neg_terms`` term
+    (must_not clauses share the tombstone mask)."""
+    parts = [exclude] if exclude.size else []
+    for t in neg_terms:
+        p = seg.postings(t)
+        if p is not None and p[0].size:
+            parts.append(p[0])
+    return np.unique(np.concatenate(parts)) if parts else exclude
+
+
+def topk_over(
+    segments,
+    terms: list[str],
+    idf_map: dict[str, float],
+    avgdl: float,
+    k: int,
+    mode: str,
+    filters: dict[str, list] | None = None,
+    recency: dict | None = None,
+    neg_terms: list[str] | None = None,
+    min_should_match: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k over the segments with early θ: each segment's k-th score,
+    less ROUND_MARGIN, becomes the block-max pruning threshold of the
+    segments after it (not under ``recency``, whose per-doc boost the block
+    bounds do not cover)."""
+    parts = []
+    theta = -np.inf
+    for _, seg, exclude in segments:
+        if neg_terms:
+            exclude = exclude_terms(seg, exclude, neg_terms)
+        d, s = search_segment(
+            seg, terms, idf_map, avgdl, k, mode=mode, threshold=theta,
+            exclude=exclude, include=seg.allowed_docs(filters), recency=recency,
+            min_should_match=min_should_match,
+        )
+        parts.append((d, s))
+        if s.size >= k and recency is None:
+            theta = max(theta, np.sort(s)[-k] - ROUND_MARGIN)
+    if not parts:
+        return np.empty(0, np.int64), np.empty(0, np.float64)
+    return _topk(
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]), k,
+    )
+
+
+def span_matches(
+    segments, match, filters: dict[str, list] | None = None, positions: str | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Span matches of every segment, ready for ``score_spans``:
+    ``match(seg)`` gives one segment's ``(docs, tf)`` (phrase, proximity or
+    span occurrence counts); tombstoned docs drop, the rest count toward the
+    span df, then the facet filter applies (filter context: the df is
+    pre-filter). Returns ``(docs, tf, dl, df)``. ``positions`` names the
+    query in the error raised for a segment built without positions."""
+    doc_parts, tf_parts, dl_parts = [], [], []
+    df = 0
+    for _, seg, exclude in segments:
+        if positions and not seg.has_positions:
+            raise ValueError(
+                f"{positions} needs positions — build_index(store_positions=True)"
             )
-            if exclude.size:
-                keep = ~np.isin(docs, exclude)
-                docs, ptf = docs[keep], ptf[keep]
-            df += int(docs.size)
-            include = seg.allowed_docs(filters)
-            if include is not None:
-                keep = np.isin(docs, include)
-                docs, ptf = docs[keep], ptf[keep]
-            if docs.size:
-                matches.append((docs, ptf, seg.doc_lengths(docs)))
-        if not matches or df == 0:
-            return _empty_result()
-        term_idf = float(bm25.idf(self.n_docs, df))
-        parts = [
-            (docs, bm25.score(ptf, dl, term_idf, self.avgdl))
-            for docs, ptf, dl in matches
-        ]
-        return merge_topk(parts, k)
+        docs, tf = match(seg)
+        if docs.size == 0:
+            continue
+        if exclude.size:
+            keep = ~np.isin(docs, exclude)
+            docs, tf = docs[keep], tf[keep]
+        df += int(docs.size)
+        include = seg.allowed_docs(filters)
+        if include is not None:
+            keep = np.isin(docs, include)
+            docs, tf = docs[keep], tf[keep]
+        if docs.size:
+            doc_parts.append(docs)
+            tf_parts.append(tf)
+            dl_parts.append(seg.doc_lengths(docs))
+    if not doc_parts:
+        z = np.empty(0, np.int64)
+        return z, z, z, df
+    return (
+        np.concatenate(doc_parts), np.concatenate(tf_parts),
+        np.concatenate(dl_parts), df,
+    )
+
+
+def score_spans(
+    docs: np.ndarray, tf: np.ndarray, dl: np.ndarray, df: int,
+    n_docs: int, avgdl: float, k: int,
+) -> pa.Table:
+    """BM25 top-k of span matches scored as one pseudo-term: span frequency
+    as tf, the span's document frequency as df (Lucene PhraseQuery)."""
+    if df == 0 or docs.size == 0:
+        return _empty_result()
+    idf = float(bm25.idf(n_docs, df))
+    return merge_topk([(docs, bm25.score(tf, dl, idf, avgdl))], k)
+
+
+def iter_matches(segments, terms: list[str], mode: str, filters: dict | None = None):
+    """Yield ``(segment, matched doc ids)`` per segment with a match: exact
+    unscored enumeration (``match_one_segment``), tombstone- and
+    facet-filter-aware."""
+    for _, seg, exclude in segments:
+        m = match_one_segment(seg, terms, mode, exclude, seg.allowed_docs(filters))
+        if m.size:
+            yield seg, m
+
+
+def count_matches(
+    matches, count_fields: list[str] | None
+) -> tuple[int, dict[str, dict[str, int]]]:
+    """``results_total`` + per-field value counts over ``(segment,
+    matched)`` pairs (``iter_matches``); partials add up (``add_counts``)."""
+    total = 0
+    counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
+    for seg, matched in matches:
+        total += int(matched.size)
+        for f in counts:
+            uniq, cnt = np.unique(seg.attr_values(f, matched), return_counts=True)
+            add_counts(counts[f], {str(v): int(c) for v, c in zip(uniq, cnt)})
+    return total, counts
+
+
+def add_counts(into: dict, part: dict) -> None:
+    for v, c in part.items():
+        into[v] = into.get(v, 0) + c
+
+
+def _attr_cut(docs: np.ndarray, vals: np.ndarray, desc: bool, limit: int):
+    """The first ``limit`` rows by (value asc/desc, doc_id asc); dense value
+    codes make descending order work for any attr dtype."""
+    codes = np.unique(vals, return_inverse=True)[1] if vals.size else np.empty(0, np.int64)
+    sel = np.lexsort((docs, -codes if desc else codes))[:limit]
+    return docs[sel], vals[sel]
+
+
+def attr_page(
+    matches, field: str, desc: bool, limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``limit`` of the ``(segment, matched)`` pairs' docs ordered
+    by a stored attribute (ties doc_id asc), sorted. A page can only hold
+    rows within the first ``limit`` of each segment's own ordering, so every
+    segment is cut before the merge (the per-shard from+size bound ES
+    serving relies on)."""
+    doc_parts, val_parts = [], []
+    for seg, matched in matches:
+        d, v = _attr_cut(matched, np.asarray(seg.attr_values(field, matched)), desc, limit)
+        doc_parts.append(d)
+        val_parts.append(v)
+    if not doc_parts:
+        return np.empty(0, np.int64), np.empty(0, object)
+    return _attr_cut(np.concatenate(doc_parts), np.concatenate(val_parts), desc, limit)
+
+
+def page_frame(
+    docs: np.ndarray, vals: np.ndarray, field: str, desc: bool, lo: int, hi: int
+) -> pd.DataFrame:
+    """Rows ``lo:hi`` of the attribute ordering as (rank, doc_id, field)."""
+    docs, vals = _attr_cut(docs, vals, desc, hi)
+    return pd.DataFrame({
+        "rank": np.arange(lo + 1, lo + 1 + docs[lo:].size, dtype=np.int32),
+        "doc_id": docs[lo:],
+        field: vals[lo:],
+    })
+
+
+def vocab_with_prefix(
+    segments, prefix: str, min_len: int = 0, max_len: int = 1 << 30
+) -> dict[str, int]:
+    """{term: df summed over the segments} for dictionary terms starting
+    with ``prefix`` with length in [min_len, max_len] — enumerated from each
+    segment's sorted dictionary range only, never a vocabulary scan."""
+    agg: dict[str, int] = {}
+    for _, seg, _ in segments:
+        lo, hi = _term_prefix_range(seg, prefix)
+        if hi <= lo:
+            continue
+        for t, d in zip(seg._term_strings.slice(lo, hi - lo).to_pylist(), seg._df[lo:hi]):
+            if min_len <= len(t) <= max_len:
+                agg[t] = agg.get(t, 0) + int(d)
+    return agg
 
 
 def _cached_match(seg: SegmentReader, key: tuple, compute):
@@ -1335,39 +1472,10 @@ class QuerySegmentActor:
                 tomb_ids, tomb_vers, m.get("created_version", cur_version)
             )
             self.readers.append((m, reader, exclude))
-        # largest segment first: wave 1 of the cross-actor θ protocol scans
-        # readers[0] only, so the biggest slice yields the tightest bound
+        # largest segment first: its k-th score is the tightest early θ for
+        # the rest of this actor's segments
         self.readers.sort(key=lambda r: -int(r[1].doc_ids.size))
         self.avgdl = float(manifest["avgdl"])
-
-    def _search_readers(
-        self,
-        readers,
-        terms: list[str],
-        idf_map: dict[str, float],
-        k: int,
-        mode: str,
-        filters: dict[str, list] | None,
-        recency: dict | None,
-        theta0: float = -np.inf,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        parts = []
-        theta = theta0
-        for _, seg, exclude in readers:
-            d, s = search_segment(
-                seg, terms, idf_map, self.avgdl, k, mode=mode, threshold=theta,
-                exclude=exclude, include=seg.allowed_docs(filters), recency=recency,
-            )
-            parts.append((d, s))
-            # propagate the actor-local k-th score as a block-max pruning
-            # threshold into this actor's remaining segments (same early-θ
-            # the in-process reader uses)
-            if s.size >= k and recency is None:
-                kth = np.sort(s)[-k]
-                theta = max(theta, kth - ROUND_MARGIN)
-        docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        scores = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float64)
-        return _topk(docs, scores, k)
 
     def search(
         self,
@@ -1378,8 +1486,9 @@ class QuerySegmentActor:
         filters: dict[str, list] | None = None,
         recency: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        return self._search_readers(
-            self.readers, terms, idf_map, k, mode, filters, recency
+        return topk_over(
+            self.readers, terms, idf_map, self.avgdl, k, mode,
+            filters=filters, recency=recency,
         )
 
     def search_many(
@@ -1393,7 +1502,7 @@ class QuerySegmentActor:
         measured the sequential path degrading past ~4 concurrent
         client threads for exactly those reasons)."""
         return [
-            self._search_readers(self.readers, terms, idf_map, k, mode, None, None)
+            topk_over(self.readers, terms, idf_map, self.avgdl, k, mode)
             for terms, idf_map, k, mode in batch
         ]
 
@@ -1430,84 +1539,15 @@ class QuerySegmentActor:
             "cache_misses": sum(r.cache_misses for _, r, _ in self.readers),
         }
 
-    def search_first(
-        self,
-        terms: list[str],
-        idf_map: dict[str, float],
-        k: int,
-        mode: str,
-        filters: dict[str, list] | None = None,
-        recency: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Wave 1 of the cross-actor θ protocol: this actor's LARGEST
-        segment only (readers are sorted by doc count at init, so wave 1
-        covers the biggest slice of the corpus and yields the tightest
-        global threshold)."""
-        return self._search_readers(
-            self.readers[:1], terms, idf_map, k, mode, filters, recency
-        )
-
-    def search_rest(
-        self,
-        terms: list[str],
-        idf_map: dict[str, float],
-        k: int,
-        mode: str,
-        theta0: float,
-        filters: dict[str, list] | None = None,
-        recency: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Wave 2: the remaining segments, seeded with the GLOBAL k-th
-        score from wave 1 (minus ROUND_MARGIN — the same tie-protection
-        invariant as the local θ), so cold blocks across the whole pool are
-        skipped from the first decoded segment on."""
-        if len(self.readers) <= 1:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        return self._search_readers(
-            self.readers[1:], terms, idf_map, k, mode, filters, recency,
-            theta0=theta0,
-        )
-
     def phrase_match(
         self, terms: list[str], filters: dict[str, list] | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Per-actor phrase matches: (docs, phrase_tf, dl, df_pre_filter).
         Scoring happens on the driver once the global phrase df is known."""
-        doc_parts, ptf_parts, dl_parts = [], [], []
-        df = 0
-        for _, seg, exclude in self.readers:
-            docs, ptf = phrase_match_segment(seg, terms)
-            if docs.size == 0:
-                continue
-            if exclude.size:
-                keep = ~np.isin(docs, exclude)
-                docs, ptf = docs[keep], ptf[keep]
-            df += int(docs.size)
-            include = seg.allowed_docs(filters)
-            if include is not None:
-                keep = np.isin(docs, include)
-                docs, ptf = docs[keep], ptf[keep]
-            if docs.size:
-                doc_parts.append(docs)
-                ptf_parts.append(ptf)
-                dl_parts.append(seg.doc_lengths(docs))
-        if not doc_parts:
-            z = np.empty(0, np.int64)
-            return z, z, z, df
-        return (
-            np.concatenate(doc_parts),
-            np.concatenate(ptf_parts),
-            np.concatenate(dl_parts),
-            df,
+        return span_matches(
+            self.readers, lambda seg: phrase_match_segment(seg, terms),
+            filters, positions="phrase search",
         )
-
-    def _matches(self, terms, mode, filters):
-        for _, seg, exclude in self.readers:
-            m = match_one_segment(
-                seg, terms, mode, exclude, seg.allowed_docs(filters)
-            )
-            if m.size:
-                yield seg, m
 
     def match_stats(
         self,
@@ -1518,16 +1558,7 @@ class QuerySegmentActor:
     ) -> tuple[int, dict[str, dict[str, int]]]:
         """Actor-local results_total + per-field value counts over this
         actor's segments; the driver sums the partial dicts."""
-        total = 0
-        counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
-        for seg, matched in self._matches(terms, mode, filters):
-            total += int(matched.size)
-            for f in counts:
-                vals = seg.attr_values(f, matched)
-                uniq, cnt = np.unique(vals, return_counts=True)
-                for v, c in zip(uniq, cnt):
-                    counts[f][str(v)] = counts[f].get(str(v), 0) + int(c)
-        return total, counts
+        return count_matches(iter_matches(self.readers, terms, mode, filters), count_fields)
 
     def match_attr_page(
         self,
@@ -1539,48 +1570,13 @@ class QuerySegmentActor:
         limit: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Actor-local top-``limit`` matches ordered by a stored attribute
-        (ties doc_id asc): a page can only contain rows within the first
-        ``limit`` of each shard's own ordering, so O(actors × limit) rows
-        reach the driver merge (the per-shard from+size bound)."""
-        doc_parts, val_parts = [], []
-        for seg, matched in self._matches(terms, mode, filters):
-            svals = np.asarray(seg.attr_values(field, matched))
-            if matched.size > limit:
-                codes = np.unique(svals, return_inverse=True)[1]
-                sel = np.lexsort((matched, -codes if desc else codes))[:limit]
-                matched, svals = matched[sel], svals[sel]
-            doc_parts.append(matched)
-            val_parts.append(svals)
-        if not doc_parts:
-            return np.empty(0, np.int64), np.empty(0, object)
-        docs = np.concatenate(doc_parts)
-        vals = np.concatenate(val_parts)
-        if docs.size > limit:
-            codes = np.unique(vals, return_inverse=True)[1]
-            sel = np.lexsort((docs, -codes if desc else codes))[:limit]
-            docs, vals = docs[sel], vals[sel]
-        return docs, vals
+        (ties doc_id asc): O(actors × limit) rows reach the driver merge."""
+        return attr_page(iter_matches(self.readers, terms, mode, filters), field, desc, limit)
 
-    def prefix_vocab(
-        self, prefix: str, min_len: int, max_len: int
-    ) -> tuple[list[str], np.ndarray]:
-        """(term, df) pairs from this actor's segments whose terms start
-        with ``prefix`` and have length in [min_len, max_len] — the
-        did_you_mean candidate set, enumerated from the sorted dictionary
-        range only (never a vocabulary scan)."""
-        agg: dict[str, int] = {}
-        for _, seg, _ in self.readers:
-            lo, hi = _term_prefix_range(seg, prefix)
-            if hi <= lo:
-                continue
-            sl = seg._term_strings.slice(lo, hi - lo).to_pylist()
-            dfs = seg._df[lo:hi]
-            for t, d in zip(sl, dfs):
-                if min_len <= len(t) <= max_len:
-                    agg[t] = agg.get(t, 0) + int(d)
-        terms = sorted(agg)
-        return terms, np.fromiter((agg[t] for t in terms), dtype=np.int64,
-                                  count=len(terms))
+    def prefix_vocab(self, prefix: str, min_len: int, max_len: int) -> dict[str, int]:
+        """{term: df} over this actor's segments for the did_you_mean
+        candidate range (``vocab_with_prefix``)."""
+        return vocab_with_prefix(self.readers, prefix, min_len, max_len)
 
 
 def _term_prefix_range(seg, prefix: str) -> tuple[int, int]:
@@ -1612,11 +1608,9 @@ class QueryService:
         index_root: str,
         version: int | None = None,
         num_actors: int = 4,
-        two_wave: bool = False,
     ):
         import ray
 
-        self.two_wave = bool(two_wave)
         self.manifest = mf.read_manifest(index_root, version)
         self.analyzer_version = self.manifest.get("analyzer", "v1")
         self.avgdl = float(self.manifest["avgdl"])
@@ -1634,6 +1628,9 @@ class QueryService:
     def df(self, terms: list[str]) -> dict[str, int]:
         return self._termstats.df(terms)
 
+    def prepare(self, text: str, mode: str = "and") -> PreparedQuery:
+        return prepare_query(text, mode, self.analyzer_version, self.df, self.n_docs)
+
     def msearch(
         self,
         queries: list[tuple[str, str]],
@@ -1646,35 +1643,19 @@ class QueryService:
         and the driver touches only Q x A x k merged rows."""
         import ray
 
-        prepped: list[tuple[list, dict, int, str] | None] = []
-        for query_text, mode in queries:
-            terms = sorted(set(analyzer.tokenize_query(query_text, self.analyzer_version)))
-            if not terms:
-                prepped.append(None)
-                continue
-            dfs = self.df(terms)
-            if mode == "and" and any(dfs[t] == 0 for t in terms):
-                prepped.append(None)
-                continue
-            live = [t for t in terms if dfs[t] > 0]
-            if not live:
-                prepped.append(None)
-                continue
-            idf_map = {t: float(bm25.idf(self.n_docs, dfs[t])) for t in live}
-            prepped.append((live, idf_map, k, mode))
-        batch = [p for p in prepped if p is not None]
+        preps = [self.prepare(q, mode) for q, mode in queries]
+        batch = [
+            (prep.live, prep.idf, k, mode)
+            for prep, (_, mode) in zip(preps, queries) if not prep.empty
+        ]
         if not batch:
             return [_empty_result() for _ in queries]
         per_actor = ray.get([a.search_many.remote(batch) for a in self.actors])
-        out: list[pa.Table] = []
-        bi = 0
-        for p in prepped:
-            if p is None:
-                out.append(_empty_result())
-            else:
-                out.append(merge_topk([pa_res[bi] for pa_res in per_actor], k))
-                bi += 1
-        return out
+        answers = zip(*per_actor)  # per batch entry: one part per actor
+        return [
+            _empty_result() if prep.empty else merge_topk(list(next(answers)), k)
+            for prep in preps
+        ]
 
     def warm(self, query_texts: list[str]) -> int:
         """Pre-warm every actor's caches for the union of the queries'
@@ -1683,14 +1664,10 @@ class QueryService:
         made hot."""
         import ray
 
-        terms = sorted({
-            t for q in query_texts for t in analyzer.tokenize_query(q, self.analyzer_version)
-        })
-        if not terms:
+        idf_map = {t: v for q in query_texts for t, v in self.prepare(q, "or").idf.items()}
+        if not idf_map:
             return 0
-        dfs = self.df(terms)
-        live = [t for t in terms if dfs[t] > 0]
-        idf_map = {t: float(bm25.idf(self.n_docs, dfs[t])) for t in live}
+        live = sorted(idf_map)
         return sum(ray.get([
             a.warm.remote(live, idf_map, self.avgdl) for a in self.actors
         ]))
@@ -1721,55 +1698,21 @@ class QueryService:
         filters: dict[str, list] | None = None,
         recency: dict | None = None,
     ) -> pa.Table:
+        """One fan-out: every actor runs ``topk_over`` on its segments with
+        its own early θ, the driver merges the per-actor heaps. Segments are
+        assigned round-robin, so they are iid corpus samples and an actor's
+        local θ is already ≈ the global one: a second round seeding a
+        global θ measured 4–5 ms slower at every pool size (BASELINE.md)."""
         import ray
 
-        terms = sorted(set(analyzer.tokenize_query(query_text, self.analyzer_version)))
-        if not terms:
+        prep = self.prepare(query_text, mode)
+        if prep.empty:
             return _empty_result()
-        dfs = self.df(terms)
-        if mode == "and" and any(dfs[t] == 0 for t in terms):
-            return _empty_result()
-        terms = [t for t in terms if dfs[t] > 0]
-        if not terms:
-            return _empty_result()
-        idf_map = {t: float(bm25.idf(self.n_docs, dfs[t])) for t in terms}
-        # two-wave cross-actor θ: wave 1 scans each actor's largest segment,
-        # the driver derives the GLOBAL k-th score, wave 2 scans the rest
-        # seeded with it. OFF by default — measured on the 600k-turn bench
-        # index (interleaved A/B, same process, 2/4/8 actors): two-wave is
-        # consistently ~4-5 ms SLOWER at every pool size, because with
-        # round-robin segment assignment the segments are iid corpus samples,
-        # so each actor's LOCAL θ after its own first (largest) segment is
-        # already ≈ the global θ, while the extra fan-out round-trip costs a
-        # fixed ~4.5 ms barrier. Opt in (QueryService(two_wave=True)) for
-        # score-heterogeneous layouts — time- or source-partitioned segments
-        # where one shard holds most of the top-k and local θs are weak.
-        # Invalid bounds (recency reshapes scores) force single-wave.
-        two_wave = (
-            self.two_wave
-            and recency is None
-            and len(self.actors) > 1
-            and len(self.manifest["segments"]) > len(self.actors)
-        )
-        if not two_wave:
-            futures = [
-                a.search.remote(terms, idf_map, k, mode, filters, recency)
-                for a in self.actors
-            ]
-            return merge_topk(ray.get(futures), k)
-        wave1 = ray.get([
-            a.search_first.remote(terms, idf_map, k, mode, filters, recency)
+        futures = [
+            a.search.remote(prep.live, prep.idf, k, mode, filters, recency)
             for a in self.actors
-        ])
-        scores1 = np.concatenate([p[1] for p in wave1]) if wave1 else np.empty(0)
-        theta0 = -np.inf
-        if scores1.size >= k:
-            theta0 = float(np.sort(scores1)[-k] - ROUND_MARGIN)
-        wave2 = ray.get([
-            a.search_rest.remote(terms, idf_map, k, mode, theta0, filters, recency)
-            for a in self.actors
-        ])
-        return merge_topk(wave1 + wave2, k)
+        ]
+        return merge_topk(ray.get(futures), k)
 
     # -- async search (ES _async_search) ------------------------------------
 
@@ -1791,15 +1734,12 @@ class QueryService:
             self._async_seq = 0
         self._async_seq += 1
         sid = f"async-{self._async_seq}"
-        terms = sorted(set(analyzer.tokenize_query(query_text, self.analyzer_version)))
-        dfs = self.df(terms) if terms else {}
-        live = [t for t in terms if dfs.get(t, 0) > 0]
-        if not live or (mode == "and" and len(live) < len(terms)):
+        prep = self.prepare(query_text, mode)
+        if prep.empty:
             self._async[sid] = ("done", _empty_result())
             return sid
-        idf_map = {t: float(bm25.idf(self.n_docs, dfs[t])) for t in live}
         futures = [
-            a.search.remote(live, idf_map, k, mode, filters, recency)
+            a.search.remote(prep.live, prep.idf, k, mode, filters, recency)
             for a in self.actors
         ]
         self._async[sid] = ("running", futures, k)
@@ -1866,31 +1806,12 @@ class QueryService:
         scoring can't complete actor-locally)."""
         import ray
 
-        terms = analyzer.tokenize_query(phrase, self.analyzer_version)
+        terms = analyzer.tokenize_query(phrase, self.analyzer_version)  # order + duplicates kept
         if not terms:
             return _empty_result()
         parts = ray.get([a.phrase_match.remote(terms, filters) for a in self.actors])
-        df = int(sum(p[3] for p in parts))
-        if df == 0:
-            return _empty_result()
-        term_idf = float(bm25.idf(self.n_docs, df))
-        scored = [
-            (docs, bm25.score(ptf, dl, term_idf, self.avgdl))
-            for docs, ptf, dl, _ in parts
-            if docs.size
-        ]
-        return merge_topk(scored, k)
-
-    def _live_terms(self, query_text: str, mode: str) -> list[str] | None:
-        """Query terms with df>0, or None when an AND query is unmatchable."""
-        terms = sorted(set(analyzer.tokenize_query(query_text, self.analyzer_version)))
-        if not terms:
-            return None
-        dfs = self.df(terms)
-        live = [t for t in terms if dfs.get(t, 0) > 0]
-        if not live or (mode == "and" and len(live) < len(terms)):
-            return None
-        return live
+        docs, tf, dl = (np.concatenate([p[i] for p in parts]) for i in range(3))
+        return score_spans(docs, tf, dl, sum(p[3] for p in parts), self.n_docs, self.avgdl, k)
 
     def match_counts(
         self,
@@ -1904,22 +1825,16 @@ class QueryService:
         fan-out, driver sums the per-actor partial count dicts."""
         import ray
 
-        live = self._live_terms(query_text, mode)
-        if live is None:
-            return {"results_total": {"value": 0, "is_precise": True},
-                    "filter_counts": {}}
-        parts = ray.get([
-            a.match_stats.remote(live, mode, filters, count_fields)
+        prep = self.prepare(query_text, mode)
+        parts = [] if prep.empty else ray.get([
+            a.match_stats.remote(prep.live, mode, filters, count_fields)
             for a in self.actors
         ])
-        total = sum(p[0] for p in parts)
         counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
-        for _, pc in parts:
-            for f, vals in pc.items():
-                for v, c in vals.items():
-                    counts[f][v] = counts[f].get(v, 0) + c
-        return {"results_total": {"value": total, "is_precise": True},
-                "filter_counts": counts}
+        for _, part in parts:
+            for f, vals in part.items():
+                add_counts(counts[f], vals)
+        return counts_response(sum(p[0] for p in parts), counts)
 
     def search_page(
         self,
@@ -1935,35 +1850,19 @@ class QueryService:
         ``extras.search_page`` (relevance slice or attribute ordering)."""
         import ray
 
-        if page < 1:
-            raise ValueError("page is 1-based")
-        lo, hi = (page - 1) * page_size, page * page_size
+        lo, hi = page_bounds(page, page_size)
         if ordering is None:
-            res = self.search(query_text, k=hi, mode=mode, filters=filters).to_pandas()
-            out = res.iloc[lo:hi].reset_index(drop=True)
-            out["rank"] = np.arange(lo + 1, lo + 1 + len(out), dtype=np.int32)
-            return out
+            return relevance_page(self.search, query_text, lo, hi, mode, filters)
         desc = ordering.startswith("-")
         field = ordering[1:] if desc else ordering
-        live = self._live_terms(query_text, mode)
-        if live is None:
-            return pd.DataFrame({"rank": pd.Series(dtype=np.int32),
-                                 "doc_id": pd.Series(dtype=np.int64),
-                                 field: pd.Series(dtype=object)})
-        parts = ray.get([
-            a.match_attr_page.remote(live, mode, filters, field, desc, hi)
+        prep = self.prepare(query_text, mode)
+        parts = [] if prep.empty else ray.get([
+            a.match_attr_page.remote(prep.live, mode, filters, field, desc, hi)
             for a in self.actors
         ])
         docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
         vals = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, object)
-        codes = np.unique(vals, return_inverse=True)[1] if vals.size else np.empty(0, np.int64)
-        order = np.lexsort((docs, -codes if desc else codes))
-        sel = order[lo:hi]
-        return pd.DataFrame({
-            "rank": np.arange(lo + 1, lo + 1 + sel.size, dtype=np.int32),
-            "doc_id": docs[sel],
-            field: vals[sel],
-        })
+        return page_frame(docs, vals, field, desc, lo, hi)
 
     def did_you_mean(
         self,
@@ -1978,30 +1877,37 @@ class QueryService:
         same rules as ``extras.did_you_mean``."""
         import ray
 
-        from .extras import _best_suggestion
+        from .extras import suggest_tokens
 
-        tokens = sorted(set(analyzer.tokenize_query(query_text, self.analyzer_version)))
-        if not tokens:
-            return pd.DataFrame({"token": pd.Series(dtype=object),
-                                 "suggestion": pd.Series(dtype=object)})
-        dfs = self.df(tokens)
-        out = []
-        for tok in tokens:
-            if dfs.get(tok, 0) > 0 or len(tok) < prefix_length:
-                out.append((tok, ""))
-                continue
-            parts = ray.get([
-                a.prefix_vocab.remote(
-                    tok[:prefix_length], len(tok) - max_edits, len(tok) + max_edits
-                )
-                for a in self.actors
-            ])
+        def vocab(prefix: str, min_len: int, max_len: int) -> dict[str, int]:
             agg: dict[str, int] = {}
-            for terms, part_dfs in parts:
-                for t, d in zip(terms, part_dfs):
-                    agg[t] = agg.get(t, 0) + int(d)
-            out.append((tok, _best_suggestion(tok, agg, max_edits)))
-        return pd.DataFrame(out, columns=["token", "suggestion"])
+            for part in ray.get([
+                a.prefix_vocab.remote(prefix, min_len, max_len) for a in self.actors
+            ]):
+                add_counts(agg, part)
+            return agg
+
+        return suggest_tokens(self.prepare(query_text, "or"), vocab, max_edits, prefix_length)
+
+
+def counts_response(total: int, counts: dict[str, dict[str, int]]) -> dict:
+    """The ``results_total`` + ``filter_counts`` response block."""
+    return {"results_total": {"value": total, "is_precise": True}, "filter_counts": counts}
+
+
+def page_bounds(page: int, page_size: int) -> tuple[int, int]:
+    if page < 1:
+        raise ValueError("page is 1-based")
+    return (page - 1) * page_size, page * page_size
+
+
+def relevance_page(search, query_text: str, lo: int, hi: int, mode: str, filters) -> pd.DataFrame:
+    """Rows ``lo:hi`` of the relevance ranking: ``search`` top ``hi``, then
+    the ES from+size slice, ranks renumbered from the page start."""
+    res = search(query_text, k=hi, mode=mode, filters=filters).to_pandas()
+    out = res.iloc[lo:hi].reset_index(drop=True)
+    out["rank"] = np.arange(lo + 1, lo + 1 + len(out), dtype=np.int32)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .. import analyzer
-from .query import IndexReader, tombstones_for_segment
+from .query import IndexReader, iter_matches
 
 MU = 2000.0
 
@@ -42,8 +41,7 @@ def _collection_freqs(reader: IndexReader, terms: list[str]) -> dict[str, int]:
     """Σ tf per term across every segment (postings are decoded once; the
     per-segment LRU keeps them warm for the scoring pass)."""
     cf = {t: 0 for t in terms}
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
+    for _, seg, _ in reader.segments():
         for t in terms:
             p = seg.postings(t)
             if p is not None:
@@ -67,13 +65,10 @@ def search_similarity(
         "doc_id": pd.Series(dtype=np.int64),
         "score": pd.Series(dtype=np.float64),
     })
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    if not terms:
+    prep = reader.prepare(query_text, mode)
+    if prep.empty:
         return empty
-    dfs = reader.df(terms)
-    live = [t for t in terms if dfs[t] > 0]
-    if not live or (mode == "and" and len(live) < len(terms)):
-        return empty
+    live = prep.live
     n_docs = reader.n_docs
     total_tokens = int(reader.manifest["dl_sum"])
     if model in ("lm_dirichlet", "lm_jelinek_mercer"):
@@ -82,40 +77,19 @@ def search_similarity(
         if not live:
             return empty
     elif model == "classic":
-        idf = {t: 1.0 + np.log(n_docs / (dfs[t] + 1)) for t in live}
+        idf = {t: 1.0 + np.log(n_docs / (prep.dfs[t] + 1)) for t in live}
     else:
         raise ValueError(f"unknown similarity model {model!r}")
 
     docs_parts: list[np.ndarray] = []
     score_parts: list[np.ndarray] = []
-    for seg_meta in reader.manifest["segments"]:
-        seg = reader._segment(seg_meta)
-        exclude = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", reader.manifest["_version"]),
-        )
-        per_term: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for t in live:
-            p = seg.postings(t)
-            if p is not None and p[0].size:
-                per_term[t] = p
-        if not per_term or (mode == "and" and len(per_term) < len(live)):
-            continue
-        # candidate doc set: union (OR) / intersection (AND)
-        it = iter(per_term.values())
-        cand = next(it)[0]
-        for p in it:
-            cand = (np.intersect1d if mode == "and" else np.union1d)(cand, p[0])
-        if exclude is not None and exclude.size:
-            cand = np.setdiff1d(cand, exclude, assume_unique=True)
-        if cand.size == 0:
-            continue
+    for seg, cand in iter_matches(reader.segments(), live, mode):
         dl = seg.doc_lengths(cand).astype(np.float64)
         scores = np.zeros(cand.size, dtype=np.float64)
         matched = np.zeros(cand.size, dtype=np.int64)
         for t in live:  # sorted order — float addition order mirrored in docs
-            p = per_term.get(t)
-            if p is None:
+            p = seg.postings(t)
+            if p is None or not p[0].size:
                 continue
             pos = np.searchsorted(p[0], cand)
             np.clip(pos, 0, p[0].size - 1, out=pos)
@@ -132,7 +106,7 @@ def search_similarity(
             scores += np.where(hit, s, 0.0)
             matched += hit
         if model == "classic":
-            scores *= matched / len(terms)
+            scores *= matched / len(prep.terms)
         docs_parts.append(cand)
         score_parts.append(scores)
     if not docs_parts:

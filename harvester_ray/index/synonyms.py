@@ -27,6 +27,7 @@ uses); nothing touches the corpus.
 from __future__ import annotations
 
 from .. import analyzer
+from .query import PreparedQuery, prepare_query
 
 
 def decompound(
@@ -78,20 +79,23 @@ def decompound(
 
 def expand_query(
     df_lookup,
-    query_text: str,
+    query: str | PreparedQuery,
     *,
     synonyms: dict[str, list[str]] | None = None,
     decompound_oov: bool = True,
 ) -> list[str]:
-    """Expanded, ordered, distinct term list for a query.
+    """Expanded, ordered, distinct term list for a query — a
+    ``reader.prepare`` result, or raw text analyzed as v1.
 
     Synonyms apply to every term; decompounding applies only to
     out-of-vocabulary terms (df == 0) — in-vocab compounds already match
     directly, mirroring the analyzer's only_longest_match-style restraint.
+    Synonym values are index terms (already analyzed).
     """
     synonyms = synonyms or {}
-    terms = sorted(set(analyzer.tokenize_query(query_text)))
-    dfs = df_lookup(terms) if terms else {}
+    if isinstance(query, str):
+        query = prepare_query(query, "or", "v1", df_lookup, n_docs=0)  # idf unused
+    terms, dfs = query.terms, query.dfs
     out: list[str] = []
     seen: set[str] = set()
 
@@ -118,12 +122,8 @@ def search_expanded(
     k: int = 10,
 ):
     """Synonym/decompound-expanded BM25 search (OR over the expanded set)."""
-    expanded = expand_query(reader.df, query_text, synonyms=synonyms)
-    if not expanded:
-        from .query import _empty_result
-
-        return _empty_result()
-    return reader.search(" ".join(expanded), k=k, mode="or")
+    expanded = expand_query(reader.df, reader.prepare(query_text, "or"), synonyms=synonyms)
+    return reader._search_terms(expanded, k, "or")
 
 
 def dictionary_decompound(

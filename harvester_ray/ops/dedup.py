@@ -210,6 +210,16 @@ def _minhash_params(num_perm: int, seed: int = 7) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
+def _rows_per_band(num_perm: int, bands: int) -> int:
+    """Signature rows per LSH band; the bands must split the signature
+    evenly, or trailing lanes would be dropped (or the reshape fail)."""
+    if bands < 1 or num_perm % bands:
+        raise ValueError(
+            f"num_perm={num_perm} must be a multiple of bands={bands}"
+        )
+    return num_perm // bands
+
+
 def minhash_signature(sh: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """num_perm minima of (a*x + b) mod (2^31-1) over shingle hashes.
 
@@ -291,8 +301,8 @@ def minhash_lsh_candidates(
     band buckets larger than the cap (a recall/cost valve for ``"all"``;
     with ``"star"`` buckets are linear so the cap is rarely needed).
     """
+    rows_per_band = _rows_per_band(num_perm, bands)
     a, b = _minhash_params(num_perm)
-    rows_per_band = num_perm // bands
     band_salt = np.arange(bands, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
     def to_bands(batch: pa.Table) -> pa.Table:
@@ -1240,8 +1250,8 @@ def minhash_candidates_cross(
     on all ``bands`` bands regardless of shingle popularity, while
     sub-threshold siblings collide per band with probability jaccard^r.
     Returns (doc_a=corpus, doc_b=delta, n_bands)."""
+    rows_per_band = _rows_per_band(num_perm, bands)
     a, b = _minhash_params(num_perm)
-    rows_per_band = num_perm // bands
     band_salt = np.arange(bands, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
     def bands_for(side: int):

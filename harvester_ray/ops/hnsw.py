@@ -324,6 +324,10 @@ def hnsw_build(
     manifest = os.path.join(part_dir, _BUILD_MANIFEST)
     if _manifest_matches(manifest, params):
         return part_dir
+    # the manifest goes first: a rebuild that dies part-way must leave no
+    # manifest for the old params to match against the mixed graphs
+    if os.path.exists(manifest):
+        os.remove(manifest)
     for f in os.listdir(part_dir):
         if f.endswith(".hnsw.npz"):
             os.remove(os.path.join(part_dir, f))

@@ -66,3 +66,32 @@ def test_federated_single_member_is_plain_reader(split_and_union):
     a = f.search("spark window", k=5).to_pandas()
     b = r.search("spark window", k=5).to_pandas()
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_federated_members_share_one_analyzer(tmp_path):
+    """Members analyzed differently cannot answer one query: mixing a v1
+    and a v2 index fails at construction naming each root's version; two
+    v2 members analyze the query as v2 (stems, no stopwords) and answer
+    exactly like one v2 index over their union."""
+    def half(h):
+        return rd.read_parquet(DOCS, columns=["doc_id", "text"]).map_batches(
+            lambda t: t.filter(pc.equal(pc.bit_wise_and(t["doc_id"], 1), h)),
+            batch_format="pyarrow",
+        )
+
+    roots = {}
+    for name, h, version in (("a1", 0, "v1"), ("a2", 0, "v2"), ("b2", 1, "v2")):
+        roots[name] = str(tmp_path / name)
+        ib.build_index(half(h), roots[name], analyzer_version=version)
+    union = str(tmp_path / "u2")
+    ib.build_index(rd.read_parquet(DOCS, columns=["doc_id", "text"]), union,
+                   analyzer_version="v2")
+    with pytest.raises(ValueError) as err:
+        fed.FederatedReader([roots["a1"], roots["b2"]])
+    assert f"{roots['a1']}=v1" in str(err.value) and f"{roots['b2']}=v2" in str(err.value)
+    f = fed.FederatedReader([roots["a2"], roots["b2"]])
+    assert f.analyzer_version == "v2"
+    got = f.search("the sparks windows", k=10, mode="and").to_pandas()
+    assert len(got) > 0  # v1 analysis would look up 'sparks'/'windows': no hits
+    want = iq.IndexReader(union).search("the sparks windows", k=10, mode="and").to_pandas()
+    pd.testing.assert_frame_equal(got, want)

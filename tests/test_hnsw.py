@@ -141,3 +141,27 @@ def test_artifact_manifest_lifecycle(ray_session, tmp_path):
     os.makedirs(empty)
     with pytest.raises(FileNotFoundError, match="hnsw.npz"):
         hnsw.HnswService(empty)
+
+
+def test_crashed_rebuild_never_serves_stale_mix(ray_session, tmp_path):
+    """A params change whose rebuild dies after other shards wrote their
+    graphs must not leave the old manifest behind: rerunning with the
+    original params rebuilds every graph instead of reusing the mix."""
+    import time
+
+    part = hnsw.hnsw_partition(_emb_ds(), str(tmp_path / "parts"), n_shards=3)
+    hnsw.hnsw_build(part, m=8)
+    shards = sorted(d for d in os.listdir(part) if d.startswith("shard="))
+    graphs = [os.path.join(part, f"{d.replace('=', '-')}.hnsw.npz") for d in shards]
+    bad = os.path.join(part, shards[0], "zz-unreadable.parquet")
+    with open(bad, "w") as f:
+        f.write("not parquet")  # this shard's build task raises
+    with pytest.raises(Exception):
+        hnsw.hnsw_build(part, m=4)
+    deadline = time.time() + 120  # the other shards' m=4 tasks still finish
+    while not all(os.path.exists(g) for g in graphs[1:]) and time.time() < deadline:
+        time.sleep(0.2)
+    assert all(int(np.load(g)["meta"][0]) == 4 for g in graphs[1:])
+    os.remove(bad)
+    hnsw.hnsw_build(part, m=8)
+    assert [int(np.load(g)["meta"][0]) for g in graphs] == [8, 8, 8]

@@ -902,3 +902,18 @@ def test_doc_skyline_oracle(ray_session):
     assert 1 <= len(got) < len(df)
     again = text_analysis.doc_skyline(ds.repartition(7))
     pd.testing.assert_frame_equal(got, again, check_dtype=False)
+
+
+@pytest.mark.parametrize("entry", ["minhash_lsh_candidates", "minhash_candidates_cross"])
+def test_minhash_bands_must_split_signature(ray_session, entry):
+    """A band count that does not divide num_perm fails at the call site
+    with both values named, not later as a reshape error inside a task."""
+    import pandas as pd
+    import ray.data as rd
+
+    from harvester_ray.ops import dedup
+
+    ds = rd.from_pandas(pd.DataFrame({"doc_id": [1, 2], "text": ["a b c d", "a b c e"]}))
+    args = (ds,) if entry == "minhash_lsh_candidates" else (ds, ds)
+    with pytest.raises(ValueError, match=r"num_perm=60.*bands=16"):
+        getattr(dedup, entry)(*args, num_perm=60, bands=16)

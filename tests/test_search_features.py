@@ -604,26 +604,25 @@ def test_dictionary_decompound_wordlist(ray_session):
     assert list(exp["subword"]) == list(out["subword"])
 
 
-def test_two_wave_theta_matches_single_wave(attr_index):
-    """Opt-in cross-actor θ (two RPC waves, global k-th seeded into wave 2)
-    must return exactly the single-wave results — the pruning bound carries
-    the same ROUND_MARGIN tie protection as the local θ."""
-    svc1 = query.QueryService(attr_index, num_actors=2)
-    svc2 = query.QueryService(attr_index, num_actors=2, two_wave=True)
-    # precondition for the two-wave branch: more segments than actors
-    assert len(svc2.manifest["segments"]) > len(svc2.actors)
+def test_service_search_matches_reader(attr_index):
+    """The actors' top-k (largest segment first, early θ carried across an
+    actor's own segments, one fan-out) returns exactly the in-process
+    reader's results — both run ``topk_over`` — in both modes and with
+    facet filters."""
+    svc = query.QueryService(attr_index, num_actors=2)
+    reader = query.IndexReader(attr_index)
+    # each actor walks several segments, so its local θ is exercised
+    assert len(svc.manifest["segments"]) > len(svc.actors)
     try:
-        for q, mode in [("table scan", "or"), ("table scan", "and"),
-                        ("the fast key", "or"), ("zzznope", "or")]:
-            a = svc1.search(q, k=10, mode=mode).to_pandas()
-            b = svc2.search(q, k=10, mode=mode).to_pandas()
-            assert list(a["doc_id"]) == list(b["doc_id"]), (q, mode)
+        for q, mode, filters in [
+            ("table scan", "or", None), ("table scan", "and", None),
+            ("the fast key", "or", None), ("zzznope", "or", None),
+            ("table", "and", {"source": ["src0", "src1"]}),
+            ("table scan", "or", {"source": ["src0", "src1"]}),
+        ]:
+            a = svc.search(q, k=10, mode=mode, filters=filters).to_pandas()
+            b = reader.search(q, k=10, mode=mode, filters=filters).to_pandas()
+            assert list(a["doc_id"]) == list(b["doc_id"]), (q, mode, filters)
             np.testing.assert_allclose(a["score"], b["score"], atol=1e-12)
-        # filters ride through both waves
-        f = {"source": ["src0", "src1"]}
-        a = svc1.search("table", k=15, filters=f).to_pandas()
-        b = svc2.search("table", k=15, filters=f).to_pandas()
-        assert list(a["doc_id"]) == list(b["doc_id"])
     finally:
-        svc1.shutdown()
-        svc2.shutdown()
+        svc.shutdown()
