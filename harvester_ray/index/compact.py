@@ -28,7 +28,7 @@ import pyarrow.parquet as pq
 
 from . import codec
 from . import manifest as mf
-from .query import SegmentReader, parse_tombstones, tombstones_for_segment
+from .query import SegmentCache, SegmentReader, parse_tombstones, tombstones_for_segment
 
 
 def merge_segments(
@@ -42,7 +42,8 @@ def merge_segments(
     Returns the new segment's meta entry fields (name, n_docs, dl_sum)."""
     readers = []
     for m in seg_metas:
-        reader = SegmentReader(os.path.join(index_root, m["path"]))
+        # bulk decode only, so a zero-byte cache: it stores nothing
+        reader = SegmentReader(os.path.join(index_root, m["path"]), SegmentCache(0))
         dead = tombstones_for_segment(tomb_ids, tomb_vers, m["created_version"])
         readers.append((reader, dead))
 

@@ -44,18 +44,93 @@ def _empty_result() -> pa.Table:
     return RESULT_SCHEMA.empty_table()
 
 
+# Cache budget per indexed token (Σ dl_sum of the segments a reader
+# serves): a full decode of every cached kind is ~36 B/token, so the bound
+# scales with the data served, never with the distinct terms queried.
+CACHE_BYTES_PER_TOKEN = 16
+# charged per entry on top of its arrays (key, array headers, LRU node:
+# 300-480 B measured on CPython 3.11), so tiny and empty values (rare
+# terms, absent phrases) count too
+CACHE_ENTRY_BYTES = 512
+
+
+class SegmentCache:
+    """One LRU of decoded segment data shared by a set of segment readers
+    (an ``IndexReader``'s, or a ``QuerySegmentActor``'s), bounded by bytes —
+    Lucene's ``LRUQueryCache`` discipline. Entries are keyed ``(kind,
+    segment, key)`` and every value is a pure function of its immutable
+    segment, so an eviction only costs a recompute. The kinds:
+
+    - ``postings``: term → decoded ``(doc_ids, tfs)``;
+    - ``pos``: term → int32 positions of those postings in ``doc_ids``;
+    - ``score``: ``(term, idf, avgdl)`` → float64 per-posting BM25 scores;
+    - ``packed``: term → int64 ``(local_doc << 31) | pos`` occurrence keys;
+    - ``match``: phrase/proximity → ``(docs, span tf)``, before tombstones
+      and filters (which apply per query).
+
+    Hits, misses, evictions and held bytes are counted per kind."""
+
+    def __init__(self, budget: int):
+        from collections import OrderedDict
+
+        self.budget = int(budget)
+        self.bytes = 0
+        self._lru: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self._stats = {
+            kind: {"hits": 0, "misses": 0, "evictions": 0, "bytes": 0}
+            for kind in ("postings", "pos", "score", "packed", "match")
+        }
+
+    @classmethod
+    def for_segments(cls, seg_metas) -> "SegmentCache":
+        """A cache budgeted for these manifest segments."""
+        return cls(CACHE_BYTES_PER_TOKEN * sum(int(m["dl_sum"]) for m in seg_metas))
+
+    def get(self, key: tuple, compute):
+        """The cached value of ``key``, else ``compute()``: stored, then LRU
+        entries evicted until the cache is within budget. A value larger
+        than the whole budget is returned but not stored."""
+        st = self._stats[key[0]]
+        hit = self._lru.get(key)
+        if hit is not None:
+            st["hits"] += 1
+            self._lru.move_to_end(key)
+            return hit[0]
+        st["misses"] += 1
+        value = compute()
+        size = CACHE_ENTRY_BYTES + sum(
+            a.nbytes for a in (value if isinstance(value, tuple) else (value,))
+        )
+        if size <= self.budget:
+            self._lru[key] = (value, size)
+            self.bytes += size
+            st["bytes"] += size
+            while self.bytes > self.budget:
+                old, (_, n) = self._lru.popitem(last=False)
+                self.bytes -= n
+                self._stats[old[0]]["bytes"] -= n
+                self._stats[old[0]]["evictions"] += 1
+        return value
+
+    def __contains__(self, key: tuple) -> bool:
+        """Membership peek: moves neither the counters nor the recency."""
+        return key in self._lru
+
+    def stats(self) -> dict[str, dict[str, int]]:
+        """``{kind: {hits, misses, evictions, bytes}}``."""
+        return {kind: dict(st) for kind, st in self._stats.items()}
+
+
 class SegmentReader:
     """Loads one segment's term dictionary + doc lengths once (numpy column
     views, no per-term python materialization); postings are mmap'd and
-    decoded lazily per query term, with a small LRU of decoded hot-term
-    lists (the load-once-per-worker discipline of SURVEY §2.3)."""
+    decoded lazily per query term into ``cache``, the ``SegmentCache`` this
+    reader shares with the other segments of its reader (the
+    load-once-per-worker discipline of SURVEY §2.3)."""
 
-    POSTINGS_CACHE = 256  # decoded term posting lists kept per segment
-
-    def __init__(self, base_path: str):
-        from collections import OrderedDict
-
+    def __init__(self, base_path: str, cache: SegmentCache):
         self.base = base_path
+        self.cache = cache
         terms = pq.read_table(base_path + ".terms.parquet")
         self._term_strings = terms["term"].combine_chunks()
         self._lookup = {t: i for i, t in enumerate(self._term_strings.to_pylist())}
@@ -93,37 +168,10 @@ class SegmentReader:
             for col in ("pos_off", "pos_nbytes"):
                 setattr(self, "_" + col, np.asarray(terms[col].combine_chunks(), dtype=np.int64))
             self._pos = np.memmap(base_path + ".pos", dtype=np.uint8, mode="r")
-        self._cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        # term -> int32 positions of the term's postings in doc_ids order
-        # (pure function of the immutable segment; lets hot queries skip
-        # the per-query doc_lengths searchsorted and enables the dense
-        # score-accumulation paths below)
-        self._pos_cache: OrderedDict[str, np.ndarray] = OrderedDict()
-        # term -> (idf, avgdl, float64 per-posting BM25 scores): idf/avgdl
-        # are manifest constants, so hot terms skip the dl-gather + score
-        # recompute entirely (recomputed transparently if a caller passes
-        # different stats, e.g. federated search)
-        self._score_cache: OrderedDict[str, tuple[float, float, np.ndarray]] = OrderedDict()
-        SCORE_CACHE = 32
-        self._score_cache_cap = SCORE_CACHE
-        # term -> int64 packed (local_doc << 31) | pos occurrence keys —
-        # the phrase/proximity primitive, a pure function of the immutable
-        # segment (the dense scored-postings discipline applied to the
-        # positional family: varbyte decode + repeat + searchsorted were
-        # dominating warm phrase latency at 64x). int64 per OCCURRENCE, so
-        # a smaller cap than the per-posting caches.
-        self._packed_cache: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._packed_cache_cap = 64
-        # (kind, terms...) -> (docs, ptf) phrase/proximity match results —
-        # the Lucene/OpenSearch segment query-cache analog: a match is a
-        # pure function of the immutable segment (tombstones and facet
-        # filters apply AFTER, per query), so repeated phrases skip the
-        # packed-key intersection entirely
-        self._match_cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._match_cache_cap = 32
-        # LRU observability (the soak serving leg reports hit rates)
-        self.cache_hits = 0
-        self.cache_misses = 0
+
+    def cached(self, kind: str, key, compute):
+        """This segment's ``key`` of ``kind`` through the shared cache."""
+        return self.cache.get((kind, self.base, key), compute)
 
     def entry(self, term: str) -> dict | None:
         """Lightweight per-term view: scalars + numpy block-metadata slices."""
@@ -155,62 +203,38 @@ class SegmentReader:
         )
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """Full decode → (doc_ids, tfs); hot terms served from the LRU."""
-        hit = self._cache.get(term)
-        if hit is not None:
-            self.cache_hits += 1
-            self._cache.move_to_end(term)
-            return hit
-        row = self.entry(term)
-        if row is None:
+        """Full decode → (doc_ids, tfs), cached."""
+        if term not in self._lookup:
             return None
-        self.cache_misses += 1
-        db, tb = self._slices(row)
-        out = codec.decode_postings(db, tb)
-        self._cache[term] = out
-        if len(self._cache) > self.POSTINGS_CACHE:
-            self._cache.popitem(last=False)
-        return out
+        return self.cached(
+            "postings", term, lambda: codec.decode_postings(*self._slices(self.entry(term)))
+        )
 
     def postings_positions(self, term: str) -> np.ndarray | None:
         """int32 positions of ``postings(term)[0]`` within ``doc_ids`` —
         cached (the 64x soak measured the per-query doc_lengths
         searchsorted + dl/score recompute dominating warm OR latency; the
         positions are immutable per segment so they are computed once)."""
-        hit = self._pos_cache.get(term)
-        if hit is not None:
-            self._pos_cache.move_to_end(term)
-            return hit
-        p = self.postings(term)
-        if p is None:
+        if term not in self._lookup:
             return None
-        idx = np.searchsorted(self.doc_ids, p[0]).astype(np.int32)
-        self._pos_cache[term] = idx
-        if len(self._pos_cache) > self.POSTINGS_CACHE:
-            self._pos_cache.popitem(last=False)
-        return idx
+        return self.cached(
+            "pos", term,
+            lambda: np.searchsorted(self.doc_ids, self.postings(term)[0]).astype(np.int32),
+        )
 
     def scored_postings(
         self, term: str, idf: float, avgdl: float
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """(positions-in-doc_ids, per-posting BM25 scores) for a term —
-        both cached. The dense OR/AND paths are one gather-scatter per
-        term on a hot cache."""
+        both cached, the scores keyed by ``(term, idf, avgdl)``. The dense
+        OR/AND paths are one gather-scatter per term on a hot cache."""
         idx = self.postings_positions(term)
         if idx is None:
             return None
-        hit = self._score_cache.get(term)
-        if hit is not None and hit[0] == idf and hit[1] == avgdl:
-            self._score_cache.move_to_end(term)
-            return idx, hit[2]
-        _, f = self.postings(term)
-        sc = bm25.score(
-            f.astype(np.float64), self.dl[idx].astype(np.float64), idf, avgdl
-        )
-        self._score_cache[term] = (idf, avgdl, sc)
-        if len(self._score_cache) > self._score_cache_cap:
-            self._score_cache.popitem(last=False)
-        return idx, sc
+        return idx, self.cached("score", (term, idf, avgdl), lambda: bm25.score(
+            self.postings(term)[1].astype(np.float64),
+            self.dl[idx].astype(np.float64), idf, avgdl,
+        ))
 
     def postings_for_candidates(
         self, row: dict, cand: np.ndarray
@@ -243,30 +267,24 @@ class SegmentReader:
             tf_parts.append(t)
         return np.concatenate(docs_parts), np.concatenate(tf_parts)
 
-    def terms_with_prefix(self, prefix: str, limit: int | None = None) -> list[str]:
-        """Terms of this segment's dictionary starting with ``prefix``
-        (dictionary is lexicographically sorted at build time —
-        build.py:257-259 — so this is two binary searches + one slice; the
-        wildcard/prefix expansion path of simple_query_string)."""
+    def prefix_range(self, prefix: str) -> tuple[int, int]:
+        """[lo, hi) rows of this segment's term dictionary starting with
+        ``prefix``: the dictionary is sorted at build time, so this is two
+        O(log V) binary searches with scalar probes."""
         import bisect
 
-        arr = self._term_strings
-        n = len(arr)
+        def key(s):
+            return s.as_py()
 
-        class _View:
-            def __getitem__(self, i):
-                return arr[i].as_py()
+        lo = bisect.bisect_left(self._term_strings, prefix, key=key)
+        hi = bisect.bisect_left(self._term_strings, prefix + "\U0010ffff", lo=lo, key=key)
+        return lo, hi
 
-            def __len__(self):
-                return n
-
-        v = _View()
-        lo = bisect.bisect_left(v, prefix)
-        # tokens are [a-z0-9]+ so chr(0x7f) upper-bounds every extension
-        hi = bisect.bisect_left(v, prefix + "\x7f", lo=lo)
-        if limit is not None:
-            hi = min(hi, lo + limit)
-        return arr.slice(lo, hi - lo).to_pylist()
+    def terms_with_prefix(self, prefix: str) -> list[str]:
+        """Terms of this segment's dictionary starting with ``prefix`` (the
+        wildcard/prefix expansion path of simple_query_string)."""
+        lo, hi = self.prefix_range(prefix)
+        return self._term_strings.slice(lo, hi - lo).to_pylist()
 
     def all_postings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Decode the ENTIRE segment in two vectorized varbyte passes.
@@ -314,14 +332,10 @@ class SegmentReader:
         where ``positions`` is flat: posting j's tfs[j] ascending within-doc
         token ordinals are a contiguous slice. None if the term is absent or
         the segment has no positional stream."""
-        if not self.has_positions:
+        i = self._lookup.get(term)
+        if not self.has_positions or i is None:
             return None
-        row = self.entry(term)
-        if row is None:
-            return None
-        hit = self.postings(term)
-        docs, tfs = hit
-        i = row["idx"]
+        docs, tfs = self.postings(term)
         p0, pn = int(self._pos_off[i]), int(self._pos_nbytes[i])
         gaps = codec.varbyte_decode(self._pos[p0 : p0 + pn]).astype(np.int64)
         return docs, tfs, self._abs_positions(gaps, tfs)
@@ -332,22 +346,14 @@ class SegmentReader:
         construction (docs ascending, positions ascending within a doc) and
         unique ((doc, pos) pairs are distinct). None when the term is
         absent or the segment has no positional stream."""
-        hit = self._packed_cache.get(term)
-        if hit is not None:
-            self.cache_hits += 1
-            self._packed_cache.move_to_end(term)
-            return hit
-        res = self.positions(term)
-        if res is None:
+        if not self.has_positions or term not in self._lookup:
             return None
-        self.cache_misses += 1
-        _docs, tfs, pos = res
-        local = self.postings_positions(term)
-        keys = (np.repeat(local.astype(np.int64), tfs) << 31) | pos
-        self._packed_cache[term] = keys
-        if len(self._packed_cache) > self._packed_cache_cap:
-            self._packed_cache.popitem(last=False)
-        return keys
+
+        def pack():
+            _docs, tfs, pos = self.positions(term)
+            return (np.repeat(self.postings_positions(term).astype(np.int64), tfs) << 31) | pos
+
+        return self.cached("packed", term, pack)
 
     def all_positions(self, tfs_stream: np.ndarray) -> np.ndarray:
         """Whole-segment position decode (one vectorized varbyte pass) in the
@@ -505,7 +511,7 @@ def search_segment(
         min_df = min(e["df"] for e in entries.values())
         if recency is None and (
             4 * min_df >= seg.doc_ids.size
-            or all(t in seg._pos_cache for t in entries)
+            or all(("pos", seg.base, t) in seg.cache for t in entries)
         ):
             n_seg = seg.doc_ids.size
             dense = np.zeros(n_seg, np.float64)
@@ -913,11 +919,12 @@ class IndexReader:
         )
         self._segments: dict[str, SegmentReader] = {}
         self._tomb_ids, self._tomb_vers = parse_tombstones(self.manifest)
+        self.cache = SegmentCache.for_segments(self.manifest["segments"])
 
     def _segment(self, seg_meta: dict) -> SegmentReader:
         key = seg_meta["path"]
         if key not in self._segments:
-            self._segments[key] = SegmentReader(os.path.join(self.root, key))
+            self._segments[key] = SegmentReader(os.path.join(self.root, key), self.cache)
         return self._segments[key]
 
     def segments(self):
@@ -1069,8 +1076,8 @@ class IndexReader:
         Offline query workloads (ranking evals, decontamination-by-search,
         percolation sweeps) share this reader's warm state: each segment is
         opened once, term stats load one bucket file per hash bucket, and a
-        term shared by several queries is decoded once into the segment's
-        postings LRU. Each query runs the same top-k as ``search``, so
+        term shared by several queries is decoded once into the reader's
+        cache. Each query runs the same top-k as ``search``, so
         results are identical to Q independent ``search`` calls — asserted
         in tests.
 
@@ -1316,27 +1323,13 @@ def vocab_with_prefix(
     segment's sorted dictionary range only, never a vocabulary scan."""
     agg: dict[str, int] = {}
     for _, seg, _ in segments:
-        lo, hi = _term_prefix_range(seg, prefix)
+        lo, hi = seg.prefix_range(prefix)
         if hi <= lo:
             continue
         for t, d in zip(seg._term_strings.slice(lo, hi - lo).to_pylist(), seg._df[lo:hi]):
             if min_len <= len(t) <= max_len:
                 agg[t] = agg.get(t, 0) + int(d)
     return agg
-
-
-def _cached_match(seg: SegmentReader, key: tuple, compute):
-    hit = seg._match_cache.get(key)
-    if hit is not None:
-        seg.cache_hits += 1
-        seg._match_cache.move_to_end(key)
-        return hit
-    out = compute()
-    seg.cache_misses += 1
-    seg._match_cache[key] = out
-    if len(seg._match_cache) > seg._match_cache_cap:
-        seg._match_cache.popitem(last=False)
-    return out
 
 
 def proximity_match_segment(
@@ -1349,9 +1342,9 @@ def proximity_match_segment(
     next-occurrence of each subsequent term is found with one searchsorted
     per term; the greedy chain minimizes the final position for a given
     start, so its span test is equivalent to the exists-any-chain test.
-    Results are served from the segment's match cache."""
-    return _cached_match(
-        seg, ("prox", slop, *terms),
+    Results are cached (kind ``match``)."""
+    return seg.cached(
+        "match", ("prox", slop, *terms),
         lambda: _proximity_match_segment_uncached(seg, terms, slop),
     )
 
@@ -1394,9 +1387,9 @@ def phrase_match_segment(
     ``(local_doc << 31) | (pos - i)``; a phrase occurrence is a key present
     for EVERY term, found by iterative sorted-set intersection. Positions are
     < 2^31 (1M-char truncation) and local doc indices < 2^31, so the packed
-    key fits int64. Results are served from the segment's match cache."""
-    return _cached_match(
-        seg, ("phrase", *terms),
+    key fits int64. Results are cached (kind ``match``)."""
+    return seg.cached(
+        "match", ("phrase", *terms),
         lambda: _phrase_match_segment_uncached(seg, terms),
     )
 
@@ -1465,9 +1458,10 @@ class QuerySegmentActor:
     def __init__(self, index_root: str, seg_metas: list[dict], manifest: dict):
         tomb_ids, tomb_vers = parse_tombstones(manifest)
         cur_version = manifest.get("_version", 0)
+        self.cache = SegmentCache.for_segments(seg_metas)
         self.readers = []
         for m in seg_metas:
-            reader = SegmentReader(os.path.join(index_root, m["path"]))
+            reader = SegmentReader(os.path.join(index_root, m["path"]), self.cache)
             exclude = tombstones_for_segment(
                 tomb_ids, tomb_vers, m.get("created_version", cur_version)
             )
@@ -1520,9 +1514,10 @@ class QuerySegmentActor:
         return n
 
     def stats(self) -> dict:
-        """Serving observability (the soak leg's per-actor memory + LRU
-        evidence): resident set size from /proc plus the summed postings-
-        cache counters across this actor's segment readers."""
+        """Serving observability (the soak leg's per-actor memory + cache
+        evidence): resident set size from /proc, the cache's hits and
+        misses summed over its kinds, and the per-kind counters under
+        ``cache``."""
         rss_kb = 0
         try:
             with open("/proc/self/status") as f:
@@ -1532,11 +1527,13 @@ class QuerySegmentActor:
                         break
         except OSError:
             pass
+        cache = self.cache.stats()
         return {
             "rss_kb": rss_kb,
             "n_segments": len(self.readers),
-            "cache_hits": sum(r.cache_hits for _, r, _ in self.readers),
-            "cache_misses": sum(r.cache_misses for _, r, _ in self.readers),
+            "cache_hits": sum(c["hits"] for c in cache.values()),
+            "cache_misses": sum(c["misses"] for c in cache.values()),
+            "cache": cache,
         }
 
     def phrase_match(
@@ -1579,25 +1576,6 @@ class QuerySegmentActor:
         return vocab_with_prefix(self.readers, prefix, min_len, max_len)
 
 
-def _term_prefix_range(seg, prefix: str) -> tuple[int, int]:
-    """[lo, hi) rows of the segment's sorted term dictionary starting with
-    ``prefix`` — O(log V) binary search with scalar probes."""
-    arr = seg._term_strings
-    n = len(arr)
-
-    def bisect(key: str) -> int:
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if arr[mid].as_py() < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    return bisect(prefix), bisect(prefix + "\U0010ffff")
-
-
 class QueryService:
     """Distributed query serving: segments spread over an actor pool; search
     fans out and merges per-actor top-k heaps (the OpenSearch shard fan-out
@@ -1624,6 +1602,16 @@ class QueryService:
         groups: list[list[dict]] = [segs[i::num_actors] for i in range(num_actors)]
         actor_cls = ray.remote(num_cpus=1)(QuerySegmentActor)
         self.actors = [actor_cls.remote(index_root, g, self.manifest) for g in groups]
+        # async searches: id -> ("running", futures, k) or ("done", result)
+        self._async: dict[str, tuple] = {}
+        self._async_seq = 0
+
+    def _pool(self) -> list:
+        """The actor pool; ``RuntimeError`` once ``shutdown`` released it
+        (a killed pool must not answer as if nothing matched)."""
+        if not self.actors:
+            raise RuntimeError("QueryService is shut down")
+        return self.actors
 
     def df(self, terms: list[str]) -> dict[str, int]:
         return self._termstats.df(terms)
@@ -1643,6 +1631,7 @@ class QueryService:
         and the driver touches only Q x A x k merged rows."""
         import ray
 
+        actors = self._pool()
         preps = [self.prepare(q, mode) for q, mode in queries]
         batch = [
             (prep.live, prep.idf, k, mode)
@@ -1650,7 +1639,7 @@ class QueryService:
         ]
         if not batch:
             return [_empty_result() for _ in queries]
-        per_actor = ray.get([a.search_many.remote(batch) for a in self.actors])
+        per_actor = ray.get([a.search_many.remote(batch) for a in actors])
         answers = zip(*per_actor)  # per batch entry: one part per actor
         return [
             _empty_result() if prep.empty else merge_topk(list(next(answers)), k)
@@ -1664,26 +1653,28 @@ class QueryService:
         made hot."""
         import ray
 
+        actors = self._pool()
         idf_map = {t: v for q in query_texts for t, v in self.prepare(q, "or").idf.items()}
         if not idf_map:
             return 0
         live = sorted(idf_map)
         return sum(ray.get([
-            a.warm.remote(live, idf_map, self.avgdl) for a in self.actors
+            a.warm.remote(live, idf_map, self.avgdl) for a in actors
         ]))
 
     def actor_stats(self) -> list[dict]:
-        """Per-actor {rss_kb, n_segments, cache_hits, cache_misses}."""
+        """Per-actor {rss_kb, n_segments, cache_hits, cache_misses, cache}
+        (``cache``: per-kind hits, misses, evictions and bytes)."""
         import ray
 
-        return ray.get([a.stats.remote() for a in self.actors])
+        return ray.get([a.stats.remote() for a in self._pool()])
 
     def shutdown(self) -> None:
         """Release the actor pool's CPU reservations. Serving actors are
         created with num_cpus=1 and live until killed — on a cluster where
         they occupy every slot, any later Ray work (a Dataset read, a task)
-        deadlocks waiting for a CPU. Call when done serving; the service is
-        unusable afterwards."""
+        deadlocks waiting for a CPU. Call when done serving; every surface
+        that answers from the pool raises ``RuntimeError`` afterwards."""
         import ray
 
         for a in self.actors:
@@ -1705,12 +1696,13 @@ class QueryService:
         global θ measured 4–5 ms slower at every pool size (BASELINE.md)."""
         import ray
 
+        actors = self._pool()
         prep = self.prepare(query_text, mode)
         if prep.empty:
             return _empty_result()
         futures = [
             a.search.remote(prep.live, prep.idf, k, mode, filters, recency)
-            for a in self.actors
+            for a in actors
         ]
         return merge_topk(ray.get(futures), k)
 
@@ -1729,9 +1721,7 @@ class QueryService:
         async state — no coordinator actor, no polling thread; ``status``
         peeks with a zero-timeout ``ray.wait``, ``get`` blocks and merges,
         ``cancel`` propagates ``ray.cancel`` to the actors."""
-        if not hasattr(self, "_async"):
-            self._async: dict[str, tuple] = {}
-            self._async_seq = 0
+        actors = self._pool()
         self._async_seq += 1
         sid = f"async-{self._async_seq}"
         prep = self.prepare(query_text, mode)
@@ -1740,7 +1730,7 @@ class QueryService:
             return sid
         futures = [
             a.search.remote(prep.live, prep.idf, k, mode, filters, recency)
-            for a in self.actors
+            for a in actors
         ]
         self._async[sid] = ("running", futures, k)
         return sid
@@ -1777,7 +1767,7 @@ class QueryService:
         ``{"found": False}`` instead of raising (the ES 404 shape)."""
         import ray
 
-        st = self._async.pop(search_id, None) if hasattr(self, "_async") else None
+        st = self._async.pop(search_id, None)
         if st is None:
             return {"acknowledged": False, "found": False}
         if st[0] != "done":
@@ -1790,7 +1780,7 @@ class QueryService:
         return self.delete(search_id)
 
     def _async_state(self, search_id: str):
-        if not hasattr(self, "_async") or search_id not in self._async:
+        if search_id not in self._async:
             raise KeyError(f"unknown async search id {search_id!r}")
         return self._async[search_id]
 
@@ -1806,10 +1796,11 @@ class QueryService:
         scoring can't complete actor-locally)."""
         import ray
 
+        actors = self._pool()
         terms = analyzer.tokenize_query(phrase, self.analyzer_version)  # order + duplicates kept
         if not terms:
             return _empty_result()
-        parts = ray.get([a.phrase_match.remote(terms, filters) for a in self.actors])
+        parts = ray.get([a.phrase_match.remote(terms, filters) for a in actors])
         docs, tf, dl = (np.concatenate([p[i] for p in parts]) for i in range(3))
         return score_spans(docs, tf, dl, sum(p[3] for p in parts), self.n_docs, self.avgdl, k)
 
@@ -1825,10 +1816,11 @@ class QueryService:
         fan-out, driver sums the per-actor partial count dicts."""
         import ray
 
+        actors = self._pool()
         prep = self.prepare(query_text, mode)
         parts = [] if prep.empty else ray.get([
             a.match_stats.remote(prep.live, mode, filters, count_fields)
-            for a in self.actors
+            for a in actors
         ])
         counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
         for _, part in parts:
@@ -1850,6 +1842,7 @@ class QueryService:
         ``extras.search_page`` (relevance slice or attribute ordering)."""
         import ray
 
+        actors = self._pool()
         lo, hi = page_bounds(page, page_size)
         if ordering is None:
             return relevance_page(self.search, query_text, lo, hi, mode, filters)
@@ -1858,7 +1851,7 @@ class QueryService:
         prep = self.prepare(query_text, mode)
         parts = [] if prep.empty else ray.get([
             a.match_attr_page.remote(prep.live, mode, filters, field, desc, hi)
-            for a in self.actors
+            for a in actors
         ])
         docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
         vals = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, object)
@@ -1879,10 +1872,12 @@ class QueryService:
 
         from .extras import suggest_tokens
 
+        actors = self._pool()
+
         def vocab(prefix: str, min_len: int, max_len: int) -> dict[str, int]:
             agg: dict[str, int] = {}
             for part in ray.get([
-                a.prefix_vocab.remote(prefix, min_len, max_len) for a in self.actors
+                a.prefix_vocab.remote(prefix, min_len, max_len) for a in actors
             ]):
                 add_counts(agg, part)
             return agg

@@ -39,7 +39,7 @@ MU = 2000.0
 
 def _collection_freqs(reader: IndexReader, terms: list[str]) -> dict[str, int]:
     """Σ tf per term across every segment (postings are decoded once; the
-    per-segment LRU keeps them warm for the scoring pass)."""
+    reader's cache keeps them warm for the scoring pass)."""
     cf = {t: 0 for t in terms}
     for _, seg, _ in reader.segments():
         for t in terms:

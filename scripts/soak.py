@@ -378,6 +378,16 @@ def main() -> None:
         hits = sum(a["cache_hits"] for a in stats_end)
         misses = sum(a["cache_misses"] for a in stats_end)
         report["serve_lru_hit_rate"] = round(hits / max(1, hits + misses), 3)
+        # per cache kind, summed over the actors: which cache is helping
+        report["serve_cache"] = {}
+        for kind in stats_end[0]["cache"]:
+            tot = {f: sum(a["cache"][kind][f] for a in stats_end)
+                   for f in ("hits", "misses", "evictions", "bytes")}
+            report["serve_cache"][kind] = {
+                "hit_rate": round(tot["hits"] / max(1, tot["hits"] + tot["misses"]), 3),
+                "evictions": tot["evictions"],
+                "mb": round(tot["bytes"] / 1e6, 1),
+            }
         svc.shutdown()
 
     # --- serving pool-size sweep (VERDICT r5 item 6) --------------------

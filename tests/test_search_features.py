@@ -503,6 +503,31 @@ def test_async_search_api(attr_index):
         svc.shutdown()
 
 
+def test_shut_down_service_raises_on_every_surface(attr_index):
+    """A released pool must not answer as if nothing matched: every surface
+    that answers from the actors raises, for matching and dead queries."""
+    svc = query.QueryService(attr_index, num_actors=2)
+    svc.shutdown()
+    svc.shutdown()  # idempotent
+    calls = {
+        "search": lambda q: svc.search(q, k=5),
+        "msearch": lambda q: svc.msearch([(q, "and"), (q, "or")]),
+        "submit": lambda q: svc.submit(q),
+        "warm": lambda q: svc.warm([q]),
+        "search_phrase": lambda q: svc.search_phrase(q),
+        "match_counts": lambda q: svc.match_counts(q, count_fields=["lang"]),
+        "search_page": lambda q: svc.search_page(q, page=1, page_size=5),
+        "search_page ordering": lambda q: svc.search_page(q, ordering="-source"),
+        "did_you_mean": lambda q: svc.did_you_mean(q),
+        "actor_stats": lambda q: svc.actor_stats(),
+    }
+    for name, call in calls.items():
+        for q in ("table scan", "tabel", "zzzznomatchzzzz", ""):
+            with pytest.raises(RuntimeError, match="QueryService is shut down"):
+                call(q)
+                pytest.fail(f"{name}({q!r}) answered after shutdown")
+
+
 def test_author_suggestions(tmp_path_factory):
     """Docs matching the author's name in text but NOT listing it in the
     authors attr (reference search/views/similarity.py:84-110). Entry match

@@ -1,9 +1,12 @@
-"""Structural guards: query prep and the tombstone-aware segment walk each
-live in one place, so per-surface copies (which once analyzed every query
-as v1, whatever the index's analyzer) cannot grow back."""
+"""Structural guards: query prep, the tombstone-aware segment walk and the
+reader's decoded-data cache each live in one place, so per-surface copies
+(which once analyzed every query as v1, whatever the index's analyzer) and
+per-segment LRUs (bounded by entry count, not bytes) cannot grow back."""
 
 import ast
 import pathlib
+
+import pytest
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "harvester_ray"
 
@@ -35,6 +38,13 @@ TOMBSTONES_ALLOWED = {
     "index/diff.py": None,
     "index/fsck.py": None,
     "index/readback.py": None,
+}
+
+# The reader's one byte-bounded cache; readback.CachedReader's public
+# ``capacity=`` is an entry count, so it keeps its own LRU.
+LRU_ALLOWED = {
+    "index/query.py": {"SegmentCache"},
+    "index/readback.py": {"CachedReader"},
 }
 
 
@@ -86,7 +96,18 @@ def test_tombstones_only_in_the_segment_walk():
     assert not stray, f"tombstones_for_segment outside the segment walk: {stray}"
 
 
+@pytest.mark.parametrize("name", ["OrderedDict", "popitem"])
+def test_lru_only_in_the_reader_cache(name):
+    stray = [
+        (rel, q) for rel, q in _calls(name)
+        if rel.startswith("index/") and not _allowed(LRU_ALLOWED, rel, q)
+    ]
+    assert not stray, f"hand-rolled LRU outside query.SegmentCache: {stray}"
+
+
 def test_guard_sees_the_allowed_calls():
     """The walker finds the calls it is meant to police (no vacuous pass)."""
     assert ("index/query.py", "prepare_query") in set(_calls("tokenize_query"))
     assert ("index/query.py", "IndexReader.segments") in set(_calls("tombstones_for_segment"))
+    assert ("index/query.py", "SegmentCache.__init__") in set(_calls("OrderedDict"))
+    assert ("index/query.py", "SegmentCache.get") in set(_calls("popitem"))
