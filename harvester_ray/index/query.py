@@ -20,7 +20,11 @@ Two serving modes:
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -1453,7 +1457,14 @@ def match_one_segment(
 
 class QuerySegmentActor:
     """Actor holding a set of segments, loaded once (SURVEY §2.3 stateful
-    stage). Use via ``QueryService``."""
+    stage). Use via ``QueryService``, which reaches it through ``run``
+    alone; the named ops stay callable in process."""
+
+    # the ops ``run`` dispatches to, by method name
+    OPS = frozenset({
+        "search", "search_many", "warm", "stats", "phrase_match",
+        "match_stats", "match_attr_page", "prefix_vocab",
+    })
 
     def __init__(self, index_root: str, seg_metas: list[dict], manifest: dict):
         tomb_ids, tomb_vers = parse_tombstones(manifest)
@@ -1470,6 +1481,15 @@ class QuerySegmentActor:
         # the rest of this actor's segments
         self.readers.sort(key=lambda r: -int(r[1].doc_ids.size))
         self.avgdl = float(manifest["avgdl"])
+
+    def run(self, request: tuple[str, tuple]):
+        """The one RPC entry point: ``(op, args)`` → ``self.<op>(*args)``.
+        One method per actor is what lets ``QueryService`` compile its
+        fan-out into a static graph."""
+        op, args = request
+        if op not in self.OPS:
+            raise ValueError(f"unknown QuerySegmentActor op {op!r}; expected one of {sorted(self.OPS)}")
+        return getattr(self, op)(*args)
 
     def search(
         self,
@@ -1491,10 +1511,8 @@ class QuerySegmentActor:
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """ES ``_msearch`` analog, actor side: one RPC carries a whole
         batch of (terms, idf_map, k, mode) requests; the actor answers all
-        of them over its segments. Amortizes the ~4.5 ms per-RPC floor and
-        the driver's GIL across the batch (the r4 concurrency sweep
-        measured the sequential path degrading past ~4 concurrent
-        client threads for exactly those reasons)."""
+        of them over its segments, so the batch pays one fan-out and one
+        pass of the driver's GIL instead of one per query."""
         return [
             topk_over(self.readers, terms, idf_map, self.avgdl, k, mode)
             for terms, idf_map, k, mode in batch
@@ -1576,10 +1594,37 @@ class QuerySegmentActor:
         return vocab_with_prefix(self.readers, prefix, min_len, max_len)
 
 
+def _release_pool(graph, actors: list, executor) -> None:
+    """Free what a ``QueryService`` holds: tear the compiled graph down
+    (ignoring errors from actors that already died), kill the actors and
+    stop the async-search thread. Runs once, from ``shutdown`` or when the
+    service is garbage-collected."""
+    import ray
+
+    try:
+        graph.teardown()
+    except ray.exceptions.RayError:
+        pass  # an actor already died; the kills below still free the rest
+    if ray.is_initialized():  # ray.shutdown already released everything
+        for a in actors:
+            ray.kill(a)
+    executor.shutdown(wait=False, cancel_futures=True)
+
+
 class QueryService:
     """Distributed query serving: segments spread over an actor pool; search
     fans out and merges per-actor top-k heaps (the OpenSearch shard fan-out
-    analog). Actors are created once and reused across queries."""
+    analog). Actors are created once and reused across queries.
+
+    Every surface reaches the actors through one compiled Ray graph
+    (``InputNode`` → each actor's ``run`` → ``MultiOutputNode``), built once
+    here: a fan-out writes its request to shared memory and reads the parts
+    back without a per-call task submission. Two costs follow from Ray's
+    channels. Executions are serialized by a lock (a compiled graph is not
+    thread-safe), so concurrent callers queue behind each other. And an
+    idle actor busy-waits on its input channel, spinning the core its
+    ``num_cpus=1`` slot reserves. Call ``shutdown`` when done serving; a
+    service that is garbage-collected releases its pool too."""
 
     def __init__(
         self,
@@ -1588,6 +1633,7 @@ class QueryService:
         num_actors: int = 4,
     ):
         import ray
+        from ray.dag import InputNode, MultiOutputNode
 
         self.manifest = mf.read_manifest(index_root, version)
         self.analyzer_version = self.manifest.get("analyzer", "v1")
@@ -1602,16 +1648,39 @@ class QueryService:
         groups: list[list[dict]] = [segs[i::num_actors] for i in range(num_actors)]
         actor_cls = ray.remote(num_cpus=1)(QuerySegmentActor)
         self.actors = [actor_cls.remote(index_root, g, self.manifest) for g in groups]
-        # async searches: id -> ("running", futures, k) or ("done", result)
-        self._async: dict[str, tuple] = {}
-        self._async_seq = 0
+        with InputNode() as request:
+            dag = MultiOutputNode([a.run.bind(request) for a in self.actors])
+        # the lock keeps one execution in flight, so each channel needs one
+        # shared-memory buffer, not Ray's default ten
+        self._graph = dag.experimental_compile(_max_inflight_executions=1)
+        self._lock = threading.Lock()
+        # async searches: id -> Future of the merged result
+        self._async: dict[str, Future] = {}
+        self._async_ids = itertools.count(1)
+        self._executor = ThreadPoolExecutor(max_workers=1)
+        self._release = weakref.finalize(
+            self, _release_pool, self._graph, self.actors, self._executor
+        )
+        self._release.atexit = False  # at exit, ray.shutdown tears graphs down
 
-    def _pool(self) -> list:
-        """The actor pool; ``RuntimeError`` once ``shutdown`` released it
-        (a killed pool must not answer as if nothing matched)."""
+    def _pool(self) -> None:
+        """``RuntimeError`` once ``shutdown`` released the actor pool (a
+        killed pool must not answer as if nothing matched)."""
         if not self.actors:
             raise RuntimeError("QueryService is shut down")
-        return self.actors
+
+    def _fanout(self, op: str, *args) -> list:
+        """Run ``QuerySegmentActor.<op>(*args)`` on every actor through the
+        compiled graph; returns the per-actor parts in actor order. An op
+        that raises re-raises here as its own type; once an actor died,
+        every call raises a ``RayActorError`` or ``RaySystemError``. No
+        timeout, like a plain ``ray.get``: the graph's default of 10 s
+        would fail slow high-df phrases."""
+        import ray
+
+        self._pool()
+        with self._lock:
+            return ray.get(self._graph.execute((op, args)), timeout=-1)
 
     def df(self, terms: list[str]) -> dict[str, int]:
         return self._termstats.df(terms)
@@ -1625,13 +1694,10 @@ class QueryService:
         k: int = 10,
     ) -> list[pa.Table]:
         """ES ``_msearch``: answer a batch of (query_text, mode) requests
-        with ONE round-trip per actor for the whole batch instead of one
-        per (query, actor). Results are per-query tables identical to
-        ``search``'s. Throughput shape: RPC count drops from Q x A to A,
-        and the driver touches only Q x A x k merged rows."""
-        import ray
-
-        actors = self._pool()
+        with ONE fan-out for the whole batch instead of one per query.
+        Results are per-query tables identical to ``search``'s; the driver
+        touches only Q x A x k merged rows."""
+        self._pool()
         preps = [self.prepare(q, mode) for q, mode in queries]
         batch = [
             (prep.live, prep.idf, k, mode)
@@ -1639,8 +1705,7 @@ class QueryService:
         ]
         if not batch:
             return [_empty_result() for _ in queries]
-        per_actor = ray.get([a.search_many.remote(batch) for a in actors])
-        answers = zip(*per_actor)  # per batch entry: one part per actor
+        answers = zip(*self._fanout("search_many", batch))  # per batch entry: one part per actor
         return [
             _empty_result() if prep.empty else merge_topk(list(next(answers)), k)
             for prep in preps
@@ -1651,34 +1716,25 @@ class QueryService:
         terms (deploy-time warmer; the reference's OpenSearch delegates
         the same to index warmers). Returns total (segment, term) entries
         made hot."""
-        import ray
-
-        actors = self._pool()
+        self._pool()
         idf_map = {t: v for q in query_texts for t, v in self.prepare(q, "or").idf.items()}
         if not idf_map:
             return 0
-        live = sorted(idf_map)
-        return sum(ray.get([
-            a.warm.remote(live, idf_map, self.avgdl) for a in actors
-        ]))
+        return sum(self._fanout("warm", sorted(idf_map), idf_map, self.avgdl))
 
     def actor_stats(self) -> list[dict]:
         """Per-actor {rss_kb, n_segments, cache_hits, cache_misses, cache}
         (``cache``: per-kind hits, misses, evictions and bytes)."""
-        import ray
-
-        return ray.get([a.stats.remote() for a in self._pool()])
+        return self._fanout("stats")
 
     def shutdown(self) -> None:
-        """Release the actor pool's CPU reservations. Serving actors are
-        created with num_cpus=1 and live until killed — on a cluster where
-        they occupy every slot, any later Ray work (a Dataset read, a task)
-        deadlocks waiting for a CPU. Call when done serving; every surface
-        that answers from the pool raises ``RuntimeError`` afterwards."""
-        import ray
-
-        for a in self.actors:
-            ray.kill(a)
+        """Release the pool: tear the graph down, kill the actors (their
+        num_cpus=1 reservations and idle spin go with them) and stop the
+        async-search thread. On a cluster where serving actors occupy every
+        slot, any later Ray work (a Dataset read, a task) deadlocks waiting
+        for a CPU until this runs. Idempotent; every surface that answers
+        from the pool raises ``RuntimeError`` afterwards."""
+        self._release()
         self.actors = []
 
     def search(
@@ -1694,17 +1750,13 @@ class QueryService:
         assigned round-robin, so they are iid corpus samples and an actor's
         local θ is already ≈ the global one: a second round seeding a
         global θ measured 4–5 ms slower at every pool size (BASELINE.md)."""
-        import ray
+        self._pool()
+        return self._topk(self.prepare(query_text, mode), k, mode, filters, recency)
 
-        actors = self._pool()
-        prep = self.prepare(query_text, mode)
+    def _topk(self, prep: PreparedQuery, k: int, mode: str, filters, recency) -> pa.Table:
         if prep.empty:
             return _empty_result()
-        futures = [
-            a.search.remote(prep.live, prep.idf, k, mode, filters, recency)
-            for a in actors
-        ]
-        return merge_topk(ray.get(futures), k)
+        return merge_topk(self._fanout("search", prep.live, prep.idf, k, mode, filters, recency), k)
 
     # -- async search (ES _async_search) ------------------------------------
 
@@ -1716,73 +1768,51 @@ class QueryService:
         filters: dict[str, list] | None = None,
         recency: dict | None = None,
     ) -> str:
-        """ES ``_async_search`` submit: start the per-actor fan-out and
-        return a search id immediately. The in-flight Ray futures ARE the
-        async state — no coordinator actor, no polling thread; ``status``
-        peeks with a zero-timeout ``ray.wait``, ``get`` blocks and merges,
-        ``cancel`` propagates ``ray.cancel`` to the actors."""
-        actors = self._pool()
-        self._async_seq += 1
-        sid = f"async-{self._async_seq}"
+        """ES ``_async_search`` submit: prepare the query, hand its fan-out
+        to the service's async-search thread and return a search id
+        immediately. A query without live terms resolves here. The future
+        is the async state: ``status`` asks whether it is done, ``get``
+        blocks on it, ``delete`` cancels it if it has not started."""
+        self._pool()
+        sid = f"async-{next(self._async_ids)}"
         prep = self.prepare(query_text, mode)
         if prep.empty:
-            self._async[sid] = ("done", _empty_result())
-            return sid
-        futures = [
-            a.search.remote(prep.live, prep.idf, k, mode, filters, recency)
-            for a in actors
-        ]
-        self._async[sid] = ("running", futures, k)
+            fut: Future = Future()
+            fut.set_result(_empty_result())
+        else:
+            fut = self._executor.submit(self._topk, prep, k, mode, filters, recency)
+        self._async[sid] = fut
         return sid
 
     def status(self, search_id: str) -> dict:
-        """``{"is_running": bool}`` — zero-timeout peek, never blocks."""
-        import ray
-
-        st = self._async_state(search_id)
-        if st[0] == "done":
-            return {"is_running": False}
-        _, futures, _k = st
-        _, pending = ray.wait(futures, num_returns=len(futures), timeout=0)
-        return {"is_running": bool(pending)}
+        """``{"is_running": bool}`` — never blocks."""
+        return {"is_running": not self._async_state(search_id).done()}
 
     def get(self, search_id: str) -> pa.Table:
-        """Block until complete and merge. ES ``_async_search`` semantics:
-        the result stays retrievable (repeated GETs return the cached merge)
-        until the id is explicitly deleted — the futures tuple is replaced
-        with ``("done", result)`` on first completion."""
-        import ray
-
-        st = self._async_state(search_id)
-        if st[0] == "done":
-            return st[1]
-        _, futures, k = st
-        result = merge_topk(ray.get(futures), k)
-        self._async[search_id] = ("done", result)
-        return result
+        """Block until complete and return the merge. ES ``_async_search``
+        semantics: the result stays retrievable (repeated GETs return the
+        same table) until the id is explicitly deleted."""
+        return self._async_state(search_id).result()
 
     def delete(self, search_id: str) -> dict:
-        """ES ``DELETE _async_search/<id>``: cancel if still running,
+        """ES ``DELETE _async_search/<id>``: cancel if not yet started,
         release the state. Unknown/already-deleted ids return
         ``{"found": False}`` instead of raising (the ES 404 shape)."""
-        import ray
-
-        st = self._async.pop(search_id, None)
-        if st is None:
+        fut = self._async.pop(search_id, None)
+        if fut is None:
             return {"acknowledged": False, "found": False}
-        if st[0] != "done":
-            for f in st[1]:
-                ray.cancel(f, force=False)
+        fut.cancel()
         return {"acknowledged": True, "found": True}
 
     def cancel(self, search_id: str) -> dict:
         """Alias for :meth:`delete` (ES cancels via the DELETE endpoint)."""
         return self.delete(search_id)
 
-    def _async_state(self, search_id: str):
-        if search_id not in self._async:
+    def _async_state(self, search_id: str) -> Future:
+        fut = self._async.get(search_id)
+        if fut is None:
             raise KeyError(f"unknown async search id {search_id!r}")
-        return self._async[search_id]
+        return fut
 
     def search_phrase(
         self,
@@ -1794,13 +1824,11 @@ class QueryService:
         stats in one fan-out; the driver computes the global phrase df, idf,
         and final BM25 scores (phrase df is a query-time aggregate, so
         scoring can't complete actor-locally)."""
-        import ray
-
-        actors = self._pool()
+        self._pool()
         terms = analyzer.tokenize_query(phrase, self.analyzer_version)  # order + duplicates kept
         if not terms:
             return _empty_result()
-        parts = ray.get([a.phrase_match.remote(terms, filters) for a in actors])
+        parts = self._fanout("phrase_match", terms, filters)
         docs, tf, dl = (np.concatenate([p[i] for p in parts]) for i in range(3))
         return score_spans(docs, tf, dl, sum(p[3] for p in parts), self.n_docs, self.avgdl, k)
 
@@ -1814,14 +1842,11 @@ class QueryService:
     ) -> dict:
         """Distributed ``results_total`` + ``include_filter_counts``: one
         fan-out, driver sums the per-actor partial count dicts."""
-        import ray
-
-        actors = self._pool()
+        self._pool()
         prep = self.prepare(query_text, mode)
-        parts = [] if prep.empty else ray.get([
-            a.match_stats.remote(prep.live, mode, filters, count_fields)
-            for a in actors
-        ])
+        parts = [] if prep.empty else self._fanout(
+            "match_stats", prep.live, mode, filters, count_fields
+        )
         counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
         for _, part in parts:
             for f, vals in part.items():
@@ -1840,19 +1865,16 @@ class QueryService:
     ) -> pd.DataFrame:
         """Distributed paginated search, semantics identical to
         ``extras.search_page`` (relevance slice or attribute ordering)."""
-        import ray
-
-        actors = self._pool()
+        self._pool()
         lo, hi = page_bounds(page, page_size)
         if ordering is None:
             return relevance_page(self.search, query_text, lo, hi, mode, filters)
         desc = ordering.startswith("-")
         field = ordering[1:] if desc else ordering
         prep = self.prepare(query_text, mode)
-        parts = [] if prep.empty else ray.get([
-            a.match_attr_page.remote(prep.live, mode, filters, field, desc, hi)
-            for a in actors
-        ])
+        parts = [] if prep.empty else self._fanout(
+            "match_attr_page", prep.live, mode, filters, field, desc, hi
+        )
         docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
         vals = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, object)
         return page_frame(docs, vals, field, desc, lo, hi)
@@ -1868,17 +1890,13 @@ class QueryService:
         enumerated on the actors (each scans only its own segments' sorted
         dictionary prefix range), merged and ranked on the driver with the
         same rules as ``extras.did_you_mean``."""
-        import ray
-
         from .extras import suggest_tokens
 
-        actors = self._pool()
+        self._pool()
 
         def vocab(prefix: str, min_len: int, max_len: int) -> dict[str, int]:
             agg: dict[str, int] = {}
-            for part in ray.get([
-                a.prefix_vocab.remote(prefix, min_len, max_len) for a in actors
-            ]):
+            for part in self._fanout("prefix_vocab", prefix, min_len, max_len):
                 add_counts(agg, part)
             return agg
 

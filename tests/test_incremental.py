@@ -118,10 +118,13 @@ def test_actor_service_respects_tombstones(setup):
     _, _, _, inc_root, _, _ = setup
     svc = query.QueryService(inc_root, num_actors=2)
     reader = query.IndexReader(inc_root)
-    for q, m in QUERIES[:3]:
-        a = svc.search(q, k=20, mode=m).to_pandas()
-        b = reader.search(q, k=20, mode=m).to_pandas()
-        assert list(a["doc_id"]) == list(b["doc_id"])
+    try:
+        for q, m in QUERIES[:3]:
+            a = svc.search(q, k=20, mode=m).to_pandas()
+            b = reader.search(q, k=20, mode=m).to_pandas()
+            assert list(a["doc_id"]) == list(b["doc_id"])
+    finally:
+        svc.shutdown()
 
 
 def test_set_integrity_guard_blocks_bad_delta(tmp_path):

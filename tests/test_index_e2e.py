@@ -1,8 +1,13 @@
+import gc
 import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import duckdb
 import numpy as np
 import pytest
+import ray
 import ray.data as rd
 
 from harvester_ray.index import build, manifest as mf, oracle, query
@@ -73,11 +78,14 @@ def test_brute_force_matches_index(index_root, q):
 def test_query_service_actor_pool(index_root):
     svc = query.QueryService(index_root, num_actors=2)
     reader = query.IndexReader(index_root)
-    for q in ["spark window", "table"]:
-        got = svc.search(q, k=10).to_pandas()
-        exp = reader.search(q, k=10).to_pandas()
-        assert list(got["doc_id"]) == list(exp["doc_id"])
-        np.testing.assert_allclose(got["score"], exp["score"], rtol=1e-12)
+    try:
+        for q in ["spark window", "table"]:
+            got = svc.search(q, k=10).to_pandas()
+            exp = reader.search(q, k=10).to_pandas()
+            assert list(got["doc_id"]) == list(exp["doc_id"])
+            np.testing.assert_allclose(got["score"], exp["score"], rtol=1e-12)
+    finally:
+        svc.shutdown()
 
 
 def test_corpus_stats_match_oracle(index_root, con):
@@ -288,5 +296,134 @@ def test_query_service_warm(index_root):
         # warmed terms are cache hits from the first query on
         stats = svc.actor_stats()
         assert sum(a["cache_hits"] for a in stats) > 0
+    finally:
+        svc.shutdown()
+
+
+# --- QueryService lifecycle: one compiled graph per service ------------------
+
+
+def _free_cpus() -> float:
+    return ray.available_resources().get("CPU", 0.0)
+
+
+def _eventually(ok, seconds: float = 5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not ok():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def _settled_free_cpus(hold: float = 1.0, seconds: float = 30.0) -> float:
+    """Free CPU slots once the count has held for ``hold`` seconds: actors of
+    earlier tests release theirs asynchronously."""
+    deadline = time.monotonic() + seconds
+    last, since = _free_cpus(), time.monotonic()
+    while time.monotonic() - since < hold and time.monotonic() < deadline:
+        time.sleep(0.05)
+        if _free_cpus() != last:
+            last, since = _free_cpus(), time.monotonic()
+    return last
+
+
+def test_dropped_query_service_frees_its_slots(index_root):
+    """A service nobody shut down still releases its actors' CPU slots once
+    it is garbage-collected: its graph's idle actors spin, so a leak would
+    hold both the slots and the cores."""
+    free = _settled_free_cpus()
+    svc = query.QueryService(index_root, num_actors=2)
+    svc.search("table", k=5)
+    assert _free_cpus() == free - 2
+    del svc
+    gc.collect()
+    assert _eventually(lambda: _free_cpus() >= free), (free, _free_cpus())
+
+
+def test_query_service_dead_actor_raises(index_root):
+    """A killed actor turns the next fan-outs into errors within seconds
+    instead of a hang, and shutdown still returns cleanly afterwards."""
+    svc = query.QueryService(index_root, num_actors=2)
+    searching = ThreadPoolExecutor(max_workers=1)
+    try:
+        assert len(svc.search("table", k=5)) == 5
+        ray.kill(svc.actors[1])
+
+        def search_until_error():
+            while True:
+                svc.search("table", k=5)
+
+        # the first failed read raises the actor's death; later calls hit the
+        # closed channels or the failed execution still counted in flight
+        dead_pool = (ray.exceptions.RayActorError, ray.exceptions.RaySystemError)
+        with pytest.raises(dead_pool):
+            searching.submit(search_until_error).result(timeout=5)
+        with pytest.raises(dead_pool):
+            svc.search("table", k=5)
+    finally:
+        svc.shutdown()
+        searching.shutdown(wait=False)
+    with pytest.raises(RuntimeError, match="QueryService is shut down"):
+        svc.search("table", k=5)
+
+
+def test_query_service_answers_after_an_op_error(index_root):
+    """An op that raises arrives as its own exception type, and the graph
+    keeps answering: an unknown op is refused by name, a bad argument list
+    fails inside the op."""
+    svc = query.QueryService(index_root, num_actors=2)
+    exp = query.IndexReader(index_root).search("spark window", k=10).to_pandas()
+    try:
+        with pytest.raises(ValueError, match="no_such_op"):
+            svc._fanout("no_such_op")
+        with pytest.raises(TypeError):
+            svc._fanout("search", ["table"])
+        for _ in range(2):
+            got = svc.search("spark window", k=10).to_pandas()
+            assert list(got["doc_id"]) == list(exp["doc_id"])
+    finally:
+        svc.shutdown()
+
+
+def test_query_service_is_thread_safe(index_root):
+    """Eight client threads share one service (its graph runs one execution
+    at a time): every answer equals the sequential one, async searches
+    included, and the lock is free afterwards."""
+    specs = [("spark window", "and"), ("table", "or"), ("vector stream sort", "and"),
+             ("customer query big", "or"), ("nosuchterm", "and")]
+    svc = query.QueryService(index_root, num_actors=2)
+    try:
+        seq = {s: svc.search(s[0], k=10, mode=s[1]).to_pandas() for s in specs}
+        seq_counts = {s: svc.match_counts(s[0], mode=s[1]) for s in specs}
+        seq_many = [t.to_pandas() for t in svc.msearch(specs, k=10)]
+
+        def client(i: int) -> None:
+            for j in range(6):
+                s = specs[(i + j) % len(specs)]
+                assert svc.search(s[0], k=10, mode=s[1]).to_pandas().equals(seq[s]), s
+                assert svc.match_counts(s[0], mode=s[1]) == seq_counts[s], s
+            many = svc.msearch(specs, k=10)
+            assert all(t.to_pandas().equals(e) for t, e in zip(many, seq_many))
+            s = specs[i % len(specs)]
+            sid = svc.submit(s[0], k=10, mode=s[1])
+            dropped = svc.submit(s[0], k=10, mode=s[1])
+            assert svc.delete(dropped)["found"] is True
+            with pytest.raises(KeyError):
+                svc.get(dropped)
+            assert svc.get(sid).to_pandas().equals(seq[s]), s
+            assert svc.status(sid) == {"is_running": False}
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the clients as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for f in [pool.submit(client, i) for i in range(8)]:
+                    f.result(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not svc._lock.locked()
+        got = svc.search("table", k=10, mode="or").to_pandas()
+        assert got.equals(seq[("table", "or")])
     finally:
         svc.shutdown()

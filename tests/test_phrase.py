@@ -167,10 +167,13 @@ def test_query_service_phrase_parity(pos_index):
     """Actor-pool phrase serving returns exactly the in-process result."""
     svc = iq.QueryService(pos_index, num_actors=2)
     reader = iq.IndexReader(pos_index)
-    for phrase in ("order fast", "part filter", "big order scan"):
-        a = svc.search_phrase(phrase, k=10).to_pandas()
-        b = reader.search_phrase(phrase, k=10).to_pandas()
-        pd.testing.assert_frame_equal(a, b), phrase
+    try:
+        for phrase in ("order fast", "part filter", "big order scan"):
+            a = svc.search_phrase(phrase, k=10).to_pandas()
+            b = reader.search_phrase(phrase, k=10).to_pandas()
+            pd.testing.assert_frame_equal(a, b), phrase
+    finally:
+        svc.shutdown()
 
 
 def test_rescore_matches_oracle(pos_index):

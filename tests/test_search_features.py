@@ -130,7 +130,10 @@ def test_query_service_filters(attr_index):
     svc = query.QueryService(attr_index, num_actors=2)
     reader = query.IndexReader(attr_index)
     f = {"source": ["src0", "src1"]}
-    a = svc.search("table", k=15, filters=f).to_pandas()
+    try:
+        a = svc.search("table", k=15, filters=f).to_pandas()
+    finally:
+        svc.shutdown()
     b = reader.search("table", k=15, filters=f).to_pandas()
     assert list(a["doc_id"]) == list(b["doc_id"])
 

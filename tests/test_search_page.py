@@ -115,21 +115,23 @@ def test_query_service_extras_parity(attr_index):
     the in-process results (distributed serving parity)."""
     svc = iq.QueryService(attr_index, num_actors=2)
     reader = iq.IndexReader(attr_index)
+    try:
+        a = svc.match_counts("table", count_fields=["source"])
+        b = extras.match_counts(reader, "table", count_fields=["source"])
+        assert a == b
 
-    a = svc.match_counts("table", count_fields=["source"])
-    b = extras.match_counts(reader, "table", count_fields=["source"])
-    assert a == b
+        for kw in (
+            dict(page=2, page_size=7),
+            dict(page=1, page_size=15, ordering="source"),
+            dict(page=2, page_size=9, ordering="-source"),
+            dict(page=1, page_size=10, ordering="source", filters={"lang": ["en"]}),
+        ):
+            da = svc.search_page("table", **kw).reset_index(drop=True)
+            db = extras.search_page(reader, "table", **kw).reset_index(drop=True)
+            pd.testing.assert_frame_equal(da[sorted(da.columns)], db[sorted(db.columns)]), kw
 
-    for kw in (
-        dict(page=2, page_size=7),
-        dict(page=1, page_size=15, ordering="source"),
-        dict(page=2, page_size=9, ordering="-source"),
-        dict(page=1, page_size=10, ordering="source", filters={"lang": ["en"]}),
-    ):
-        da = svc.search_page("table", **kw).reset_index(drop=True)
-        db = extras.search_page(reader, "table", **kw).reset_index(drop=True)
-        pd.testing.assert_frame_equal(da[sorted(da.columns)], db[sorted(db.columns)]), kw
-
-    da = svc.did_you_mean("custmer filter tabel zzqqxx")
-    db = extras.did_you_mean(reader, "custmer filter tabel zzqqxx")
-    pd.testing.assert_frame_equal(da, db)
+        da = svc.did_you_mean("custmer filter tabel zzqqxx")
+        db = extras.did_you_mean(reader, "custmer filter tabel zzqqxx")
+        pd.testing.assert_frame_equal(da, db)
+    finally:
+        svc.shutdown()

@@ -1,7 +1,8 @@
-"""Structural guards: query prep, the tombstone-aware segment walk and the
-reader's decoded-data cache each live in one place, so per-surface copies
-(which once analyzed every query as v1, whatever the index's analyzer) and
-per-segment LRUs (bounded by entry count, not bytes) cannot grow back."""
+"""Structural guards: query prep, the tombstone-aware segment walk, the
+reader's decoded-data cache and the service's actor dispatch each live in
+one place, so per-surface copies (which once analyzed every query as v1,
+whatever the index's analyzer), per-segment LRUs (bounded by entry count,
+not bytes) and per-surface RPC paths cannot grow back."""
 
 import ast
 import pathlib
@@ -40,6 +41,11 @@ TOMBSTONES_ALLOWED = {
     "index/readback.py": None,
 }
 
+# QueryService reaches its actors through one compiled graph: the actors are
+# created and bound into it in __init__, every surface runs it in _fanout,
+# and shutdown releases it.
+DISPATCH_ALLOWED = {"QueryService.__init__", "QueryService._fanout", "QueryService.shutdown"}
+
 # The reader's one byte-bounded cache; readback.CachedReader's public
 # ``capacity=`` is an entry count, so it keeps its own LRU.
 LRU_ALLOWED = {
@@ -48,27 +54,32 @@ LRU_ALLOWED = {
 }
 
 
+def _module_calls(path: pathlib.Path):
+    """(call node, enclosing function qualname) of every call in one module."""
+    rel = path.relative_to(PKG).as_posix()
+    scope: list[str] = []
+
+    def visit(node):
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if named:
+            scope.append(node.name)
+        if isinstance(node, ast.Call):
+            yield node, ".".join(scope)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child)
+        if named:
+            scope.pop()
+
+    yield from visit(ast.parse(path.read_text(), rel))
+
+
 def _calls(name: str):
     """(module path, enclosing function qualname) of every call to ``name``."""
     for path in sorted(PKG.rglob("*.py")):
-        rel = path.relative_to(PKG).as_posix()
-        scope: list[str] = []
-
-        def visit(node):
-            named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            if named:
-                scope.append(node.name)
-            if isinstance(node, ast.Call):
-                f = node.func
-                called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if called == name:
-                    yield rel, ".".join(scope)
-            for child in ast.iter_child_nodes(node):
-                yield from visit(child)
-            if named:
-                scope.pop()
-
-        yield from visit(ast.parse(path.read_text(), rel))
+        for node, qualname in _module_calls(path):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                yield path.relative_to(PKG).as_posix(), qualname
 
 
 def _allowed(rules: dict, rel: str, qualname: str) -> bool:
@@ -103,6 +114,22 @@ def test_lru_only_in_the_reader_cache(name):
         if rel.startswith("index/") and not _allowed(LRU_ALLOWED, rel, q)
     ]
     assert not stray, f"hand-rolled LRU outside query.SegmentCache: {stray}"
+
+
+def test_query_service_dispatches_only_through_its_graph():
+    """No second dispatch path next to the compiled graph: no per-surface
+    ``.remote``/``ray.get``, no ``ray.wait``/``ray.cancel`` plumbing, and the
+    actor is bound into the graph through ``run`` alone."""
+    calls = [(ast.unparse(n.func), q) for n, q in _module_calls(PKG / "index/query.py")]
+    stray = [
+        (f, q) for f, q in calls
+        if (f.endswith(".remote") or f == "ray.get") and q not in DISPATCH_ALLOWED
+    ]
+    assert not stray, f"Ray dispatch outside QueryService's graph: {stray}"
+    assert not [c for c in calls if c[0] in ("ray.wait", "ray.cancel")]
+    binds = [f for f, _ in calls if f.endswith(".bind")]
+    assert binds and all(f.endswith(".run.bind") for f in binds), binds
+    assert ("ray.get", "QueryService._fanout") in calls
 
 
 def test_guard_sees_the_allowed_calls():
