@@ -1841,11 +1841,8 @@ def _histogram_pipeline(sf_dir: str) -> pd.DataFrame:
 def _date_histogram(sf_dir: str) -> pd.DataFrame:
     """ES date_histogram over the match set: hourly buckets of matching
     turns from the ts attribute column."""
-    from harvester_ray.index import extras as _extras
-
-    return _extras.date_histogram(
-        index_query.IndexReader(_turnattr_index()), HAS_CHILD_QUERY,
-        ts_field="ts", interval_us=3_600_000_000, mode="or",
+    return index_query.IndexReader(_turnattr_index()).date_histogram(
+        HAS_CHILD_QUERY, ts_field="ts", interval_us=3_600_000_000, mode="or",
     )
 
 
@@ -4360,19 +4357,18 @@ def _did_you_mean(sf_dir: str) -> pd.DataFrame:
     response, search/views/document.py:139): ES suggest_mode=missing —
     absent tokens corrected to the min-edit-distance vocab term (first char
     fixed, <=2 edits, ties by df desc then term asc)."""
-    from harvester_ray.index import extras, query as iq
+    from harvester_ray.index import query as iq
 
-    reader = iq.IndexReader(_documents_index(sf_dir))
-    return extras.did_you_mean(reader, DYM_QUERY)
+    return iq.IndexReader(_documents_index(sf_dir)).did_you_mean(DYM_QUERY)
 
 
 def _search_paged(sf_dir: str) -> pd.DataFrame:
     """Relevance pagination (page/page_size, search/views/document.py:27-29):
     page 2 of the BM25 ranking — ES from+size semantics."""
-    from harvester_ray.index import extras, query as iq
+    from harvester_ray.index import query as iq
 
     reader = iq.IndexReader(_documents_index(sf_dir))
-    out = extras.search_page(reader, BM25_QUERY_AND, page=2, page_size=10, mode="and")
+    out = reader.search_page(BM25_QUERY_AND, page=2, page_size=10, mode="and")
     out["score"] = out["score"].round(4)
     return out[["doc_id", "score"]].reset_index(drop=True)
 
@@ -4381,11 +4377,11 @@ def _search_ordered(sf_dir: str) -> pd.DataFrame:
     """Attribute-field ordering (ordering='-source',
     search/views/document.py:42-51): relevance as predicate, stored-attr
     global sort, first page."""
-    from harvester_ray.index import extras, query as iq
+    from harvester_ray.index import query as iq
 
     reader = iq.IndexReader(_documents_index(sf_dir))
-    out = extras.search_page(
-        reader, "table", page=1, page_size=20, mode="and", ordering="-source"
+    out = reader.search_page(
+        "table", page=1, page_size=20, mode="and", ordering="-source"
     )
     out["rank"] = out["rank"].astype("int32")
     return out[["rank", "doc_id", "source"]].reset_index(drop=True)
@@ -4394,10 +4390,10 @@ def _search_ordered(sf_dir: str) -> pd.DataFrame:
 def _matches_by_source(sf_dir: str) -> pd.DataFrame:
     """Exact results_total filter-count aggregation per source field
     (harvester/search/views/document.py:129-143)."""
-    from harvester_ray.index import extras, query as iq
+    from harvester_ray.index import query as iq
 
     reader = iq.IndexReader(_documents_index(sf_dir))
-    got = extras.match_counts(reader, BM25_QUERY_AND, mode="and", count_fields=["source"])
+    got = reader.match_counts(BM25_QUERY_AND, mode="and", count_fields=["source"])
     items = sorted(got["filter_counts"]["source"].items())
     return pd.DataFrame({"source": [k for k, _ in items], "n": [v for _, v in items]})
 

@@ -74,8 +74,8 @@ def execute_aggs(
                 reader, query_text, field=body["field"],
                 max_doc_count=int(body.get("max_doc_count", 1)), mode=mode)
         elif kind == "date_histogram":
-            out[name] = extras.date_histogram(
-                reader, query_text, ts_field=body["field"],
+            out[name] = reader.date_histogram(
+                query_text, ts_field=body["field"],
                 interval_us=parse_interval_us(body["fixed_interval"]),
                 mode=mode)
         elif kind == "percentiles":

@@ -9,7 +9,7 @@ that body and routes each part onto the native engine:
 - ``query``   → index/dsl.py (20+ leaf types, value-gated operators)
 - ``aggs``    → index/aggdsl.py (20 agg types)
 - ``from/size`` → over-fetch ``from+size`` then slice (ES semantics)
-- ``sort``    → attribute-field ordering via extras.search_page
+- ``sort``    → attribute-field ordering via reader.search_page
   (match-query context only — the ordering replaces relevance)
 - ``track_total_hits: true`` → exact match_counts total
 - ``collapse``     → extras.search_collapse (one hit per field value)
@@ -243,8 +243,8 @@ def search_request(
         if isinstance(order, dict):
             order = order.get("order", "asc")
         ordering = ("-" if order == "desc" else "") + field
-        page = extras.search_page(
-            reader, qtext, page=1, page_size=from_ + size, mode=mode,
+        page = reader.search_page(
+            qtext, page=1, page_size=from_ + size, mode=mode,
             ordering=ordering,
         ).iloc[from_:]
         sort_field = ordering.lstrip("-")
@@ -296,7 +296,7 @@ def search_request(
 
     if body.get("track_total_hits"):
         qtext, mode = _match_parts(query)
-        counts = extras.match_counts(reader, qtext, mode=mode)
+        counts = reader.match_counts(qtext, mode=mode)
         resp["hits"]["total"] = {
             "value": int(counts["results_total"]["value"]),
             "relation": "eq",
@@ -313,8 +313,8 @@ def search_request(
         sugg: dict[str, Any] = {}
         for name, spec in body["suggest"].items():
             if "term" in spec:
-                frame = extras.did_you_mean(
-                    reader, spec["text"],
+                frame = reader.did_you_mean(
+                    spec["text"],
                     max_edits=int(spec["term"].get("max_edits", 2)))
             elif "phrase" in spec:
                 frame = extras.suggest_phrases(

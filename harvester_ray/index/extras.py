@@ -1,5 +1,5 @@
-"""Search extras: more_like_this, autocomplete suggestions, match counts
-with per-field filter aggregations.
+"""Search extras: more_like_this, autocomplete suggestions, aggregations
+over the match set.
 
 The reference delegates these wholesale to OpenSearch (similarity + author
 suggestions: harvester/search/views/similarity.py:70-110; autocomplete:
@@ -23,19 +23,13 @@ from . import bm25
 from .query import (
     IndexReader,
     _topk,
-    attr_page,
-    count_matches,
-    counts_response,
     exclude_terms,
     iter_matches,
     match_one_segment,
     merge_topk,
     or_exhaustive,
-    page_bounds,
-    page_frame,
     phrase_match_segment,
     prepare_terms,
-    relevance_page,
     score_spans,
     search_segment,
     span_matches,
@@ -182,60 +176,6 @@ def suggest(reader: IndexReader, prefix: str, limit: int = 10) -> pd.DataFrame:
     return out.head(limit).reset_index(drop=True)
 
 
-def match_counts(
-    reader: IndexReader,
-    query_text: str,
-    *,
-    mode: str = "and",
-    count_fields: list[str] | None = None,
-    filters: dict[str, list] | None = None,
-) -> dict:
-    """Exact ``results_total`` + per-field value counts over the matching
-    docs (``include_filter_counts`` analog). Matches are enumerated per
-    segment from posting intersections/unions (k=∞ without scoring)."""
-    return counts_response(*count_matches(
-        reader.matches(query_text, mode, filters), count_fields
-    ))
-
-
-def search_page(
-    reader: IndexReader,
-    query_text: str,
-    *,
-    page: int = 1,
-    page_size: int = 10,
-    mode: str = "and",
-    ordering: str | None = None,
-    filters: dict[str, list] | None = None,
-) -> pd.DataFrame:
-    """Paginated search with optional attribute-field ordering — the
-    reference search request surface (search/views/document.py:20-51:
-    ``page``/``page_size``/``ordering``, '-' prefix = descending).
-
-    ``ordering=None``: relevance (BM25 top page*page_size, then slice —
-    ES from+size semantics). ``ordering="field"``/``"-field"``: relevance
-    becomes a match predicate; ALL matches are enumerated per segment,
-    globally sorted by the stored attribute (ties by doc_id asc), and the
-    page is sliced. Returns (rank, doc_id, score|value)."""
-    lo, hi = page_bounds(page, page_size)
-    if ordering is None:
-        return relevance_page(reader.search, query_text, lo, hi, mode, filters)
-    desc = ordering.startswith("-")
-    field = ordering[1:] if desc else ordering
-    docs, vals = attr_page(reader.matches(query_text, mode, filters), field, desc, hi)
-    return page_frame(docs, vals, field, desc, lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# did_you_mean — the OpenSearch term-suggester half of the reference search
-# response (harvester/search/views/document.py:139 returns ``did_you_mean``
-# from the search_client's suggester on every query). ES ``suggest_mode:
-# missing`` semantics: only tokens ABSENT from the index get a correction;
-# candidates must share the first ``prefix_length`` chars (ES default 1) and
-# lie within ``max_edits`` (ES default 2) Levenshtein edits, ranked by edit
-# distance, then document frequency desc, then term asc.
-
-
 def highlight_topk(
     reader: IndexReader,
     docs_ds,
@@ -324,6 +264,17 @@ def make_snippets(
     return snips
 
 
+# ---------------------------------------------------------------------------
+# did_you_mean — the OpenSearch term-suggester half of the reference search
+# response (harvester/search/views/document.py:139 returns ``did_you_mean``
+# from the search_client's suggester on every query). ES ``suggest_mode:
+# missing`` semantics: only tokens ABSENT from the index get a correction;
+# candidates must share the first ``prefix_length`` chars (ES default 1) and
+# lie within ``max_edits`` (ES default 2) Levenshtein edits, ranked by edit
+# distance, then document frequency desc, then term asc. The surface is
+# ``SearchSurfaces.did_you_mean``; the ranking lives here.
+
+
 def _levenshtein_batch(query: str, cands: list[str]) -> np.ndarray:
     """Edit distance from ``query`` to every candidate, vectorized over the
     candidate axis: the DP runs m × Lmax numpy steps of O(n_cands) instead
@@ -353,7 +304,7 @@ def _levenshtein_batch(query: str, cands: list[str]) -> np.ndarray:
 def _best_suggestion(tok: str, vocab: dict[str, int], max_edits: int) -> str:
     """Shared ranking core: min edit distance, then df desc, then term asc
     over an aggregated {term: df} candidate map; '' when nothing qualifies.
-    Used by both the in-process and the QueryService did_you_mean."""
+    Used by ``did_you_mean`` on every backend."""
     if not vocab:
         return ""
     terms = sorted(vocab)
@@ -386,28 +337,6 @@ def suggest_tokens(prep, vocab, max_edits: int, prefix_length: int) -> pd.DataFr
         cands = vocab(tok[:prefix_length], len(tok) - max_edits, len(tok) + max_edits)
         out.append((tok, _best_suggestion(tok, cands, max_edits)))
     return pd.DataFrame(out, columns=["token", "suggestion"], dtype=object)
-
-
-def did_you_mean(
-    reader: IndexReader,
-    query_text: str,
-    *,
-    max_edits: int = 2,
-    prefix_length: int = 1,
-) -> pd.DataFrame:
-    """Per-token spelling suggestions over the index vocabulary.
-
-    Candidate enumeration touches only each segment's first-char dictionary
-    range (terms are stored sorted: build.py sorts the dictionary before the
-    ``.terms.parquet`` write), so cost is O(log V) probes + the one prefix
-    bucket per segment — never a vocabulary scan. Returns one row per
-    distinct query token, sorted: (token, suggestion) with suggestion = ''
-    for tokens that are present (nothing to correct) or uncorrectable."""
-    return suggest_tokens(
-        reader.prepare(query_text, "or"),
-        lambda prefix, lo, hi: vocab_with_prefix(reader.segments(), prefix, lo, hi),
-        max_edits, prefix_length,
-    )
 
 
 def mine_hard_negatives(
@@ -732,7 +661,7 @@ def explain(reader: IndexReader, query_text: str, doc_id: int | None = None) -> 
     if not prep.terms:
         return empty
     if doc_id is None:
-        top = reader._search(prep, 1, "and")
+        top = reader._topk(prep, 1, "and")
         if top.num_rows == 0:
             return empty
         doc_id = int(top["doc_id"][0].as_py())
@@ -1396,45 +1325,6 @@ def percentiles_agg(
         "q": np.asarray(qs, dtype=np.float64),
         "value": np.round(np.asarray(vals, dtype=np.float64), 6),
     })
-
-
-def date_histogram(
-    reader: IndexReader,
-    query_text: str,
-    *,
-    ts_field: str = "ts",
-    interval_us: int = 3_600_000_000,
-    mode: str = "or",
-) -> pd.DataFrame:
-    """ES ``date_histogram`` aggregation over the match set: fixed-interval
-    time buckets of matching docs, from the timestamp attribute column (no
-    text touched). Per segment one unscored match enumeration + one
-    floor-div bincount; only (bucket, count) partials leave a segment, so
-    the merge is bounded by the time range, never the match count. Bucket
-    keys are epoch-microsecond integers (``(epoch_us // interval) ·
-    interval``) — exact on both sides."""
-    empty = pd.DataFrame({
-        "bucket_us": pd.Series(dtype=np.int64),
-        "doc_count": pd.Series(dtype=np.int64),
-    })
-    partials: list[pd.DataFrame] = []
-    for seg, docs in reader.matches(query_text, mode):
-        ts = seg.attr_values(ts_field, docs)
-        ts_int = ts.astype("datetime64[us]").astype(np.int64)
-        bucket = (ts_int // interval_us) * interval_us
-        uniq, counts = np.unique(bucket, return_counts=True)
-        partials.append(pd.DataFrame({"bucket_us": uniq, "doc_count": counts}))
-    if not partials:
-        return empty
-    out = (
-        pd.concat(partials)
-        .groupby("bucket_us", as_index=False)["doc_count"].sum()
-        .sort_values("bucket_us")
-        .reset_index(drop=True)
-    )
-    out["bucket_us"] = out["bucket_us"].astype(np.int64)
-    out["doc_count"] = out["doc_count"].astype(np.int64)
-    return out
 
 
 def search_boosting(
@@ -2124,9 +2014,8 @@ def histogram_pipeline(
     and ``derivative`` of the bucket counts — integer-exact (window sums of
     BIGINT counts, no float). ES defines no derivative for the first
     bucket, so it is omitted (the cumulative sum still includes it)."""
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us,
-        mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     empty = pd.DataFrame({
         "bucket_us": pd.Series(dtype=np.int64),
@@ -2790,9 +2679,8 @@ def bucket_stats(
     shape). Integers plus the shared floor(sum/n·1e6+0.5) mean rule."""
     import math
 
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us,
-        mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     if h.empty:
         return pd.DataFrame({

@@ -16,23 +16,18 @@ here, exactly like the reference's product ids across indices).
 
 from __future__ import annotations
 
-import pyarrow as pa
-
-from .query import (
-    IndexReader,
-    PreparedQuery,
-    _empty_result,
-    merge_topk,
-    prepare_query,
-    shared_analyzer_version,
-    topk_over,
-)
+from .query import IndexReader, SearchSurfaces, shared_analyzer_version
 
 
-class FederatedReader:
-    """Read-only search over the union of several index versions. Members
-    must share one analyzer version (``ValueError`` naming each root's
-    version otherwise): a query is analyzed once for all of them."""
+class FederatedReader(SearchSurfaces):
+    """Read-only search over the union of several index versions: every
+    ``SearchSurfaces`` surface, run in process over the members' chained
+    segments with GLOBAL idf/avgdl (early θ propagates across the segments
+    of ALL members — the same plan the per-index reader runs). Members must
+    share one analyzer version (``ValueError`` naming each root's version
+    otherwise): a query is analyzed once for all of them."""
+
+    _fanout = IndexReader._fanout
 
     def __init__(self, roots: list[str]):
         if not roots:
@@ -52,15 +47,5 @@ class FederatedReader:
                 out[t] += int(d)
         return out
 
-    def prepare(self, text: str, mode: str = "and") -> PreparedQuery:
-        return prepare_query(text, mode, self.analyzer_version, self.df, self.n_docs)
-
-    def search(self, query_text: str, k: int = 10, mode: str = "and") -> pa.Table:
-        """Top-k BM25 over the union: per-segment local top-k with GLOBAL
-        idf/avgdl, early-θ propagated across segments of ALL members (one
-        fan-out, one merge — the same plan the per-index reader runs)."""
-        prep = self.prepare(query_text, mode)
-        if prep.empty:
-            return _empty_result()
-        segments = (s for r in self.readers for s in r.segments())
-        return merge_topk([topk_over(segments, prep.live, prep.idf, self.avgdl, k, mode)], k)
+    def segments(self):
+        return (s for r in self.readers for s in r.segments())

@@ -698,7 +698,7 @@ def date_histogram_sql(
     id_col: str = "doc_id",
     text_col: str = "text",
 ) -> str:
-    """Oracle for extras.date_histogram: epoch-µs floor-div buckets over
+    """Oracle for IndexReader.date_histogram: epoch-µs floor-div buckets over
     the match set, exact integer keys and counts."""
     terms = sorted(set(analyzer.tokenize_query(query_text)))
     term_list = ", ".join("'" + t.replace("'", "''") + "'" for t in terms)

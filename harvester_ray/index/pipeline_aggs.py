@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .extras import date_histogram, scored_query
+from .extras import scored_query
 from .query import IndexReader
 
 HOUR_US = 3_600_000_000
@@ -86,9 +86,8 @@ def moving_fn(
     buckets actually present (SQL ``ROWS BETWEEN window-1 PRECEDING AND
     CURRENT ROW`` semantics — documented deviation from ES's
     shift-defaults, which exclude the current bucket)."""
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us,
-        mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     if h.empty:
         h["moving_avg"] = pd.Series(dtype=np.float64)
@@ -112,9 +111,8 @@ def serial_diff(
     """ES ``serial_diff`` pipeline agg: ``doc_count - lag(doc_count, lag)``
     over the bucket sequence; the first ``lag`` buckets (no predecessor)
     are omitted, mirroring ES's skip gap policy. Integer-exact."""
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us,
-        mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     empty = pd.DataFrame({
         "bucket_us": pd.Series(dtype=np.int64),
@@ -143,9 +141,8 @@ def bucket_sort(
     buckets with ``doc_count >= min_count`` (selector), order by
     ``doc_count DESC, bucket_us ASC`` and truncate to ``size`` (sort).
     Pure integer ranking — no parity risk."""
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us,
-        mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     if h.empty:
         return h
@@ -368,9 +365,7 @@ def auto_date_histogram(
         "doc_count": pd.Series(dtype=np.int64),
     })
     base = AUTO_LADDER_US[0]
-    fine = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=base, mode=mode,
-    )
+    fine = reader.date_histogram(query_text, ts_field=ts_field, interval_us=base, mode=mode)
     if fine.empty:
         return empty
     # a ts's bucket at any ladder interval i equals its minute-floor's
@@ -459,9 +454,8 @@ def normalize_agg(
     bucket's doc_count as a percentage of the histogram total. Integer
     sufficient statistics; percent = fixed-point (100·count)/total with the
     shared half-away quotient."""
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us,
-        mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     if h.empty:
         h["percent_of_sum"] = pd.Series(dtype=np.float64)
@@ -491,9 +485,8 @@ def rate_agg(
     stays in int64 for any sane unit pair."""
     import math
 
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us,
-        mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     if h.empty:
         h["rate"] = pd.Series(dtype=np.float64)
@@ -524,9 +517,8 @@ def moving_percentiles(
     current one; partial leading windows use the buckets present (the
     moving_fn convention). Integer counts → dyadic interpolated values,
     bit-exact against the SQL window quantile_cont."""
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us,
-        mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     if h.empty:
         h["moving_pct"] = pd.Series(dtype=np.float64)
@@ -557,9 +549,8 @@ def extended_stats_bucket(
     the histogram. One row."""
     import math
 
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us,
-        mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     if h.empty:
         return pd.DataFrame({
@@ -636,8 +627,8 @@ def percentiles_bucket(
     quarter-quantiles of integer counts are dyadic rationals → exact float
     equality (the role_token_quantiles rule). One row
     ``(n_buckets, p25, p50, p75)``."""
-    h = date_histogram(
-        reader, query_text, ts_field=ts_field, interval_us=interval_us, mode=mode,
+    h = reader.date_histogram(
+        query_text, ts_field=ts_field, interval_us=interval_us, mode=mode
     )
     if h.empty:
         # the oracle's single aggregate SELECT always yields one row

@@ -11,7 +11,8 @@ its local top-k with block-skip pruning, the driver (or a merge step) merges
 heaps — the same plan OpenSearch runs across shards for the reference's
 search API (harvester/search/views/document.py:122-143).
 
-Two serving modes:
+Every query surface is written once, on ``SearchSurfaces``, over two
+fan-out backends:
 - ``IndexReader``      — in-process, for tests / single-node latency.
 - ``QueryService``     — an actor pool; each actor holds a subset of
   segments' dictionaries + mmap'd postings loaded once in ``__init__``
@@ -869,7 +870,11 @@ class PreparedQuery:
 
 def prepare_terms(tokens, mode: str, df, n_docs: int) -> PreparedQuery:
     """``PreparedQuery`` over already-analyzed tokens (dictionary
-    expansions, exact terms). ``df`` is the index's term → df lookup."""
+    expansions, exact terms). ``df`` is the index's term → df lookup.
+    ``ValueError`` for a mode other than ``and``/``or``, which would
+    otherwise run as OR."""
+    if mode not in ("and", "or"):
+        raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
     terms = sorted(set(tokens))
     dfs = df(terms) if terms else {}
     live = [t for t in terms if dfs[t] > 0]
@@ -906,8 +911,14 @@ def shared_analyzer_version(readers) -> str:
     return next(iter(versions.values()))
 
 
-class IndexReader:
-    """In-process reader over an index version (default: CURRENT)."""
+class SearchSurfaces:
+    """The query surfaces, each written once over one index's constants:
+    prepare the query with the index's analyzer and term stats, run one
+    segment op (``OPS``) through ``_fanout``, fold the parts. A backend
+    supplies ``_fanout`` — ``IndexReader`` runs the op in process, as one
+    part; ``QueryService`` runs it on every actor through its compiled
+    graph, one part per actor — so both answer the same surfaces with the
+    same results (REPOSE's plan: local top-k per partition, global merge)."""
 
     def __init__(self, index_root: str, version: int | None = None):
         self.root = index_root
@@ -921,47 +932,29 @@ class IndexReader:
             os.path.join(index_root, self.manifest["termstats"]),
             self.manifest.get("num_buckets"),
         )
-        self._segments: dict[str, SegmentReader] = {}
-        self._tomb_ids, self._tomb_vers = parse_tombstones(self.manifest)
-        self.cache = SegmentCache.for_segments(self.manifest["segments"])
 
-    def _segment(self, seg_meta: dict) -> SegmentReader:
-        key = seg_meta["path"]
-        if key not in self._segments:
-            self._segments[key] = SegmentReader(os.path.join(self.root, key), self.cache)
-        return self._segments[key]
+    def _fanout(self, op: str, *args) -> list:
+        """``OPS[op](segments, *args)`` over every segment group: one part
+        per group."""
+        raise NotImplementedError
 
-    def segments(self):
-        """Yield ``(meta, segment, exclude)`` per manifest segment — the
-        triples a ``QuerySegmentActor`` holds: the segment reader (opened
-        on first use, then cached) and the doc ids tombstoned in it."""
-        for meta in self.manifest["segments"]:
-            yield meta, self._segment(meta), tombstones_for_segment(
-                self._tomb_ids, self._tomb_vers,
-                meta.get("created_version", self.manifest["_version"]),
-            )
+    def _pool(self) -> None:
+        """Raise when the backend cannot answer (an in-process one always
+        can)."""
+
+    def _check(self, **counts: int) -> None:
+        """What every surface runs before any work: the backend can answer,
+        and no count (``k``, ``slop``, ``page_size``) is negative."""
+        self._pool()
+        for name, value in counts.items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
     def df(self, terms: list[str]) -> dict[str, int]:
         return self._termstats.df(terms)
 
     def prepare(self, text: str, mode: str = "and") -> PreparedQuery:
         return prepare_query(text, mode, self.analyzer_version, self.df, self.n_docs)
-
-    def matches(self, text: str, mode: str, filters: dict | None = None):
-        """``iter_matches`` of the prepared query over this reader's
-        segments; yields nothing when the query cannot match."""
-        prep = self.prepare(text, mode)
-        if prep.empty:
-            return iter(())
-        return iter_matches(self.segments(), prep.live, mode, filters)
-
-    def terms_with_prefix(self, prefix: str) -> list[str]:
-        """Sorted distinct dictionary terms starting with ``prefix``, over
-        every segment."""
-        out: set[str] = set()
-        for _, seg, _ in self.segments():
-            out.update(seg.terms_with_prefix(prefix))
-        return sorted(out)
 
     def search(
         self,
@@ -982,35 +975,280 @@ class IndexReader:
         core/models/search/query.py analog): docs containing ANY of its
         terms are excluded before top-k, per segment, via the same exclude
         mask tombstones use. ``min_should_match`` (OR mode) keeps only docs
-        matching at least that many distinct query terms."""
-        neg_terms = self.prepare(must_not, "or").terms if must_not else []
-        return self._search(
-            self.prepare(query_text, mode), k, mode, filters=filters,
-            recency=recency, neg_terms=neg_terms,
-            min_should_match=min_should_match,
+        matching at least that many distinct query terms.
+
+        One fan-out: every segment group runs ``topk_over`` with its own
+        early θ and the parts merge. ``QueryService`` assigns segments
+        round-robin, so they are iid corpus samples and an actor's local θ
+        is already ≈ the global one: a second round seeding a global θ
+        measured 4–5 ms slower at every pool size (BASELINE.md)."""
+        self._check(k=k)
+        neg_terms = self.prepare(must_not, "or").terms if must_not else None
+        return self._topk(
+            self.prepare(query_text, mode), k, mode, filters, recency, neg_terms,
+            min_should_match,
         )
 
-    def _search_terms(self, terms: list[str], k: int, mode: str) -> pa.Table:
-        """Top-k over already-analyzed terms (dictionary expansions)."""
-        return self._search(prepare_terms(terms, mode, self.df, self.n_docs), k, mode)
-
-    def _search(
-        self,
-        prep: PreparedQuery,
-        k: int,
-        mode: str,
-        filters: dict[str, list] | None = None,
-        recency: dict | None = None,
-        neg_terms: list[str] | None = None,
-        min_should_match: int | None = None,
+    def _topk(
+        self, prep: PreparedQuery, k: int, mode: str, filters=None, recency=None,
+        neg_terms=None, min_should_match=None,
     ) -> pa.Table:
         if prep.empty:
             return _empty_result()
-        return merge_topk([topk_over(
-            self.segments(), prep.live, prep.idf, self.avgdl, k, mode,
-            filters=filters, recency=recency, neg_terms=neg_terms,
-            min_should_match=min_should_match,
-        )], k)
+        return merge_topk(self._fanout(
+            "search", prep.live, prep.idf, self.avgdl, k, mode, filters, recency,
+            neg_terms, min_should_match,
+        ), k)
+
+    def msearch(self, queries: list[tuple[str, str]], k: int = 10) -> list[pa.Table]:
+        """ES ``_msearch``: answer a batch of (query_text, mode) requests
+        with ONE fan-out for the whole batch instead of one per query.
+        Results are per-query tables identical to ``search``'s; the merge
+        touches only Q x parts x k rows."""
+        self._check(k=k)
+        preps = [self.prepare(q, mode) for q, mode in queries]
+        batch = [
+            (prep.live, prep.idf, k, mode)
+            for prep, (_, mode) in zip(preps, queries) if not prep.empty
+        ]
+        if not batch:
+            return [_empty_result() for _ in queries]
+        # per batch entry: one part per segment group
+        answers = zip(*self._fanout("search_many", batch, self.avgdl))
+        return [
+            _empty_result() if prep.empty else merge_topk(list(next(answers)), k)
+            for prep in preps
+        ]
+
+    def search_phrase(
+        self,
+        phrase: str,
+        k: int = 10,
+        filters: dict[str, list] | None = None,
+    ) -> pa.Table:
+        """Exact-phrase top-k (simple_query_string quoted-phrase parity,
+        core/models/search/query.py:81-86): docs containing the query terms
+        adjacently in order, BM25-scored with phrase frequency as tf and the
+        phrase's own document frequency as df (Lucene PhraseQuery semantics).
+        Requires an index built with ``store_positions=True``."""
+        return self._spans(phrase, k, None, filters)
+
+    def search_proximity(
+        self,
+        phrase: str,
+        k: int = 10,
+        *,
+        slop: int = 0,
+        filters: dict[str, list] | None = None,
+    ) -> pa.Table:
+        """Ordered proximity top-k (ES ``match_phrase`` with ``slop``,
+        ordered-span semantics): a doc matches where the query terms occur
+        IN ORDER within a window of at most ``len(terms) + slop`` token
+        positions. tf = number of distinct start positions that open at
+        least one valid window (the minimal-completion chain — greedy next
+        occurrence per term — is valid iff ANY chain is, so this equals
+        the oracle's exists-chain count). Scored like ``search_phrase``.
+        Requires ``store_positions=True``."""
+        self._check(slop=slop)
+        return self._spans(phrase, k, slop, filters)
+
+    def _spans(self, phrase: str, k: int, slop: int | None, filters) -> pa.Table:
+        """Span top-k: the parts' matches are scored once the global span
+        df is known (a query-time aggregate, so scoring cannot complete
+        per segment group)."""
+        self._check(k=k)
+        terms = analyzer.tokenize_query(phrase, self.analyzer_version)  # order + duplicates kept
+        if not terms:
+            return _empty_result()
+        parts = self._fanout("spans", terms, slop, filters)
+        docs, tf, dl = (np.concatenate([p[i] for p in parts]) for i in range(3))
+        return score_spans(docs, tf, dl, sum(p[3] for p in parts), self.n_docs, self.avgdl, k)
+
+    def match_counts(
+        self,
+        query_text: str,
+        *,
+        mode: str = "and",
+        count_fields: list[str] | None = None,
+        filters: dict[str, list] | None = None,
+    ) -> dict:
+        """Exact ``results_total`` + per-field value counts over the matching
+        docs (``include_filter_counts`` analog): matches are enumerated per
+        segment from posting intersections/unions (k=∞ without scoring) and
+        the parts' counts add up."""
+        self._check()
+        prep = self.prepare(query_text, mode)
+        parts = [] if prep.empty else self._fanout(
+            "match_counts", prep.live, mode, filters, count_fields
+        )
+        counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
+        for _, part in parts:
+            for f, vals in part.items():
+                add_counts(counts[f], vals)
+        return {
+            "results_total": {"value": sum(p[0] for p in parts), "is_precise": True},
+            "filter_counts": counts,
+        }
+
+    def search_page(
+        self,
+        query_text: str,
+        *,
+        page: int = 1,
+        page_size: int = 10,
+        mode: str = "and",
+        ordering: str | None = None,
+        filters: dict[str, list] | None = None,
+    ) -> pd.DataFrame:
+        """Paginated search with optional attribute-field ordering — the
+        reference search request surface (search/views/document.py:20-51:
+        ``page``/``page_size``/``ordering``, '-' prefix = descending).
+
+        ``ordering=None``: relevance (BM25 top page*page_size, then slice —
+        ES from+size semantics). ``ordering="field"``/``"-field"``: relevance
+        becomes a match predicate; every segment group cuts its matches to
+        its first page*page_size by the stored attribute (ties by doc_id
+        asc), the cuts merge and the page is sliced. Returns (rank, doc_id,
+        score|value)."""
+        self._check(page_size=page_size)
+        if page < 1:
+            raise ValueError(f"page is 1-based, got {page!r}")
+        lo, hi = (page - 1) * page_size, page * page_size
+        if ordering is None:
+            out = self.search(query_text, k=hi, mode=mode, filters=filters).to_pandas()
+            out = out.iloc[lo:hi].reset_index(drop=True)
+            out["rank"] = np.arange(lo + 1, lo + 1 + len(out), dtype=np.int32)
+            return out
+        desc = ordering.startswith("-")
+        field = ordering[1:] if desc else ordering
+        prep = self.prepare(query_text, mode)
+        if prep.empty:
+            docs, vals = np.empty(0, np.int64), np.empty(0, object)
+        else:
+            parts = self._fanout("attr_page", prep.live, mode, filters, field, desc, hi)
+            docs, vals = _attr_cut(
+                np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]), desc, hi,
+            )
+        return pd.DataFrame({
+            "rank": np.arange(lo + 1, lo + 1 + docs[lo:].size, dtype=np.int32),
+            "doc_id": docs[lo:],
+            field: vals[lo:],
+        })
+
+    def did_you_mean(
+        self,
+        query_text: str,
+        *,
+        max_edits: int = 2,
+        prefix_length: int = 1,
+    ) -> pd.DataFrame:
+        """Per-token spelling suggestions over the index vocabulary (ES term
+        suggester, ``suggest_mode: missing``; ranking in
+        ``extras.suggest_tokens``). Candidate (term, df) ranges come from
+        each segment's first-``prefix_length``-chars dictionary range
+        (terms are stored sorted), so cost is O(log V) probes + one prefix
+        bucket per segment — never a vocabulary scan. Returns one row per
+        distinct query token, sorted: (token, suggestion), suggestion ''
+        for tokens that are present or uncorrectable."""
+        from .extras import suggest_tokens
+
+        self._check()
+
+        def vocab(prefix: str, min_len: int, max_len: int) -> dict[str, int]:
+            agg: dict[str, int] = {}
+            for part in self._fanout("prefix_vocab", prefix, min_len, max_len):
+                add_counts(agg, part)
+            return agg
+
+        return suggest_tokens(self.prepare(query_text, "or"), vocab, max_edits, prefix_length)
+
+    def date_histogram(
+        self,
+        query_text: str,
+        *,
+        ts_field: str = "ts",
+        interval_us: int = 3_600_000_000,
+        mode: str = "or",
+    ) -> pd.DataFrame:
+        """ES ``date_histogram`` aggregation over the match set: fixed-interval
+        time buckets of matching docs, from the timestamp attribute column (no
+        text touched). Only (bucket, count) partials leave a segment, so the
+        merge is bounded by the time range, never the match count. Bucket
+        keys are epoch-microsecond integers (``(epoch_us // interval) ·
+        interval``) — exact on both sides."""
+        self._check()
+        if interval_us <= 0:
+            raise ValueError(f"interval_us must be > 0, got {interval_us!r}")
+        prep = self.prepare(query_text, mode)
+        parts = [] if prep.empty else self._fanout(
+            "date_histogram", prep.live, mode, ts_field, interval_us
+        )
+        buckets, counts = sum_by_key(parts)
+        return pd.DataFrame({"bucket_us": buckets, "doc_count": counts})
+
+    def warm(self, query_texts: list[str]) -> int:
+        """ES index-warmer analog: pre-populate the postings, position and
+        score caches for the union of the queries' terms so the first
+        client query pays no decode (the 64x soak measured cold p50 5.3x
+        warm). Returns the (segment, term) entries made hot."""
+        self._check()
+        idf_map = {t: v for q in query_texts for t, v in self.prepare(q, "or").idf.items()}
+        if not idf_map:
+            return 0
+        return sum(self._fanout("warm", sorted(idf_map), idf_map, self.avgdl))
+
+
+class IndexReader(SearchSurfaces):
+    """In-process reader over an index version (default: CURRENT): the
+    surfaces' ops run here over ``segments()``, as one part."""
+
+    def __init__(self, index_root: str, version: int | None = None):
+        super().__init__(index_root, version)
+        self._segments: dict[str, SegmentReader] = {}
+        self._tomb_ids, self._tomb_vers = parse_tombstones(self.manifest)
+        self.cache = SegmentCache.for_segments(self.manifest["segments"])
+
+    def _fanout(self, op: str, *args) -> list:
+        """The in-process backend: ``op`` over every segment, one part."""
+        return [OPS[op](list(self.segments()), *args)]
+
+    def _segment(self, seg_meta: dict) -> SegmentReader:
+        key = seg_meta["path"]
+        if key not in self._segments:
+            self._segments[key] = SegmentReader(os.path.join(self.root, key), self.cache)
+        return self._segments[key]
+
+    def segments(self):
+        """Yield ``(meta, segment, exclude)`` per manifest segment — the
+        triples a ``QuerySegmentActor`` holds: the segment reader (opened
+        on first use, then cached) and the doc ids tombstoned in it."""
+        for meta in self.manifest["segments"]:
+            yield meta, self._segment(meta), tombstones_for_segment(
+                self._tomb_ids, self._tomb_vers,
+                meta.get("created_version", self.manifest["_version"]),
+            )
+
+    def matches(self, text: str, mode: str, filters: dict | None = None):
+        """``iter_matches`` of the prepared query over this reader's
+        segments; yields nothing when the query cannot match."""
+        prep = self.prepare(text, mode)
+        if prep.empty:
+            return iter(())
+        return iter_matches(self.segments(), prep.live, mode, filters)
+
+    def terms_with_prefix(self, prefix: str) -> list[str]:
+        """Sorted distinct dictionary terms starting with ``prefix``, over
+        every segment."""
+        out: set[str] = set()
+        for _, seg, _ in self.segments():
+            out.update(seg.terms_with_prefix(prefix))
+        return sorted(out)
+
+    def _search_terms(self, terms: list[str], k: int, mode: str) -> pa.Table:
+        """Top-k over already-analyzed terms (dictionary expansions)."""
+        self._check(k=k)
+        return self._topk(prepare_terms(terms, mode, self.df, self.n_docs), k, mode)
 
     def search_prefix(self, prefix: str, k: int = 10, max_expansions: int = 50) -> pa.Table:
         """Prefix (wildcard ``pre*``) top-k: expand against the segment
@@ -1068,86 +1306,33 @@ class IndexReader:
             pc.match_substring_regex, f"^(?:{raw})$", k, max_expansions
         )
 
-    def msearch(
-        self,
-        queries: list[str],
-        k: int = 10,
-        mode: str = "and",
-    ) -> pa.Table:
+    def msearch(self, queries: list[str], k: int = 10, mode: str = "and") -> pa.Table:
         """Batched multi-query top-k (ES ``_msearch`` analog — the reference
-        fires one bulk request per sync cycle, search/views/document.py).
-
-        Offline query workloads (ranking evals, decontamination-by-search,
-        percolation sweeps) share this reader's warm state: each segment is
-        opened once, term stats load one bucket file per hash bucket, and a
-        term shared by several queries is decoded once into the reader's
-        cache. Each query runs the same top-k as ``search``, so
+        fires one bulk request per sync cycle, search/views/document.py) as
+        one table (query, rank, doc_id, score): each distinct query's top-k
+        stacked in input order. The batch is ``SearchSurfaces.msearch``, so
         results are identical to Q independent ``search`` calls — asserted
-        in tests.
-
-        Returns one table (query, doc_id, score): each query's top-k stacked
-        in input order. Duplicate query strings are evaluated once."""
-        out = [pa.table({
-            "query": pa.array([], pa.string()),
-            "rank": pa.array([], pa.int32()),
-            "doc_id": pa.array([], pa.int64()),
-            "score": pa.array([], pa.float64()),
-        })]
-        for q in dict.fromkeys(queries):
-            res = self._search(self.prepare(q, mode), k, mode)
-            out.append(res.add_column(0, "query", pa.array([q] * res.num_rows, pa.string())))
-        return pa.concat_tables(out)
-
-    def search_phrase(
-        self,
-        phrase: str,
-        k: int = 10,
-        filters: dict[str, list] | None = None,
-    ) -> pa.Table:
-        """Exact-phrase top-k (simple_query_string quoted-phrase parity,
-        core/models/search/query.py:81-86): docs containing the query terms
-        adjacently in order, BM25-scored with phrase frequency as tf and the
-        phrase's own document frequency as df (Lucene PhraseQuery semantics).
-        Requires an index built with ``store_positions=True``."""
-        terms = analyzer.tokenize_query(phrase, self.analyzer_version)  # order + duplicates kept
-        if not terms:
-            return _empty_result()
-        return score_spans(*span_matches(
-            self.segments(), lambda seg: phrase_match_segment(seg, terms),
-            filters, positions="phrase search",
-        ), self.n_docs, self.avgdl, k)
-
-    def search_proximity(
-        self,
-        phrase: str,
-        k: int = 10,
-        *,
-        slop: int = 0,
-        filters: dict[str, list] | None = None,
-    ) -> pa.Table:
-        """Ordered proximity top-k (ES ``match_phrase`` with ``slop``,
-        ordered-span semantics): a doc matches where the query terms occur
-        IN ORDER within a window of at most ``len(terms) + slop`` token
-        positions. tf = number of distinct start positions that open at
-        least one valid window (the minimal-completion chain — greedy next
-        occurrence per term — is valid iff ANY chain is, so this equals
-        the oracle's exists-chain count). Scored like ``search_phrase``:
-        BM25 with span frequency as tf and span document frequency as df.
-        Requires ``store_positions=True``."""
-        terms = analyzer.tokenize_query(phrase, self.analyzer_version)
-        if not terms:
-            return _empty_result()
-        return score_spans(*span_matches(
-            self.segments(), lambda seg: proximity_match_segment(seg, terms, slop),
-            filters, positions="proximity search",
-        ), self.n_docs, self.avgdl, k)
+        in tests. Offline query workloads (ranking evals,
+        decontamination-by-search, percolation sweeps) share this reader's
+        warm state: each segment is opened once and a term shared by several
+        queries is decoded once into the reader's cache."""
+        uniq = list(dict.fromkeys(queries))
+        tables = super().msearch([(q, mode) for q in uniq], k)
+        return pa.concat_tables(
+            [RESULT_SCHEMA.insert(0, pa.field("query", pa.string())).empty_table()]
+            + [
+                t.add_column(0, "query", pa.array([q] * t.num_rows, pa.string()))
+                for q, t in zip(uniq, tables)
+            ]
+        )
 
 
 # ---------------------------------------------------------------------------
 # Per-segment operators, each written once. ``segments`` is an iterable of
 # ``(meta, segment, exclude)`` triples — ``IndexReader.segments()`` in
 # process, ``QuerySegmentActor.readers`` on the serving path — so the
-# in-process reader and the actors run the same code.
+# in-process reader and the actors run the same code. ``OPS`` names the ones
+# a surface fans out.
 # ---------------------------------------------------------------------------
 
 
@@ -1178,6 +1363,8 @@ def topk_over(
     less ROUND_MARGIN, becomes the block-max pruning threshold of the
     segments after it (not under ``recency``, whose per-doc boost the block
     bounds do not cover)."""
+    if k == 0:  # nothing to select (block-max pruning needs a k-th score)
+        return np.empty(0, np.int64), np.empty(0, np.float64)
     parts = []
     theta = -np.inf
     for _, seg, exclude in segments:
@@ -1197,6 +1384,12 @@ def topk_over(
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]), k,
     )
+
+
+def topk_many(segments, batch: list[tuple], avgdl: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``topk_over`` per ``(terms, idf_map, k, mode)`` of an ``msearch``
+    batch: one fan-out answers the whole batch."""
+    return [topk_over(segments, terms, idf, avgdl, k, mode) for terms, idf, k, mode in batch]
 
 
 def span_matches(
@@ -1239,6 +1432,20 @@ def span_matches(
     )
 
 
+def spans(segments, terms: list[str], slop: int | None, filters):
+    """``span_matches`` of the exact phrase ``terms`` (``slop`` None) or of
+    their ordered proximity within ``slop``."""
+    if slop is None:
+        return span_matches(
+            segments, lambda seg: phrase_match_segment(seg, terms), filters,
+            positions="phrase search",
+        )
+    return span_matches(
+        segments, lambda seg: proximity_match_segment(seg, terms, slop), filters,
+        positions="proximity search",
+    )
+
+
 def score_spans(
     docs: np.ndarray, tf: np.ndarray, dl: np.ndarray, df: int,
     n_docs: int, avgdl: float, k: int,
@@ -1262,13 +1469,14 @@ def iter_matches(segments, terms: list[str], mode: str, filters: dict | None = N
 
 
 def count_matches(
-    matches, count_fields: list[str] | None
+    segments, terms: list[str], mode: str, filters: dict | None,
+    count_fields: list[str] | None,
 ) -> tuple[int, dict[str, dict[str, int]]]:
-    """``results_total`` + per-field value counts over ``(segment,
-    matched)`` pairs (``iter_matches``); partials add up (``add_counts``)."""
+    """Match count + per-field value counts of the segments' matches
+    (``iter_matches``); partials add up (``add_counts``)."""
     total = 0
     counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
-    for seg, matched in matches:
+    for seg, matched in iter_matches(segments, terms, mode, filters):
         total += int(matched.size)
         for f in counts:
             uniq, cnt = np.unique(seg.attr_values(f, matched), return_counts=True)
@@ -1290,33 +1498,22 @@ def _attr_cut(docs: np.ndarray, vals: np.ndarray, desc: bool, limit: int):
 
 
 def attr_page(
-    matches, field: str, desc: bool, limit: int
+    segments, terms: list[str], mode: str, filters: dict | None,
+    field: str, desc: bool, limit: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``limit`` of the ``(segment, matched)`` pairs' docs ordered
-    by a stored attribute (ties doc_id asc), sorted. A page can only hold
-    rows within the first ``limit`` of each segment's own ordering, so every
-    segment is cut before the merge (the per-shard from+size bound ES
+    """The first ``limit`` of the segments' matches (``iter_matches``)
+    ordered by a stored attribute (ties doc_id asc), sorted. A page can only
+    hold rows within the first ``limit`` of each segment's own ordering, so
+    every segment is cut before the merge (the per-shard from+size bound ES
     serving relies on)."""
     doc_parts, val_parts = [], []
-    for seg, matched in matches:
+    for seg, matched in iter_matches(segments, terms, mode, filters):
         d, v = _attr_cut(matched, np.asarray(seg.attr_values(field, matched)), desc, limit)
         doc_parts.append(d)
         val_parts.append(v)
     if not doc_parts:
         return np.empty(0, np.int64), np.empty(0, object)
     return _attr_cut(np.concatenate(doc_parts), np.concatenate(val_parts), desc, limit)
-
-
-def page_frame(
-    docs: np.ndarray, vals: np.ndarray, field: str, desc: bool, lo: int, hi: int
-) -> pd.DataFrame:
-    """Rows ``lo:hi`` of the attribute ordering as (rank, doc_id, field)."""
-    docs, vals = _attr_cut(docs, vals, desc, hi)
-    return pd.DataFrame({
-        "rank": np.arange(lo + 1, lo + 1 + docs[lo:].size, dtype=np.int32),
-        "doc_id": docs[lo:],
-        field: vals[lo:],
-    })
 
 
 def vocab_with_prefix(
@@ -1334,6 +1531,30 @@ def vocab_with_prefix(
             if min_len <= len(t) <= max_len:
                 agg[t] = agg.get(t, 0) + int(d)
     return agg
+
+
+def date_buckets(
+    segments, terms: list[str], mode: str, ts_field: str, interval_us: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``date_histogram`` partial: (bucket, count) of the segments' matches,
+    bucketed ``(epoch_us // interval_us) · interval_us`` per segment (one
+    floor-div and one unique each) and summed."""
+    parts = []
+    for seg, docs in iter_matches(segments, terms, mode):
+        ts = seg.attr_values(ts_field, docs).astype("datetime64[us]").astype(np.int64)
+        parts.append(np.unique((ts // interval_us) * interval_us, return_counts=True))
+    return sum_by_key(parts)
+
+
+def sum_by_key(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Fold ``(keys, counts)`` partials: the distinct keys ascending, each
+    with its summed count (int64, exact)."""
+    if not parts:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    keys, inverse = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
+    counts = np.zeros(keys.size, np.int64)
+    np.add.at(counts, inverse, np.concatenate([p[1] for p in parts]))
+    return keys.astype(np.int64), counts
 
 
 def proximity_match_segment(
@@ -1455,16 +1676,33 @@ def match_one_segment(
     return matched
 
 
+def warm_segments(segments, terms: list[str], idf_map: dict[str, float], avgdl: float) -> int:
+    """Decode and score ``terms`` into the segments' caches; returns the
+    (segment, term) entries now hot."""
+    return sum(
+        1 for _, seg, _ in segments for t in terms
+        if t in idf_map and seg.scored_postings(t, idf_map[t], avgdl) is not None
+    )
+
+
+# the segment ops a surface fans out: ``OPS[op](segments, *args)``
+OPS = {
+    "search": topk_over,
+    "search_many": topk_many,
+    "spans": spans,
+    "match_counts": count_matches,
+    "attr_page": attr_page,
+    "prefix_vocab": vocab_with_prefix,
+    "date_histogram": date_buckets,
+    "warm": warm_segments,
+}
+
+
 class QuerySegmentActor:
     """Actor holding a set of segments, loaded once (SURVEY §2.3 stateful
     stage). Use via ``QueryService``, which reaches it through ``run``
-    alone; the named ops stay callable in process."""
-
-    # the ops ``run`` dispatches to, by method name
-    OPS = frozenset({
-        "search", "search_many", "warm", "stats", "phrase_match",
-        "match_stats", "match_attr_page", "prefix_vocab",
-    })
+    alone; ``search``, ``phrase_match`` and ``stats`` stay callable in
+    process."""
 
     def __init__(self, index_root: str, seg_metas: list[dict], manifest: dict):
         tomb_ids, tomb_vers = parse_tombstones(manifest)
@@ -1483,53 +1721,31 @@ class QuerySegmentActor:
         self.avgdl = float(manifest["avgdl"])
 
     def run(self, request: tuple[str, tuple]):
-        """The one RPC entry point: ``(op, args)`` → ``self.<op>(*args)``.
-        One method per actor is what lets ``QueryService`` compile its
-        fan-out into a static graph."""
+        """The one RPC entry point: ``(op, args)`` → ``OPS[op](self.readers,
+        *args)``, the op ``IndexReader`` runs in process, or ``stats``. One
+        method per actor is what lets ``QueryService`` compile its fan-out
+        into a static graph."""
         op, args = request
-        if op not in self.OPS:
-            raise ValueError(f"unknown QuerySegmentActor op {op!r}; expected one of {sorted(self.OPS)}")
-        return getattr(self, op)(*args)
+        if op == "stats":
+            return self.stats()
+        if op not in OPS:
+            raise ValueError(
+                f"unknown QuerySegmentActor op {op!r}; expected one of {sorted(OPS)} or 'stats'"
+            )
+        return OPS[op](self.readers, *args)
 
     def search(
-        self,
-        terms: list[str],
-        idf_map: dict[str, float],
-        k: int,
-        mode: str,
-        filters: dict[str, list] | None = None,
-        recency: dict | None = None,
+        self, terms: list[str], idf_map: dict[str, float], k: int, mode: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        return topk_over(
-            self.readers, terms, idf_map, self.avgdl, k, mode,
-            filters=filters, recency=recency,
-        )
+        """This actor's part of a ``search`` fan-out."""
+        return self.run(("search", (terms, idf_map, self.avgdl, k, mode)))
 
-    def search_many(
-        self,
-        batch: list[tuple[list, dict, int, str]],
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """ES ``_msearch`` analog, actor side: one RPC carries a whole
-        batch of (terms, idf_map, k, mode) requests; the actor answers all
-        of them over its segments, so the batch pays one fan-out and one
-        pass of the driver's GIL instead of one per query."""
-        return [
-            topk_over(self.readers, terms, idf_map, self.avgdl, k, mode)
-            for terms, idf_map, k, mode in batch
-        ]
-
-    def warm(self, terms: list[str], idf_map: dict[str, float], avgdl: float) -> int:
-        """ES index-warmer analog: pre-populate the postings, position and
-        score caches for ``terms`` across this actor's segments so the
-        first client query pays no decode (the 64x soak measured cold p50
-        5.3x warm). Returns the number of (segment, term) entries now
-        hot."""
-        n = 0
-        for _, seg, _ in self.readers:
-            for t in terms:
-                if t in idf_map and seg.scored_postings(t, idf_map[t], avgdl) is not None:
-                    n += 1
-        return n
+    def phrase_match(
+        self, terms: list[str], filters: dict[str, list] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """This actor's part of a ``search_phrase`` fan-out: (docs,
+        phrase_tf, dl, df_pre_filter)."""
+        return self.run(("spans", (terms, None, filters)))
 
     def stats(self) -> dict:
         """Serving observability (the soak leg's per-actor memory + cache
@@ -1554,45 +1770,6 @@ class QuerySegmentActor:
             "cache": cache,
         }
 
-    def phrase_match(
-        self, terms: list[str], filters: dict[str, list] | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Per-actor phrase matches: (docs, phrase_tf, dl, df_pre_filter).
-        Scoring happens on the driver once the global phrase df is known."""
-        return span_matches(
-            self.readers, lambda seg: phrase_match_segment(seg, terms),
-            filters, positions="phrase search",
-        )
-
-    def match_stats(
-        self,
-        terms: list[str],
-        mode: str,
-        filters: dict[str, list] | None,
-        count_fields: list[str] | None,
-    ) -> tuple[int, dict[str, dict[str, int]]]:
-        """Actor-local results_total + per-field value counts over this
-        actor's segments; the driver sums the partial dicts."""
-        return count_matches(iter_matches(self.readers, terms, mode, filters), count_fields)
-
-    def match_attr_page(
-        self,
-        terms: list[str],
-        mode: str,
-        filters: dict[str, list] | None,
-        field: str,
-        desc: bool,
-        limit: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Actor-local top-``limit`` matches ordered by a stored attribute
-        (ties doc_id asc): O(actors × limit) rows reach the driver merge."""
-        return attr_page(iter_matches(self.readers, terms, mode, filters), field, desc, limit)
-
-    def prefix_vocab(self, prefix: str, min_len: int, max_len: int) -> dict[str, int]:
-        """{term: df} over this actor's segments for the did_you_mean
-        candidate range (``vocab_with_prefix``)."""
-        return vocab_with_prefix(self.readers, prefix, min_len, max_len)
-
 
 def _release_pool(graph, actors: list, executor) -> None:
     """Free what a ``QueryService`` holds: tear the compiled graph down
@@ -1611,20 +1788,22 @@ def _release_pool(graph, actors: list, executor) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
 
 
-class QueryService:
-    """Distributed query serving: segments spread over an actor pool; search
-    fans out and merges per-actor top-k heaps (the OpenSearch shard fan-out
-    analog). Actors are created once and reused across queries.
+class QueryService(SearchSurfaces):
+    """Distributed query serving: segments spread over an actor pool; every
+    surface (inherited from ``SearchSurfaces``, the same as
+    ``IndexReader``'s) fans its op out to the actors and folds their parts
+    (the OpenSearch shard fan-out analog). Actors are created once and
+    reused across queries.
 
-    Every surface reaches the actors through one compiled Ray graph
-    (``InputNode`` → each actor's ``run`` → ``MultiOutputNode``), built once
-    here: a fan-out writes its request to shared memory and reads the parts
-    back without a per-call task submission. Two costs follow from Ray's
-    channels. Executions are serialized by a lock (a compiled graph is not
-    thread-safe), so concurrent callers queue behind each other. And an
-    idle actor busy-waits on its input channel, spinning the core its
-    ``num_cpus=1`` slot reserves. Call ``shutdown`` when done serving; a
-    service that is garbage-collected releases its pool too."""
+    The fan-out runs one compiled Ray graph (``InputNode`` → each actor's
+    ``run`` → ``MultiOutputNode``), built once here: a fan-out writes its
+    request to shared memory and reads the parts back without a per-call
+    task submission. Two costs follow from Ray's channels. Executions are
+    serialized by a lock (a compiled graph is not thread-safe), so
+    concurrent callers queue behind each other. And an idle actor
+    busy-waits on its input channel, spinning the core its ``num_cpus=1``
+    slot reserves. Call ``shutdown`` when done serving; a service that is
+    garbage-collected releases its pool too."""
 
     def __init__(
         self,
@@ -1635,14 +1814,7 @@ class QueryService:
         import ray
         from ray.dag import InputNode, MultiOutputNode
 
-        self.manifest = mf.read_manifest(index_root, version)
-        self.analyzer_version = self.manifest.get("analyzer", "v1")
-        self.avgdl = float(self.manifest["avgdl"])
-        self.n_docs = int(self.manifest["n_docs"])
-        self._termstats = TermStats(
-            os.path.join(index_root, self.manifest["termstats"]),
-            self.manifest.get("num_buckets"),
-        )
+        super().__init__(index_root, version)
         segs = self.manifest["segments"]
         num_actors = max(1, min(num_actors, len(segs)))
         groups: list[list[dict]] = [segs[i::num_actors] for i in range(num_actors)]
@@ -1670,57 +1842,17 @@ class QueryService:
             raise RuntimeError("QueryService is shut down")
 
     def _fanout(self, op: str, *args) -> list:
-        """Run ``QuerySegmentActor.<op>(*args)`` on every actor through the
-        compiled graph; returns the per-actor parts in actor order. An op
-        that raises re-raises here as its own type; once an actor died,
-        every call raises a ``RayActorError`` or ``RaySystemError``. No
-        timeout, like a plain ``ray.get``: the graph's default of 10 s
-        would fail slow high-df phrases."""
+        """Run ``op`` on every actor through the compiled graph; returns the
+        per-actor parts in actor order. An op that raises re-raises here as
+        its own type; once an actor died, every call raises a
+        ``RayActorError`` or ``RaySystemError``. No timeout, like a plain
+        ``ray.get``: the graph's default of 10 s would fail slow high-df
+        phrases."""
         import ray
 
         self._pool()
         with self._lock:
             return ray.get(self._graph.execute((op, args)), timeout=-1)
-
-    def df(self, terms: list[str]) -> dict[str, int]:
-        return self._termstats.df(terms)
-
-    def prepare(self, text: str, mode: str = "and") -> PreparedQuery:
-        return prepare_query(text, mode, self.analyzer_version, self.df, self.n_docs)
-
-    def msearch(
-        self,
-        queries: list[tuple[str, str]],
-        k: int = 10,
-    ) -> list[pa.Table]:
-        """ES ``_msearch``: answer a batch of (query_text, mode) requests
-        with ONE fan-out for the whole batch instead of one per query.
-        Results are per-query tables identical to ``search``'s; the driver
-        touches only Q x A x k merged rows."""
-        self._pool()
-        preps = [self.prepare(q, mode) for q, mode in queries]
-        batch = [
-            (prep.live, prep.idf, k, mode)
-            for prep, (_, mode) in zip(preps, queries) if not prep.empty
-        ]
-        if not batch:
-            return [_empty_result() for _ in queries]
-        answers = zip(*self._fanout("search_many", batch))  # per batch entry: one part per actor
-        return [
-            _empty_result() if prep.empty else merge_topk(list(next(answers)), k)
-            for prep in preps
-        ]
-
-    def warm(self, query_texts: list[str]) -> int:
-        """Pre-warm every actor's caches for the union of the queries'
-        terms (deploy-time warmer; the reference's OpenSearch delegates
-        the same to index warmers). Returns total (segment, term) entries
-        made hot."""
-        self._pool()
-        idf_map = {t: v for q in query_texts for t, v in self.prepare(q, "or").idf.items()}
-        if not idf_map:
-            return 0
-        return sum(self._fanout("warm", sorted(idf_map), idf_map, self.avgdl))
 
     def actor_stats(self) -> list[dict]:
         """Per-actor {rss_kb, n_segments, cache_hits, cache_misses, cache}
@@ -1737,27 +1869,6 @@ class QueryService:
         self._release()
         self.actors = []
 
-    def search(
-        self,
-        query_text: str,
-        k: int = 10,
-        mode: str = "and",
-        filters: dict[str, list] | None = None,
-        recency: dict | None = None,
-    ) -> pa.Table:
-        """One fan-out: every actor runs ``topk_over`` on its segments with
-        its own early θ, the driver merges the per-actor heaps. Segments are
-        assigned round-robin, so they are iid corpus samples and an actor's
-        local θ is already ≈ the global one: a second round seeding a
-        global θ measured 4–5 ms slower at every pool size (BASELINE.md)."""
-        self._pool()
-        return self._topk(self.prepare(query_text, mode), k, mode, filters, recency)
-
-    def _topk(self, prep: PreparedQuery, k: int, mode: str, filters, recency) -> pa.Table:
-        if prep.empty:
-            return _empty_result()
-        return merge_topk(self._fanout("search", prep.live, prep.idf, k, mode, filters, recency), k)
-
     # -- async search (ES _async_search) ------------------------------------
 
     def submit(
@@ -1773,7 +1884,7 @@ class QueryService:
         immediately. A query without live terms resolves here. The future
         is the async state: ``status`` asks whether it is done, ``get``
         blocks on it, ``delete`` cancels it if it has not started."""
-        self._pool()
+        self._check(k=k)
         sid = f"async-{next(self._async_ids)}"
         prep = self.prepare(query_text, mode)
         if prep.empty:
@@ -1813,114 +1924,6 @@ class QueryService:
         if fut is None:
             raise KeyError(f"unknown async search id {search_id!r}")
         return fut
-
-    def search_phrase(
-        self,
-        phrase: str,
-        k: int = 10,
-        filters: dict[str, list] | None = None,
-    ) -> pa.Table:
-        """Distributed exact-phrase top-k: actors enumerate matches + local
-        stats in one fan-out; the driver computes the global phrase df, idf,
-        and final BM25 scores (phrase df is a query-time aggregate, so
-        scoring can't complete actor-locally)."""
-        self._pool()
-        terms = analyzer.tokenize_query(phrase, self.analyzer_version)  # order + duplicates kept
-        if not terms:
-            return _empty_result()
-        parts = self._fanout("phrase_match", terms, filters)
-        docs, tf, dl = (np.concatenate([p[i] for p in parts]) for i in range(3))
-        return score_spans(docs, tf, dl, sum(p[3] for p in parts), self.n_docs, self.avgdl, k)
-
-    def match_counts(
-        self,
-        query_text: str,
-        *,
-        mode: str = "and",
-        count_fields: list[str] | None = None,
-        filters: dict[str, list] | None = None,
-    ) -> dict:
-        """Distributed ``results_total`` + ``include_filter_counts``: one
-        fan-out, driver sums the per-actor partial count dicts."""
-        self._pool()
-        prep = self.prepare(query_text, mode)
-        parts = [] if prep.empty else self._fanout(
-            "match_stats", prep.live, mode, filters, count_fields
-        )
-        counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
-        for _, part in parts:
-            for f, vals in part.items():
-                add_counts(counts[f], vals)
-        return counts_response(sum(p[0] for p in parts), counts)
-
-    def search_page(
-        self,
-        query_text: str,
-        *,
-        page: int = 1,
-        page_size: int = 10,
-        mode: str = "and",
-        ordering: str | None = None,
-        filters: dict[str, list] | None = None,
-    ) -> pd.DataFrame:
-        """Distributed paginated search, semantics identical to
-        ``extras.search_page`` (relevance slice or attribute ordering)."""
-        self._pool()
-        lo, hi = page_bounds(page, page_size)
-        if ordering is None:
-            return relevance_page(self.search, query_text, lo, hi, mode, filters)
-        desc = ordering.startswith("-")
-        field = ordering[1:] if desc else ordering
-        prep = self.prepare(query_text, mode)
-        parts = [] if prep.empty else self._fanout(
-            "match_attr_page", prep.live, mode, filters, field, desc, hi
-        )
-        docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        vals = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, object)
-        return page_frame(docs, vals, field, desc, lo, hi)
-
-    def did_you_mean(
-        self,
-        query_text: str,
-        *,
-        max_edits: int = 2,
-        prefix_length: int = 1,
-    ) -> pd.DataFrame:
-        """Distributed spelling suggestions: candidate (term, df) ranges are
-        enumerated on the actors (each scans only its own segments' sorted
-        dictionary prefix range), merged and ranked on the driver with the
-        same rules as ``extras.did_you_mean``."""
-        from .extras import suggest_tokens
-
-        self._pool()
-
-        def vocab(prefix: str, min_len: int, max_len: int) -> dict[str, int]:
-            agg: dict[str, int] = {}
-            for part in self._fanout("prefix_vocab", prefix, min_len, max_len):
-                add_counts(agg, part)
-            return agg
-
-        return suggest_tokens(self.prepare(query_text, "or"), vocab, max_edits, prefix_length)
-
-
-def counts_response(total: int, counts: dict[str, dict[str, int]]) -> dict:
-    """The ``results_total`` + ``filter_counts`` response block."""
-    return {"results_total": {"value": total, "is_precise": True}, "filter_counts": counts}
-
-
-def page_bounds(page: int, page_size: int) -> tuple[int, int]:
-    if page < 1:
-        raise ValueError("page is 1-based")
-    return (page - 1) * page_size, page * page_size
-
-
-def relevance_page(search, query_text: str, lo: int, hi: int, mode: str, filters) -> pd.DataFrame:
-    """Rows ``lo:hi`` of the relevance ranking: ``search`` top ``hi``, then
-    the ES from+size slice, ranks renumbered from the page start."""
-    res = search(query_text, k=hi, mode=mode, filters=filters).to_pandas()
-    out = res.iloc[lo:hi].reset_index(drop=True)
-    out["rank"] = np.arange(lo + 1, lo + 1 + len(out), dtype=np.int32)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_pipeline_aggs_route(tmp_path_factory):
         "nhist": {"histogram": {"field": "dl", "interval": 3}},
         "rt": {"rate": {"field": "ts", "unit": "minute"}},
     })
-    _eq(out["hist"], extras.date_histogram(r, "kumo", ts_field="ts"))
+    _eq(out["hist"], r.date_histogram("kumo", ts_field="ts"))
     _eq(out["mov"], pipeline_aggs.moving_fn(r, "kumo", window=3, ts_field="ts"))
     _eq(out["sd"], pipeline_aggs.serial_diff(r, "kumo", lag=2, ts_field="ts"))
     _eq(out["script"], pipeline_aggs.bucket_script(r, "kumo", ts_field="ts"))

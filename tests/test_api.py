@@ -38,7 +38,7 @@ def test_track_total_and_aggs(idx):
         "aggs": {"by_source": {"terms": {"field": "source", "size": 4}}},
     }
     resp = api.search_request(idx, body)
-    counts = extras.match_counts(idx, "table scan", mode="and")
+    counts = idx.match_counts("table scan", mode="and")
     assert resp["hits"]["total"]["value"] == counts["results_total"]["value"]
     terms = extras.terms_agg(idx, "table scan", field="source", size=4, mode="and")
     assert resp["aggregations"]["by_source"] == terms.to_dict("records")
@@ -52,8 +52,8 @@ def test_sort_by_attribute(idx):
         "size": 6,
     }
     resp = api.search_request(idx, body)
-    page = extras.search_page(
-        idx, "table", page=1, page_size=6, mode="and", ordering="-source"
+    page = idx.search_page(
+        "table", page=1, page_size=6, mode="and", ordering="-source"
     )
     assert [h["_id"] for h in resp["hits"]["hits"]] == list(page["doc_id"])
     vals = [h["_sort"] for h in resp["hits"]["hits"]]
@@ -73,8 +73,8 @@ def test_suggest_and_explain_blocks(idx):
             "auto": {"prefix": "sc", "completion": {"size": 5}},
         },
     })
-    assert resp["suggest"]["fix"] == extras.did_you_mean(
-        idx, "tabel", max_edits=2).to_dict("records")
+    assert resp["suggest"]["fix"] == idx.did_you_mean(
+        "tabel", max_edits=2).to_dict("records")
     assert resp["suggest"]["phrase_fix"] == extras.suggest_phrases(
         idx, "tabel scna", max_edits=1).to_dict("records")
     assert resp["suggest"]["auto"] == extras.suggest(

@@ -54,7 +54,7 @@ def test_suggest_matches_oracle(idx, con):
 
 def test_match_counts_exact(idx, con):
     reader = query.IndexReader(idx)
-    got = extras.match_counts(reader, "spark window", mode="and", count_fields=["source"])
+    got = reader.match_counts("spark window", mode="and", count_fields=["source"])
     exp_total = con.execute(
         """
         WITH toks AS (SELECT doc_id, unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS term FROM documents)
@@ -80,9 +80,9 @@ def test_match_counts_exact(idx, con):
 
 def test_match_counts_with_filters(idx):
     reader = query.IndexReader(idx)
-    all_m = extras.match_counts(reader, "table", count_fields=["source"])
-    filt = extras.match_counts(
-        reader, "table", count_fields=["source"], filters={"source": ["src0"]}
+    all_m = reader.match_counts("table", count_fields=["source"])
+    filt = reader.match_counts(
+        "table", count_fields=["source"], filters={"source": ["src0"]}
     )
     assert filt["results_total"]["value"] == all_m["filter_counts"]["source"].get("src0", 0)
     assert set(filt["filter_counts"]["source"]) <= {"src0"}
@@ -90,7 +90,7 @@ def test_match_counts_with_filters(idx):
 
 def test_match_counts_absent_term(idx):
     reader = query.IndexReader(idx)
-    got = extras.match_counts(reader, "table zzzabsent", mode="and")
+    got = reader.match_counts("table zzzabsent", mode="and")
     assert got["results_total"]["value"] == 0
 
 
@@ -577,7 +577,7 @@ def test_filters_agg_partition_invariants(idx):
     reader = query.IndexReader(idx)
     out = extras.filters_agg(reader, "customer query big", AGG_FILTERS, mode="or")
     assert list(out["bucket"]) == sorted(out["bucket"])
-    total = extras.match_counts(reader, "customer query big", mode="or")[
+    total = reader.match_counts("customer query big", mode="or")[
         "results_total"]["value"]
     named = out[out["bucket"] != "_other_"]["doc_count"]
     other = int(out[out["bucket"] == "_other_"]["doc_count"].iloc[0])

@@ -8,11 +8,16 @@ through the same ``IndexReader.matches``):
 - on the v2 build (stems, no stopwords) every surface returns results, and
   surfaces that enumerate the match set agree with ``IndexReader.search``;
 - on the v1 build every surface returns exactly what it returned before
-  query prep and the segment walks were unified (``V1_DIGESTS``).
+  query prep and the segment walks were unified (``V1_DIGESTS``);
+- every ``SearchSurfaces`` surface answers identically in process
+  (``IndexReader``) and through a ``QueryService``, on both builds and on
+  one whose doc ids are all >= 2^62, and both reject the same bad
+  parameters.
 """
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pandas as pd
@@ -50,13 +55,13 @@ def _corpus() -> pd.DataFrame:
     return t
 
 
-def _build(root: str, df: pd.DataFrame, version: str) -> None:
+def _build(root: str, df: pd.DataFrame, version: str, deleted=DELETED) -> None:
     build.build_index(
         rd.from_pandas(df).repartition(3), root, concurrency=1,
         attr_cols=["source", "lang", "ts", "conv_id", "tool"],
         store_positions=True, analyzer_version=version,
     )
-    gone = df[df["doc_id"].isin(DELETED)][["doc_id"]].assign(text="", state="deleted")
+    gone = df[df["doc_id"].isin(deleted)][["doc_id"]].assign(text="", state="deleted")
     incremental.build_incremental(root, rd.from_pandas(gone), integrity_check=False)
 
 
@@ -103,10 +108,10 @@ def surface_calls(root: str, docs_ds, tmp: str) -> dict:
         "reader.search_prefix": lambda: r.search_prefix("spar", k=10),
         "reader.search_phrase": lambda: r.search_phrase("sparks windowing", k=10),
         "reader.search_proximity": lambda: r.search_proximity("sparks engines", k=10, slop=2),
-        "match_counts": lambda: extras.match_counts(r, QUERY, mode=MODE, count_fields=["lang"]),
-        "search_page": lambda: extras.search_page(r, QUERY, mode=MODE, ordering="-source", page_size=1000),
+        "match_counts": lambda: r.match_counts(QUERY, mode=MODE, count_fields=["lang"]),
+        "search_page": lambda: r.search_page(QUERY, mode=MODE, ordering="-source", page_size=1000),
         "highlight_topk": lambda: extras.highlight_topk(r, docs_ds, QUERY, k=5),
-        "did_you_mean": lambda: extras.did_you_mean(r, TYPO),
+        "did_you_mean": lambda: r.did_you_mean(TYPO),
         "mine_hard_negatives": lambda: extras.mine_hard_negatives(r, {QUERY: [0]}, k=5, mode=MODE),
         "suggest_phrases": lambda: extras.suggest_phrases(r, TYPO),
         "search_after": lambda: extras.search_after(r, QUERY, k=10**6, mode=MODE),
@@ -124,7 +129,7 @@ def surface_calls(root: str, docs_ds, tmp: str) -> dict:
         "search_boosted_terms": lambda: extras.search_boosted_terms(r, "the sparks^2 windowing"),
         "search_span_near": lambda: extras.search_span_near(r, "sparks windowing", slop=1),
         "percentiles_agg": lambda: extras.percentiles_agg(r, QUERY, mode=MODE),
-        "date_histogram": lambda: extras.date_histogram(r, QUERY, mode=MODE),
+        "date_histogram": lambda: r.date_histogram(QUERY, mode=MODE),
         "search_boosting": lambda: extras.search_boosting(r, QUERY, "engines", mode=MODE),
         "search_parents": lambda: extras.search_parents(r, QUERY, mode=MODE),
         "top_hits": lambda: extras.top_hits(r, QUERY, mode=MODE),
@@ -388,3 +393,128 @@ def test_v1_surface_unchanged(builds, name):
 def test_every_surface_is_checked(builds):
     assert set(builds["v1"][1]) == set(V1_DIGESTS) == set(builds["v2"][1])
 
+
+# -- two backends, one set of surfaces ----------------------------------------
+
+BIG = 1 << 62  # doc ids past float64's exact integers
+FILTERS = {"lang": ["en", "fr"]}
+SPECS = [(QUERY, "and"), (QUERY, "or"), ("sparks", "or"), ("zzznothere", "or")]
+
+
+@pytest.fixture(scope="module")
+def parity_roots(builds, tmp_path_factory):
+    """The v1 and v2 builds, plus the v1 corpus with every doc id >= 2^62."""
+    df = _corpus()
+    df["doc_id"] += BIG
+    root = str(tmp_path_factory.mktemp("pq_bigids"))
+    _build(root, df, "v1", deleted=[d + BIG for d in DELETED])
+    return {"v1": builds["v1"][0], "v2": builds["v2"][0], "big_ids": root}
+
+
+def _parity_calls(b) -> dict:
+    """Name → call of every ``SearchSurfaces`` surface on backend ``b``."""
+    size0 = {
+        "size": 0, "track_total_hits": True,
+        "query": {"match": {"text": {"query": QUERY, "operator": "or"}}},
+        "aggs": {"hist": {"date_histogram": {"field": "ts", "fixed_interval": "1h"}}},
+    }
+    return {
+        "search and": lambda: b.search(QUERY, k=10, mode="and"),
+        "search or": lambda: b.search(QUERY, k=25, mode="or"),
+        "search filtered": lambda: b.search(QUERY, k=10, mode="or", filters=FILTERS),
+        "search recency": lambda: b.search(
+            QUERY, k=10, mode="or", recency={"origin_us": BASE_US, "pivot_us": 86_400_000_000}),
+        "search must_not": lambda: b.search(QUERY, k=10, mode="or", must_not="engines"),
+        "search min_should_match": lambda: b.search(QUERY, k=10, mode="or", min_should_match=2),
+        "search k=0": lambda: b.search(QUERY, k=0, mode="or"),
+        "msearch": lambda: query.SearchSurfaces.msearch(b, SPECS, k=7),
+        "msearch k=0": lambda: query.SearchSurfaces.msearch(b, SPECS, k=0),
+        "search_phrase": lambda: b.search_phrase("sparks windowing", k=10),
+        "search_phrase filtered": lambda: b.search_phrase("sparks windowing", k=10, filters=FILTERS),
+        "search_proximity": lambda: b.search_proximity("sparks engines", k=10, slop=2),
+        "search_proximity slop=0": lambda: b.search_proximity("sparks windowing", k=10),
+        "match_counts": lambda: b.match_counts(
+            QUERY, mode="or", count_fields=["lang", "source"], filters=FILTERS),
+        "search_page": lambda: b.search_page(QUERY, page=2, page_size=5, mode="or"),
+        "search_page ordering": lambda: b.search_page(
+            QUERY, page=2, page_size=5, mode="or", ordering="-source"),
+        "search_page page_size=0": lambda: b.search_page(QUERY, page_size=0, ordering="source"),
+        "did_you_mean": lambda: b.did_you_mean(TYPO),
+        "date_histogram": lambda: b.date_histogram(QUERY, mode="or"),
+        "warm": lambda: b.warm([QUERY, "engines"]),
+        "api size=0": lambda: api.search_request(b, size0),
+    }
+
+
+# parameter values every backend must reject, each naming the bad value
+BAD_CALLS = {
+    "k must be >= 0, got -1": [
+        lambda b: b.search(QUERY, k=-1, mode="or"),
+        lambda b: query.SearchSurfaces.msearch(b, SPECS, k=-1),
+        lambda b: b.search_phrase("sparks windowing", k=-1),
+        lambda b: b.search_proximity("sparks engines", k=-1),
+    ],
+    "slop must be >= 0, got -1": [lambda b: b.search_proximity("sparks engines", slop=-1)],
+    "page_size must be >= 0, got -5": [
+        lambda b: b.search_page(QUERY, page=2, page_size=-5, ordering="source"),
+    ],
+    "interval_us must be > 0, got 0": [lambda b: b.date_histogram(QUERY, interval_us=0)],
+    "mode must be 'and' or 'or', got 'AND'": [
+        lambda b: b.search("spark windowing", mode="AND"),
+        lambda b: b.match_counts("spark windowing", mode="AND"),
+        lambda b: query.SearchSurfaces.msearch(b, [(QUERY, "AND")]),
+    ],
+    "mode must be 'and' or 'or', got 'xor'": [
+        lambda b: b.search("spark windowing", mode="xor"),
+        lambda b: b.date_histogram(QUERY, mode="xor"),
+        lambda b: b.search_page(QUERY, mode="xor", ordering="source"),
+    ],
+}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, pa.Table):
+        return a.equals(b, check_metadata=True)
+    if isinstance(a, pd.DataFrame):
+        pd.testing.assert_frame_equal(a, b, check_exact=True)
+        return True
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+def _answers(b) -> dict:
+    for message, calls in BAD_CALLS.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(b)
+    return {name: call() for name, call in _parity_calls(b).items()}
+
+
+@pytest.mark.parametrize("fixture", ["v1", "v2", "big_ids"])
+def test_reader_and_service_answer_every_surface_identically(parity_roots, fixture):
+    """Every shared surface answers the same through the in-process backend
+    and through a two-actor QueryService, bad parameters included."""
+    root = parity_roots[fixture]
+    local = _answers(query.IndexReader(root))
+    svc = query.QueryService(root, num_actors=2)
+    try:
+        assert len(svc.actors) == 2
+        served = _answers(svc)
+    finally:
+        svc.shutdown()
+    for name, out in local.items():
+        assert _same(out, served[name]), name
+    for name in ("search or", "search must_not", "search min_should_match", "search_phrase",
+                 "search_proximity", "search_page ordering", "date_histogram"):
+        assert len(_frame(local[name])) > 0, name
+    assert local["search must_not"] != local["search or"]
+    assert local["match_counts"]["results_total"]["value"] > 0
+    assert (local["did_you_mean"]["suggestion"] != "").any()
+    assert local["api size=0"]["hits"]["hits"] == []
+    assert local["api size=0"]["aggregations"]["hist"]
+    for name in ("search k=0", "search_page page_size=0"):
+        assert len(_frame(local[name])) == 0, name
+    assert all(len(t) == 0 for t in local["msearch k=0"])
+    ids = np.concatenate([_frame(local[n])["doc_id"].to_numpy() for n in ("search or", "search_phrase")])
+    assert ((ids >= BIG) == (fixture == "big_ids")).all()

@@ -297,7 +297,7 @@ def test_match_fuzzy_matches_oracle(attr_index, con):
 def test_date_histogram_matches_oracle(tmp_path_factory, con):
     import pandas as pd
 
-    from harvester_ray.index import extras, oracle
+    from harvester_ray.index import oracle
 
     root = str(tmp_path_factory.mktemp("dh_idx"))
     base = pd.DataFrame({
@@ -310,9 +310,7 @@ def test_date_histogram_matches_oracle(tmp_path_factory, con):
         ]),
     })
     build.build_index(rd.from_pandas(base), root, concurrency=2, attr_cols=["ts"])
-    got = extras.date_histogram(
-        query.IndexReader(root), "alpha", interval_us=3_600_000_000
-    )
+    got = query.IndexReader(root).date_histogram("alpha", interval_us=3_600_000_000)
     c = duckdb.connect()
     c.register("dhsrc", base)
     exp = c.execute(
@@ -518,10 +516,12 @@ def test_shut_down_service_raises_on_every_surface(attr_index):
         "submit": lambda q: svc.submit(q),
         "warm": lambda q: svc.warm([q]),
         "search_phrase": lambda q: svc.search_phrase(q),
+        "search_proximity": lambda q: svc.search_proximity(q, slop=1),
         "match_counts": lambda q: svc.match_counts(q, count_fields=["lang"]),
         "search_page": lambda q: svc.search_page(q, page=1, page_size=5),
         "search_page ordering": lambda q: svc.search_page(q, ordering="-source"),
         "did_you_mean": lambda q: svc.did_you_mean(q),
+        "date_histogram": lambda q: svc.date_histogram(q),
         "actor_stats": lambda q: svc.actor_stats(),
     }
     for name, call in calls.items():
@@ -529,6 +529,30 @@ def test_shut_down_service_raises_on_every_surface(attr_index):
             with pytest.raises(RuntimeError, match="QueryService is shut down"):
                 call(q)
                 pytest.fail(f"{name}({q!r}) answered after shutdown")
+
+
+def test_benchmark_trace_points_fire_once_per_service_search(attr_index, monkeypatch):
+    """The benchmark's traced run splits a served query into layers by
+    wrapping ``QueryService.df`` and ``query.merge_topk`` (looked up at call
+    time) by assignment: each must fire exactly once per ``svc.search``
+    that reaches the actors, or those layer metrics read nothing."""
+    counts = {"df": 0, "merge_topk": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    svc = query.QueryService(attr_index, num_actors=2)
+    try:
+        monkeypatch.setattr(query.QueryService, "df", counted("df", query.QueryService.df))
+        monkeypatch.setattr(query, "merge_topk", counted("merge_topk", query.merge_topk))
+        for n, (q, mode) in enumerate([("table scan", "and"), ("table", "or"), ("query big", "or")], 1):
+            assert len(svc.search(q, k=5, mode=mode)) > 0
+            assert counts == {"df": n, "merge_topk": n}
+    finally:
+        svc.shutdown()
 
 
 def test_author_suggestions(tmp_path_factory):

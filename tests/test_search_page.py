@@ -7,7 +7,6 @@ import pytest
 import ray.data as rd
 
 from harvester_ray.index import build as ib
-from harvester_ray.index import extras
 from harvester_ray.index import query as iq
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -26,14 +25,14 @@ def test_pages_tile_the_ranking(attr_index):
     reader = iq.IndexReader(attr_index)
     full = reader.search("table", k=30, mode="and").to_pandas()
     pages = [
-        extras.search_page(reader, "table", page=p, page_size=10, mode="and")
+        reader.search_page("table", page=p, page_size=10, mode="and")
         for p in (1, 2, 3)
     ]
     tiled = pd.concat(pages, ignore_index=True)
     assert tiled["doc_id"].tolist() == full["doc_id"].tolist()
     assert tiled["rank"].tolist() == list(range(1, len(tiled) + 1))
     # pages beyond the result set are empty, not an error
-    assert len(extras.search_page(reader, "table", page=500, page_size=10)) == 0
+    assert len(reader.search_page("table", page=500, page_size=10)) == 0
 
 
 def test_ordering_matches_brute_force(attr_index):
@@ -48,8 +47,8 @@ def test_ordering_matches_brute_force(attr_index):
         exp = match.sort_values(
             ["source", "doc_id"], ascending=[asc, True], kind="mergesort"
         ).head(15)
-        got = extras.search_page(
-            reader, "table", page=1, page_size=15, ordering=ordering
+        got = reader.search_page(
+            "table", page=1, page_size=15, ordering=ordering
         )
         assert got["doc_id"].tolist() == exp["doc_id"].tolist(), ordering
         assert got["source"].tolist() == exp["source"].tolist(), ordering
@@ -57,14 +56,14 @@ def test_ordering_matches_brute_force(attr_index):
 
 def test_ordering_second_page_and_filters(attr_index):
     reader = iq.IndexReader(attr_index)
-    p1 = extras.search_page(reader, "table", page=1, page_size=7, ordering="source")
-    p2 = extras.search_page(reader, "table", page=2, page_size=7, ordering="source")
+    p1 = reader.search_page("table", page=1, page_size=7, ordering="source")
+    p2 = reader.search_page("table", page=2, page_size=7, ordering="source")
     assert p2["rank"].tolist() == list(range(8, 8 + len(p2)))
     assert not set(p1["doc_id"]) & set(p2["doc_id"])
     # facet filter composes with ordering
     langs = ["en"]
-    got = extras.search_page(
-        reader, "table", page=1, page_size=50, ordering="source", filters={"lang": langs}
+    got = reader.search_page(
+        "table", page=1, page_size=50, ordering="source", filters={"lang": langs}
     )
     vals = reader._segment(reader.manifest["segments"][0])  # smoke attr access
     assert (np.isin(got["doc_id"], pd.read_parquet(DOCS).query("lang in @langs")["doc_id"])).all()
@@ -72,23 +71,23 @@ def test_ordering_second_page_and_filters(attr_index):
 
 def test_no_match_and_bad_page(attr_index):
     reader = iq.IndexReader(attr_index)
-    empty = extras.search_page(reader, "zzznothere", page=1, page_size=5, ordering="source")
+    empty = reader.search_page("zzznothere", page=1, page_size=5, ordering="source")
     assert len(empty) == 0 and list(empty.columns) == ["rank", "doc_id", "source"]
     with pytest.raises(ValueError):
-        extras.search_page(reader, "table", page=0)
+        reader.search_page("table", page=0)
 
 
 def test_did_you_mean(attr_index):
     reader = iq.IndexReader(attr_index)
-    out = extras.did_you_mean(reader, "custmer filter tabel")
+    out = reader.did_you_mean("custmer filter tabel")
     got = dict(zip(out["token"], out["suggestion"]))
     assert got["filter"] == ""          # present token: nothing to correct
     assert got["custmer"] == "customer"
     assert got["tabel"] == "table"
     # uncorrectable garbage and empty query
-    out2 = extras.did_you_mean(reader, "zzqqxx")
+    out2 = reader.did_you_mean("zzqqxx")
     assert out2["suggestion"].tolist() == [""]
-    assert len(extras.did_you_mean(reader, "")) == 0
+    assert len(reader.did_you_mean("")) == 0
 
 
 def test_levenshtein_batch_exact():
@@ -117,7 +116,7 @@ def test_query_service_extras_parity(attr_index):
     reader = iq.IndexReader(attr_index)
     try:
         a = svc.match_counts("table", count_fields=["source"])
-        b = extras.match_counts(reader, "table", count_fields=["source"])
+        b = reader.match_counts("table", count_fields=["source"])
         assert a == b
 
         for kw in (
@@ -127,11 +126,11 @@ def test_query_service_extras_parity(attr_index):
             dict(page=1, page_size=10, ordering="source", filters={"lang": ["en"]}),
         ):
             da = svc.search_page("table", **kw).reset_index(drop=True)
-            db = extras.search_page(reader, "table", **kw).reset_index(drop=True)
+            db = reader.search_page("table", **kw).reset_index(drop=True)
             pd.testing.assert_frame_equal(da[sorted(da.columns)], db[sorted(db.columns)]), kw
 
         da = svc.did_you_mean("custmer filter tabel zzqqxx")
-        db = extras.did_you_mean(reader, "custmer filter tabel zzqqxx")
+        db = reader.did_you_mean("custmer filter tabel zzqqxx")
         pd.testing.assert_frame_equal(da, db)
     finally:
         svc.shutdown()

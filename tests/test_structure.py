@@ -1,8 +1,9 @@
 """Structural guards: query prep, the tombstone-aware segment walk, the
-reader's decoded-data cache and the service's actor dispatch each live in
-one place, so per-surface copies (which once analyzed every query as v1,
-whatever the index's analyzer), per-segment LRUs (bounded by entry count,
-not bytes) and per-surface RPC paths cannot grow back."""
+reader's decoded-data cache, the service's actor dispatch and the query
+surfaces each live in one place, so per-surface copies (which once analyzed
+every query as v1, whatever the index's analyzer, and let the service drift
+from the reader), per-segment LRUs (bounded by entry count, not bytes) and
+per-surface RPC paths cannot grow back."""
 
 import ast
 import pathlib
@@ -22,8 +23,7 @@ TOKENIZE_ALLOWED = {
     "ops/tagging.py": None,
     "ops/decontam.py": None,
     "index/query.py": {
-        "prepare_query", "brute_force_topk", "IndexReader.search_phrase",
-        "IndexReader.search_proximity", "QueryService.search_phrase",
+        "prepare_query", "brute_force_topk", "SearchSurfaces._spans",
     },
     "index/extras.py": {
         "suggest_phrases", "search_match_phrase_prefix", "search_match_bool_prefix",
@@ -45,6 +45,14 @@ TOMBSTONES_ALLOWED = {
 # created and bound into it in __init__, every surface runs it in _fanout,
 # and shutdown releases it.
 DISPATCH_ALLOWED = {"QueryService.__init__", "QueryService._fanout", "QueryService.shutdown"}
+
+# Every query surface is written once, on query.SearchSurfaces; the service
+# supplies its backend (the pool, the fan-out, its lifecycle and stats) and
+# the async-search state, and inherits the rest.
+SERVICE_DEFINES = {
+    "__init__", "_pool", "_fanout", "shutdown", "actor_stats",
+    "submit", "status", "get", "delete", "cancel", "_async_state",
+}
 
 # The reader's one byte-bounded cache; readback.CachedReader's public
 # ``capacity=`` is an entry count, so it keeps its own LRU.
@@ -132,9 +140,24 @@ def test_query_service_dispatches_only_through_its_graph():
     assert ("ray.get", "QueryService._fanout") in calls
 
 
+def test_query_service_inherits_every_query_surface():
+    tree = ast.parse((PKG / "index/query.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "QueryService"]
+    defined = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(ast.unparse(t) for t in targets)
+    assert defined <= SERVICE_DEFINES, f"QueryService defines {sorted(defined - SERVICE_DEFINES)}"
+    assert [ast.unparse(b) for b in cls.bases] == ["SearchSurfaces"]
+
+
 def test_guard_sees_the_allowed_calls():
     """The walker finds the calls it is meant to police (no vacuous pass)."""
     assert ("index/query.py", "prepare_query") in set(_calls("tokenize_query"))
+    assert ("index/query.py", "SearchSurfaces._spans") in set(_calls("tokenize_query"))
     assert ("index/query.py", "IndexReader.segments") in set(_calls("tombstones_for_segment"))
     assert ("index/query.py", "SegmentCache.__init__") in set(_calls("OrderedDict"))
     assert ("index/query.py", "SegmentCache.get") in set(_calls("popitem"))
