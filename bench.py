@@ -146,8 +146,9 @@ def _ray_init() -> None:
         # allocator hygiene for EVERY worker (read tasks included): keep
         # glibc/Arrow from madvise/munmap-ing freed batch buffers — with N
         # concurrent workers that churn is a TLB-shootdown storm (60%+ sys
-        # time measured); see SegmentBuilder.__init__ for the actor-side
-        # equivalent and BASELINE.md for the calibration numbers
+        # time measured); see SegmentBuilder.__init__ for the in-process
+        # equivalent each builder task applies and BASELINE.md for the
+        # calibration numbers
         runtime_env={
             "env_vars": {
                 "ARROW_DEFAULT_MEMORY_POOL": "system",

@@ -4,7 +4,10 @@ Architecture — **document-partitioned segments** (the physical layout the
 reference's OpenSearch/Lucene backend itself uses; one "shard" per doc range):
 
 - **Phase 1 (heavy, streaming, zero shuffle).** ``corpus.map_batches(
-  SegmentBuilder, batch_format="pyarrow", concurrency=N)`` — an actor pool.
+  build_segment, batch_format="pyarrow", concurrency=N)`` — Ray Data tasks
+  (a function UDF: a class UDF would start a fresh actor pool, worker
+  processes and imports, on every build and delta commit — a fixed ~1–3 s
+  floor on a 2-slot host — while the builder's only state is configuration).
   Each batch becomes one immutable *segment*: the builder normalizes +
   tokenizes (vectorized Arrow/numpy, see analyzer.py), computes per-doc term
   frequencies and doc lengths, delta-gap + varbyte encodes every term's
@@ -48,6 +51,7 @@ manifest.py. Reference analogs: per-doc ``pipeline`` ledger resume
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -260,10 +264,12 @@ def encode_postings_streams(
 
 
 class SegmentBuilder:
-    """Actor-pool UDF: one input batch → one on-disk index segment.
+    """Phase-1 builder: one input batch → one on-disk index segment.
 
-    State (output dir, analyzer identity) is set up once per actor in
-    ``__init__``; ``__call__`` does vectorized per-batch work only.
+    ``__init__`` holds only configuration (output dirs, analyzer identity,
+    layout flags) and pins the process's Arrow/allocator settings;
+    ``__call__`` does vectorized per-batch work only. The pipelines run it
+    through ``build_segment``, one builder per batch in a Ray Data task.
     """
 
     def __init__(
@@ -297,16 +303,16 @@ class SegmentBuilder:
         # memory — fetched from the parquet on demand (reindex / hit fetch).
         self.store_source = store_source
         os.makedirs(seg_dir, exist_ok=True)
-        # one actor == one CPU slot: pin Arrow's internal thread pool so N
-        # concurrent actors don't each spawn num_cpus kernel threads and
+        # one builder task == one CPU slot: pin Arrow's internal thread pool
+        # so N concurrent builders don't each spawn num_cpus kernel threads and
         # thrash the node (8× UDF-time inflation observed without this)
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
         # keep glibc from returning big numpy buffers to the OS between
-        # batches: with N concurrent actors the default mmap/munmap churn
+        # batches: with N concurrent builders the default mmap/munmap churn
         # makes every batch re-fault fresh zero pages, serializing on the
         # kernel's memory subsystem (measured 6x per-task CPU inflation at
-        # 24 actors). Raising the mmap/trim thresholds keeps freed arena
+        # 24 builders). Raising the mmap/trim thresholds keeps freed arena
         # memory warm for reuse.
         if not os.environ.get("GRAFT_NO_MALLOPT"):
             import ctypes
@@ -319,8 +325,8 @@ class SegmentBuilder:
                 pass
             # Arrow's bundled jemalloc purges freed batch memory back to the
             # kernel (madvise/munmap) after every batch; with N concurrent
-            # actors that is a TLB-shootdown/zone-lock storm (measured: 60%
-            # sys time, per-actor throughput collapsing 20x at 24 actors).
+            # builders that is a TLB-shootdown/zone-lock storm (measured: 60%
+            # sys time, per-builder throughput collapsing 20x at 24 builders).
             # The glibc system pool + the thresholds above keep pages
             # resident and reused instead.
             pa.set_memory_pool(pa.system_memory_pool())
@@ -484,6 +490,181 @@ class SegmentBuilder:
         return self._meta_row(name, int(n), dl_sum)
 
 
+def build_segment(batch: pa.Table, **builder_kwargs) -> pa.Table:
+    """Phase-1 Ray Data task UDF: one batch → one segment, through a
+    ``SegmentBuilder(**builder_kwargs)``. Both commits (``build_index`` and
+    ``incremental.build_incremental``) map it as a function, so they run on
+    Ray Data's shared task workers; a class UDF would start a new actor pool
+    on every call."""
+    return SegmentBuilder(**builder_kwargs)(batch)
+
+
+def write_segments(ds, meta_dir: str, *, batch_size, concurrency, **builder_kwargs):
+    """Phase 1 of both commits: ``build_segment`` over ``ds`` as Ray Data
+    tasks, at most ``concurrency`` at once, with the segments' meta rows
+    written to ``meta_dir``. Returns the executed Dataset (its ``stats()``
+    split phase 1 per operator)."""
+    metas = ds.map_batches(
+        build_segment,
+        fn_kwargs=builder_kwargs,
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        zero_copy_batch=True,
+        concurrency=concurrency,
+    )
+    metas.write_parquet(meta_dir)
+    return metas
+
+
+def live_partial_files(staging_dir: str, live_segs: set[str]) -> list[str]:
+    """The vocabulary partial files of this commit's segments; leftovers of
+    aborted runs are ignored."""
+    return sorted(
+        os.path.join(staging_dir, f)
+        for f in os.listdir(staging_dir)
+        if f.endswith(".parquet") and f[: -len(".parquet")] in live_segs
+    )
+
+
+def remove_stray_segment_files(seg_dir: str, live: set[str]) -> None:
+    """Delete what a killed or aborted builder left in a commit's segment
+    dir: files of segments outside ``live`` and any unrenamed ``.tmp``."""
+    for fname in os.listdir(seg_dir):
+        if fname.split(".")[0] not in live or fname.endswith(".tmp"):
+            os.remove(os.path.join(seg_dir, fname))
+
+
+def _group_term_stats(tbl: pa.Table) -> pa.Table:
+    """(bucket, term, df, cf) rows summed per (bucket, term)."""
+    return (
+        tbl.group_by(["bucket", "term"])
+        .aggregate([("df", "sum"), ("cf", "sum")])
+        .rename_columns(["bucket", "term", "df", "cf"])
+    )
+
+
+def _bucket_of(path: str) -> int:
+    """Bucket id of a final ``bucket-NNNNN.parquet`` term-stats file."""
+    return int(os.path.basename(path)[len("bucket-") : -len(".parquet")])
+
+
+def _read_bucket_files(files: list[str]) -> list[pa.Table]:
+    """Final term-stats bucket files as (bucket, term, df, cf) tables; the
+    bucket id comes from the ``bucket-NNNNN.parquet`` file name."""
+    out = []
+    for path in files:
+        t = pq.read_table(path, columns=["term", "df", "cf"])
+        out.append(pa.table({
+            "bucket": pa.array(np.full(t.num_rows, _bucket_of(path), np.int32)),
+            "term": t["term"], "df": t["df"], "cf": t["cf"],
+        }))
+    return out
+
+
+def _write_bucket_files(agg: pa.Table, termstats_dir: str) -> None:
+    """agg: (bucket, term, df, cf) — keep df > 0 (a delta's corrections can
+    take a term to 0), slice per bucket, write each sorted by term."""
+    agg = agg.filter(pc.greater(agg["df"], 0))
+    agg = agg.sort_by([("bucket", "ascending"), ("term", "ascending")])
+    bvals = np.asarray(agg["bucket"].combine_chunks(), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(np.concatenate(([-1], bvals))))
+    ends = np.append(starts[1:], bvals.size)
+    for st, en in zip(starts, ends):
+        out = os.path.join(termstats_dir, f"bucket-{int(bvals[st]):05d}.parquet")
+        pq.write_table(agg.slice(st, en - st).select(["term", "df", "cf"]), out + ".tmp")
+        os.replace(out + ".tmp", out)
+
+
+def _preagg_partials(
+    batch: pa.Table, stage_a_dir: str, n_ranges: int, num_buckets: int
+) -> pa.Table:
+    """Tree stage A (a Ray Data task): pre-aggregate one chunk of partial
+    files per (bucket, term) and write it split by contiguous bucket range."""
+    paths = batch["path"].to_pylist()
+    agg = _group_term_stats(
+        pads.dataset(paths).to_table(columns=["bucket", "term", "df", "cf"])
+    ).sort_by([("bucket", "ascending")])
+    bvals = np.asarray(agg["bucket"].combine_chunks(), dtype=np.int64)
+    rng = (bvals * n_ranges) // num_buckets
+    starts = np.flatnonzero(np.diff(np.concatenate(([-1], rng))))
+    ends = np.append(starts[1:], rng.size)
+    stem = hashlib.sha1("\n".join(paths).encode()).hexdigest()[:16]
+    for st, en in zip(starts, ends):
+        out = os.path.join(stage_a_dir, f"range-{int(rng[st]):04d}", f"{stem}.parquet")
+        pq.write_table(agg.slice(st, en - st), out + ".tmp")
+        os.replace(out + ".tmp", out)
+    return pa.table({"chunk": pa.array([stem])})
+
+
+def fold_term_stats(
+    vdir: str, partial_files: list[str], *, num_buckets: int, parent_dir: str | None = None
+) -> None:
+    """Phase 2 of both commits: write the global term-stats bucket files of
+    version dir ``vdir``. Inputs are ``partial_files`` ((bucket, term, df,
+    cf) rows: new-segment partials and, for a delta, its negative
+    corrections) and, for a delta, the parent version's bucket files in
+    ``parent_dir``. Rows are summed per (bucket, term) and terms left at
+    ``df <= 0`` are dropped. Below ``GRAFT_VOCAB_TREE_BYTES`` of input
+    (parent bytes included) the fold runs in this process; above it, as a
+    tree of Ray tasks: stage A pre-aggregates chunks of partial files per
+    bucket range, stage B is one task per range that folds its slices with
+    the parent's bucket files of that range. Every input file is opened
+    exactly once and nothing big is concatenated on the driver."""
+    termstats_dir = os.path.join(vdir, "termstats")
+    shutil.rmtree(termstats_dir, ignore_errors=True)
+    os.makedirs(termstats_dir, exist_ok=True)
+    parent_files = (
+        sorted(glob.glob(os.path.join(parent_dir, "bucket-*.parquet"))) if parent_dir else []
+    )
+    if not (partial_files or parent_files):
+        return
+    in_bytes = sum(os.path.getsize(f) for f in partial_files + parent_files)
+    if in_bytes < int(os.environ.get("GRAFT_VOCAB_TREE_BYTES", 256 * 1024 * 1024)):
+        # the vocabulary fits one process: one read of every input and one
+        # local group_by (the file count, not the byte count, is what made
+        # the old one-file-per-bucket layout slow)
+        parts = _read_bucket_files(parent_files)
+        if partial_files:
+            parts.append(
+                pads.dataset(partial_files).to_table(columns=["bucket", "term", "df", "cf"])
+            )
+        _write_bucket_files(_group_term_stats(pa.concat_tables(parts)), termstats_dir)
+        return
+
+    import ray
+    import ray.data as rd
+
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    n_ranges = min(num_buckets, 4 * ncpu)
+    stage_a_dir = os.path.join(vdir, "staging", "vocab_a")
+    shutil.rmtree(stage_a_dir, ignore_errors=True)
+    for r in range(n_ranges):
+        os.makedirs(os.path.join(stage_a_dir, f"range-{r:04d}"), exist_ok=True)
+    if partial_files:
+        rd.from_items([{"path": f} for f in partial_files]).map_batches(
+            _preagg_partials,
+            fn_kwargs={"stage_a_dir": stage_a_dir, "n_ranges": n_ranges,
+                       "num_buckets": num_buckets},
+            batch_size=max(1, len(partial_files) // (2 * ncpu)),
+            batch_format="pyarrow",
+        ).materialize()
+
+    @ray.remote
+    def finalize_range(r: int) -> None:
+        rdir = os.path.join(stage_a_dir, f"range-{r:04d}")
+        parts = _read_bucket_files(
+            [f for f in parent_files if _bucket_of(f) * n_ranges // num_buckets == r]
+        )
+        files = [os.path.join(rdir, f) for f in sorted(os.listdir(rdir))]
+        if files:
+            parts.append(pads.dataset(files).to_table(columns=["bucket", "term", "df", "cf"]))
+        if parts:
+            _write_bucket_files(_group_term_stats(pa.concat_tables(parts)), termstats_dir)
+
+    ray.get([finalize_range.remote(r) for r in range(n_ranges)])
+    shutil.rmtree(stage_a_dir, ignore_errors=True)
+
+
 def segment_metrics(index_root: str, version: int | None = None) -> "pd.DataFrame":
     """Per-partition lineage + metrics surface (north_rule): one row per
     live segment of a version — doc/term/length stats from the fingerprinted
@@ -608,12 +789,11 @@ def _build_index_impl(
     seg_dir = os.path.join(vdir, "segments")
     staging_dir = os.path.join(vdir, "staging", "partials")
     phase1_marker = os.path.join(vdir, "staging", "phase1.done")
-    termstats_dir = os.path.join(vdir, "termstats")
     os.makedirs(seg_dir, exist_ok=True)
 
     if concurrency is None:
-        # leave ~1/4 of the CPUs for the read and write operators — a pool
-        # that reserves every core starves them and the pipeline serializes
+        # at most this many builder tasks at once: leave ~1/4 of the CPUs
+        # for the read and write operators, or the pipeline serializes
         ncpu = int(ray.cluster_resources().get("CPU", 8))
         concurrency = max(2, (3 * ncpu) // 4)
 
@@ -630,25 +810,20 @@ def _build_index_impl(
         # them idempotent); rewrite only the meta listing
         shutil.rmtree(meta_dir, ignore_errors=True)
         os.makedirs(staging_dir, exist_ok=True)
-        metas = ds.select_columns([id_col, text_col] + list(attr_cols or [])).map_batches(
-            SegmentBuilder,
-            fn_constructor_kwargs={
-                "seg_dir": seg_dir,
-                "id_col": id_col,
-                "text_col": text_col,
-                "num_buckets": num_buckets,
-                "attr_cols": attr_cols,
-                "staging_dir": staging_dir,
-                "store_positions": store_positions,
-                "store_source": store_source,
-                "analyzer_version": analyzer_version,
-            },
-            batch_format="pyarrow",
+        metas = write_segments(
+            ds.select_columns([id_col, text_col] + list(attr_cols or [])), meta_dir,
             batch_size=batch_size,
-            zero_copy_batch=True,
             concurrency=concurrency,
+            seg_dir=seg_dir,
+            id_col=id_col,
+            text_col=text_col,
+            num_buckets=num_buckets,
+            attr_cols=attr_cols,
+            staging_dir=staging_dir,
+            store_positions=store_positions,
+            store_source=store_source,
+            analyzer_version=analyzer_version,
         )
-        metas.write_parquet(meta_dir)
         stats_out = os.environ.get("GRAFT_BUILD_STATS")
         if stats_out:  # diagnostic: per-operator wall/udf breakdown of phase 1
             with open(stats_out, "a") as f:
@@ -664,110 +839,8 @@ def _build_index_impl(
     meta_tbl = read_segment_metas(meta_dir)
     live_segs = set(meta_tbl["seg"].to_pylist())
 
-    # ---- phase 2: global term stats — P independent local group-bys ------
-    import ray.data as rd
-
-    shutil.rmtree(termstats_dir, ignore_errors=True)
-    os.makedirs(termstats_dir, exist_ok=True)
-
-    partial_files = sorted(
-        os.path.join(staging_dir, f)
-        for f in os.listdir(staging_dir)
-        if f.endswith(".parquet") and f[: -len(".parquet")] in live_segs
-    )
-
-    def write_bucket_files(agg: pa.Table) -> list[int]:
-        """agg: (bucket, term, df, cf) — slice per bucket, write sorted."""
-        agg = agg.sort_by([("bucket", "ascending"), ("term", "ascending")])
-        bvals = np.asarray(agg["bucket"].combine_chunks(), dtype=np.int64)
-        starts = np.flatnonzero(np.diff(np.concatenate(([-1], bvals))))
-        ends = np.append(starts[1:], bvals.size)
-        done = []
-        for st, en in zip(starts, ends):
-            b = int(bvals[st])
-            out = os.path.join(termstats_dir, f"bucket-{b:05d}.parquet")
-            pq.write_table(
-                agg.slice(st, en - st).select(["term", "df", "cf"]), out + ".tmp"
-            )
-            os.replace(out + ".tmp", out)
-            done.append(b)
-        return done
-
-    staging_bytes = sum(os.path.getsize(f) for f in partial_files)
-    tree_threshold = int(os.environ.get("GRAFT_VOCAB_TREE_BYTES", 256 * 1024 * 1024))
-    if partial_files:
-        if staging_bytes < tree_threshold:
-            # vocabulary fits comfortably in one worker: a single read of
-            # all per-segment partials + one local group_by (each file is
-            # opened exactly once — the file count, not the byte count, is
-            # what made the old per-bucket-file layout slow)
-            tbl = pads.dataset(partial_files).to_table(
-                columns=["bucket", "term", "df", "cf"]
-            )
-            agg = (
-                tbl.group_by(["bucket", "term"])
-                .aggregate([("df", "sum"), ("cf", "sum")])
-                .rename_columns(["bucket", "term", "df", "cf"])
-            )
-            write_bucket_files(agg)
-        else:
-            # huge vocabulary: tree aggregation. Stage A tasks each read a
-            # disjoint chunk of partial FILES and pre-aggregate (bucket,
-            # term) locally, split by contiguous bucket RANGE, and write each
-            # range slice to staging; stage B is one independent task per
-            # range that re-groups only its ranges' slices and writes the
-            # final bucket files. Every partial file is opened exactly once,
-            # nothing is concatenated on the driver, and the exchange is
-            # filesystem-partitioned (object-store/FS mediated), not
-            # all-to-all.
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-            chunk = max(1, len(partial_files) // (2 * ncpu))
-            n_ranges = min(num_buckets, 4 * ncpu)
-            stage_a_dir = os.path.join(vdir, "staging", "vocab_a")
-            shutil.rmtree(stage_a_dir, ignore_errors=True)
-            for r in range(n_ranges):
-                os.makedirs(os.path.join(stage_a_dir, f"range-{r:04d}"), exist_ok=True)
-
-            def preagg(batch: pa.Table) -> pa.Table:
-                paths = batch["path"].to_pylist()
-                tbl = pads.dataset(paths).to_table(columns=["bucket", "term", "df", "cf"])
-                agg = (
-                    tbl.group_by(["bucket", "term"])
-                    .aggregate([("df", "sum"), ("cf", "sum")])
-                    .rename_columns(["bucket", "term", "df", "cf"])
-                ).sort_by([("bucket", "ascending")])
-                bvals = np.asarray(agg["bucket"].combine_chunks(), dtype=np.int64)
-                rng = (bvals * n_ranges) // num_buckets
-                starts = np.flatnonzero(np.diff(np.concatenate(([-1], rng))))
-                ends = np.append(starts[1:], rng.size)
-                stem = hashlib.sha1("\n".join(paths).encode()).hexdigest()[:16]
-                for st, en in zip(starts, ends):
-                    r = int(rng[st])
-                    out = os.path.join(stage_a_dir, f"range-{r:04d}", f"{stem}.parquet")
-                    pq.write_table(agg.slice(st, en - st), out + ".tmp")
-                    os.replace(out + ".tmp", out)
-                return pa.table({"chunk": pa.array([stem])})
-
-            rd.from_items([{"path": f} for f in partial_files]).map_batches(
-                preagg, batch_size=chunk, batch_format="pyarrow"
-            ).materialize()
-
-            @ray.remote
-            def finalize_range(r: int) -> int:
-                rdir = os.path.join(stage_a_dir, f"range-{r:04d}")
-                files = [os.path.join(rdir, f) for f in sorted(os.listdir(rdir))]
-                if not files:
-                    return 0
-                tbl = pads.dataset(files).to_table(columns=["bucket", "term", "df", "cf"])
-                agg = (
-                    tbl.group_by(["bucket", "term"])
-                    .aggregate([("df", "sum"), ("cf", "sum")])
-                    .rename_columns(["bucket", "term", "df", "cf"])
-                )
-                return len(write_bucket_files(agg))
-
-            ray.get([finalize_range.remote(r) for r in range(n_ranges)])
-            shutil.rmtree(stage_a_dir, ignore_errors=True)
+    # ---- phase 2: global term stats (the fold the delta commit shares) ---
+    fold_term_stats(vdir, live_partial_files(staging_dir, live_segs), num_buckets=num_buckets)
     t2 = time.time()
 
     # ---- manifest from per-segment meta rows -----------------------------
@@ -787,11 +860,7 @@ def _build_index_impl(
         }
         for s, nd, dls in zip(seg_names, seg_docs, seg_dls)
     ]
-    live = set(seg_names)
-    for fname in os.listdir(seg_dir):  # GC segments from aborted prior attempts
-        stem = fname.split(".")[0]
-        if stem not in live:
-            os.remove(os.path.join(seg_dir, fname))
+    remove_stray_segment_files(seg_dir, set(seg_names))
 
     build_sec = time.time() - t0
     man = {

@@ -23,6 +23,7 @@ from . import bm25
 from .query import (
     IndexReader,
     _topk,
+    check_counts,
     exclude_terms,
     iter_matches,
     match_one_segment,
@@ -143,6 +144,7 @@ def more_like_this(
 ) -> pa.Table:
     """Similar documents: OR query over the doc's top tf·idf terms, the doc
     itself excluded (similarity endpoint analog)."""
+    check_counts(k=k)
     terms = doc_top_terms(reader, doc_id, max_terms=max_terms)
     if not terms:
         return reader.search("", k=k)
@@ -200,6 +202,7 @@ def highlight_topk(
     Dataset (never a full collect); the per-snippet string work is O(k)
     driver work.
     """
+    check_counts(k=k)
     import ray
 
     res = reader.search(query_text, k=k, mode="and").to_pandas()
@@ -357,6 +360,7 @@ def mine_hard_negatives(
     the post-hoc anti-join can never starve the result; ranks are
     renumbered 1..k after exclusion. Returns (query, rank, doc_id, score),
     scores rounded to 4."""
+    check_counts(k=k)
     queries = list(pairs)
     empty = pd.DataFrame({
         "query": pd.Series(dtype=object),
@@ -502,6 +506,7 @@ def search_after(
     rounding the API response carries). Deep cursors score each segment's
     full match set — the per-shard cost ES pays on deep pagination too —
     rather than inflating a top-k heap by the cursor depth."""
+    check_counts(k=k)
     prep = reader.prepare(query_text, mode)
     if prep.empty:
         return _no_hits()
@@ -577,6 +582,7 @@ def fuzzy_search(
     Levenshtein edits sharing the first ``prefix_length`` chars — the same
     prefix-bounded candidate walk did_you_mean uses — then score the
     expansion as a disjunction, each term with its own idf."""
+    check_counts(k=k)
     tok = _single_token(reader, query_text, "fuzzy_search takes exactly one token")
     terms = _fuzzy_terms(reader, tok, max_edits, prefix_length)[:max_expansions]
     return reader._search_terms(terms, k, "or").to_pandas()
@@ -610,6 +616,7 @@ def match_fuzzy(
     lexicographically (Lucene rewrite cap) and scored as one disjunction
     with per-term idf — so a typo'd token still contributes its neighbors'
     postings next to the clean tokens'."""
+    check_counts(k=k)
     union = {
         t for tok in reader.prepare(query_text, "or").terms if len(tok) >= prefix_length
         for t in _fuzzy_terms(reader, tok, max_edits, prefix_length)
@@ -771,6 +778,7 @@ def author_suggestions(
     then a LOCAL top-k cut — merge fan-in is O(segments × k). Scores round
     to 4 before the cut with doc_id tie-break, so oracle LIMIT selection is
     identical."""
+    check_counts(k=k)
     name_norm = author_name.strip().lower()
     docs_parts, score_parts = [], []
     for seg, _, docs, scores in scored_query(reader, author_name, "or"):
@@ -816,6 +824,7 @@ def search_collapse(
     merge fan-in is O(segments × distinct values), never O(matches).
     Scores are rounded to 4 decimals BEFORE group selection on both engine
     and oracle sides, so representative choice is byte-identical."""
+    check_counts(k=k)
     empty = pd.DataFrame({
         field: pd.Series(dtype=object),
         "doc_id": pd.Series(dtype=np.int64),
@@ -1091,6 +1100,7 @@ def search_boosted_terms(
     term-query sum, implemented by scaling the term's idf before the
     existing exhaustive scorer (contribution is linear in idf, so no new
     scoring path)."""
+    check_counts(k=k)
     boosts = parse_boosted_query(query_text, reader.analyzer_version)
     prep = prepare_terms(boosts, "or", reader.df, reader.n_docs)
     idf_map = {t: idf * boosts[t] for t, idf in prep.idf.items()}
@@ -1116,6 +1126,7 @@ def boosted_terms_sql(
 ) -> str:
     """Oracle for search_boosted_terms: bm25_sql's OR scorer with each
     term's contribution multiplied by its boost."""
+    check_counts(k=k)
     from . import oracle as _oracle
 
     boosts = parse_boosted_query(query_text)
@@ -1169,6 +1180,7 @@ def search_span_near(
     same bound Lucene's span iterator pays); each candidate's minimal
     window is the classic two-pointer sweep over its term-tagged position
     multiset. Requires ``store_positions=True``."""
+    check_counts(k=k)
     empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
                           "span_w": pd.Series(dtype=np.int64)})
     terms = reader.prepare(phrase, "and").terms
@@ -1245,6 +1257,7 @@ def span_near_sql(
 ) -> str:
     """Oracle for search_span_near: per-term position lists, T-way join,
     min over combos of (greatest − least + 1)."""
+    check_counts(k=k)
     terms = sorted(set(analyzer.tokenize_query(phrase)))
     W = len(terms) + slop
     tok = analyzer.sql_tokenize_expr(text_col)
@@ -1348,6 +1361,7 @@ def search_boosting(
     Per segment the negative set is one unscored match enumeration; the
     demotion mask is a sorted membership test, so the negative query adds
     posting decode but no extra exchange."""
+    check_counts(k=k)
     nbn = round(negative_boost * 10)
     if abs(nbn / 10.0 - negative_boost) > 1e-9:
         raise ValueError("negative_boost must be a multiple of 0.1 for exact ranking")
@@ -1409,6 +1423,7 @@ def search_parents(
     Driver merge is O(segments × parents-with-hits); at 100 TB that merge
     becomes one small Dataset groupby over the partial rows, same combiner.
     """
+    check_counts(k=k)
     empty = pd.DataFrame({
         parent_field: pd.Series(dtype=object),
         "score": pd.Series(dtype=np.float64),
@@ -1598,6 +1613,7 @@ def rescore(
     Window membership and the final order both use 4-decimal-rounded
     component scores with doc_id tie-break, so the oracle's LIMIT-based cut
     selects the identical window. Needs ``store_positions=True``."""
+    check_counts(k=k)
     empty = _no_hits()
     prim = reader.search(query_text, k=2**31, mode=mode).to_pandas()
     if prim.empty:
@@ -1635,6 +1651,7 @@ def search_random(
     Fully vectorized and exact-integer (the same shared hash
     ops/sampling.py uses), so engine and oracle agree byte-identically.
     Each segment contributes only its local k smallest keys to the merge."""
+    check_counts(k=k)
     from ..ops.sampling import _KNUTH, _MOD
 
     empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
@@ -1787,6 +1804,7 @@ def search_span_first(
     contract as search_phrase/search_proximity). One positional decode of
     the single term per segment; a reduceat over posting boundaries counts
     qualifying positions — no per-doc loop."""
+    check_counts(k=k)
     tok = _single_token(reader, term, "span_first takes exactly one term")
 
     def match(seg):
@@ -1821,6 +1839,7 @@ def search_match_phrase_prefix(
     (doc,start)-keys are intersected ONCE, then each expansion only
     intersects its own positions against that chain — the lead terms are
     never re-decoded per expansion."""
+    check_counts(k=k)
     toks = analyzer.tokenize_query(phrase, reader.analyzer_version)  # order kept
     if not toks:
         return _no_hits()
@@ -1950,6 +1969,7 @@ def search_pinned(
     organic matches with pinned ids removed. Organic order is the rounded-
     score total order with doc-id tie-break (the search_after/cursor
     contract). Returns (rank, doc_id, pinned)."""
+    check_counts(k=k)
     organic = reader.search(
         query_text, k=k + len(pinned_ids), mode=mode
     ).to_pandas()
@@ -1979,6 +1999,7 @@ def search_exists(
     ``field`` attribute is non-null scores exactly ``boost`` (filter
     context — no stats, no postings touched), ordered by doc id. The
     match_all + filter degenerate case of the query DSL."""
+    check_counts(k=k)
     import pyarrow.compute as _pc
 
     parts = []
@@ -2106,6 +2127,7 @@ def search_bool(
     empty ``must``, should-terms become the match set — plain OR.) Scoring
     order is fixed (sorted term order, must and should interleaved by term
     string) so scores are bit-comparable with the oracle's grouped sum."""
+    check_counts(k=k)
     must_terms = reader.prepare(must, "and").terms
     should_terms = reader.prepare(should, "or").terms
     neg_terms = reader.prepare(must_not, "or").terms
@@ -2240,6 +2262,7 @@ def assemble_context(
     touched until the caller fetches the chosen docs. Ordering is the
     rounded-score total order with doc-id tie-break (the cursor contract).
     Returns (rank, doc_id, n_tokens, cum_tokens)."""
+    check_counts(k_max=k_max)
     ranked = reader.search(query_text, k=k_max, mode=mode).to_pandas()
     if ranked.empty:
         return pd.DataFrame({
@@ -2320,6 +2343,7 @@ def search_query_string(
     (per-expansion idf, the search_prefix contract). Expansion sets are
     global and lexicographically capped. Requires positions when the query
     has phrases."""
+    check_counts(k=k)
     c = parse_query_string(qs, reader.analyzer_version)
     plain, prefixes, negs = c["plain"], c["prefixes"], c["negs"]
     phrases = [analyzer.tokenize_query(h, reader.analyzer_version) for h in c["phrases"]]
@@ -2443,6 +2467,7 @@ def search_span_not(
     positions pack into ``(local_doc << 31) | pos`` keys; a binary-search
     range probe per include token finds whether an exclude key lands in
     its ±distance window — no per-doc loop."""
+    check_counts(k=k)
     what = "span_not takes exactly one include and one exclude term"
     inc = _single_token(reader, include_term, what)
     exc = _single_token(reader, exclude_term, what)
@@ -2718,6 +2743,7 @@ def search_match_bool_prefix(
     prefix ranges, lexicographically capped at ``max_expansions`` (the
     Lucene MultiTermQuery rewrite contract shared by match_fuzzy /
     wildcard); the fixed lead terms are always scored, cap or not."""
+    check_counts(k=k)
     toks = analyzer.tokenize_query(query_text, reader.analyzer_version)  # last = prefix
     expansions = reader.terms_with_prefix(toks[-1])[:max_expansions] if toks else []
     out = reader._search_terms(toks[:-1] + expansions, k, "or").to_pandas()
@@ -2745,6 +2771,7 @@ def search_terms_set(
     score aggregation (the or_exhaustive shape), per-doc match counts from
     the posting-stream run lengths, the minimum vector gathered in ONE
     ``attr_values`` take — no per-doc Python."""
+    check_counts(k=k)
     prep = prepare_terms(terms, "or", reader.df, reader.n_docs)
     parts = []
     for seg, uniq, sums, n_matched in _term_sums(reader, prep):
@@ -2802,6 +2829,7 @@ def search_span_or(
     tf = TOTAL occurrences of any clause term in the doc, df = live docs
     with >=1 occurrence, one shared idf. Positions are not needed — the
     union's occurrence count is just the sum of the clause tfs."""
+    check_counts(k=k)
     return _span_or_terms(reader, reader.prepare(terms_text, "or").terms, k)
 
 
@@ -2835,6 +2863,7 @@ def search_span_multi(
     (tf = total occurrences of ANY expanded term, one shared df/idf).
     Deliberately different ranking from ``search_prefix``'s per-term-idf
     disjunction — the degeneracy test asserts they diverge."""
+    check_counts(k=k)
     pfx = _single_token(reader, prefix, "span_multi prefix must normalize to exactly one token")
     return _span_or_terms(reader, reader.terms_with_prefix(pfx)[:max_expansions], k)
 
@@ -2891,6 +2920,7 @@ def search_span_containing(
     span-family contract shared with span_near/span_first/span_not).
     Fully vectorized: packed (doc << 31 | pos) keys, two binary searches
     per side, run-length pair materialization — no per-doc loop."""
+    check_counts(k=k)
     what = "span_containing takes single-token clauses"
     t1, t2, t3 = (_single_token(reader, x, what) for x in (big[0], big[1], little))
     if mode not in ("containing", "within"):
@@ -3226,6 +3256,7 @@ def search_function_score(
     boosts invalidate block-max upper bounds, so scoring is exhaustive per
     segment (the recency/rank_feature contract); per-segment top-k after
     the multiply is exact because the decay is per-doc."""
+    check_counts(k=k)
     import math
 
     ln_decay = math.log(decay)
@@ -3265,6 +3296,7 @@ def search_has_parent(
     (one row per parent-with-hits); child enumeration is one broadcast-map
     pass over each segment's parent-key sidecar (at 100 TB: broadcast the
     parent score table, map_batches over the doc sidecars)."""
+    check_counts(k=k)
     empty = _no_hits()
     parents = search_parents(
         reader, parent_query, parent_field=parent_field, k=2**31,
@@ -3320,6 +3352,7 @@ def search_intervals(
     after the current one minimizes the chain's end for a given anchor, so
     an anchor has a valid chain iff its greedy chain is valid — one
     vectorized searchsorted per link, no per-doc loop."""
+    check_counts(k=k)
     toks = analyzer.tokenize_query(terms_text, reader.analyzer_version)  # order kept
     if len(toks) < 2:
         raise ValueError("intervals needs at least two ordered tokens")

@@ -19,9 +19,10 @@ Here an incremental build creates a NEW immutable version that:
 - keeps global BM25 stats **exact** (not Lucene-style stale): for each
   carried segment that contains newly tombstoned live docs, the builder
   decodes it once and emits NEGATIVE (term, -df, -cf) correction partials;
-  the per-bucket term-stats combine then sums old stats + new-segment
-  partials + corrections. This is what makes "incremental + delta ≡ full
-  rebuild of the merged corpus" hold rank-identically (tested).
+  the build's phase-2 fold (``build.fold_term_stats``) then sums the
+  parent's bucket files + new-segment partials + corrections. This is what
+  makes "incremental + delta ≡ full rebuild of the merged corpus" hold
+  rank-identically (tested).
 
 Cost model at scale: new-segment build ∝ delta size; corrections ∝ postings
 of affected carried segments only; term-stats combine ∝ vocabulary. Nothing
@@ -30,7 +31,6 @@ touches unaffected segments.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import time
@@ -38,12 +38,16 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from . import build
 from . import manifest as mf
-from .build import META_TERM, NUM_TERM_BUCKETS, PARTIAL_SCHEMA, SegmentBuilder, term_buckets
-from .query import SegmentReader
+from .build import NUM_TERM_BUCKETS, PARTIAL_SCHEMA, term_buckets
+
+
+def _active_rows(batch: pa.Table, state_col: str) -> pa.Table:
+    """The delta rows that become new segments (``state == "active"``)."""
+    return batch.filter(pc.equal(batch[state_col], "active"))
 
 
 def _correction_partials(
@@ -208,7 +212,6 @@ def _build_incremental_impl(
     recorded in ``lineage.integrity``. A bad delta therefore cannot wipe the
     serving index. Pass ``integrity_check=False`` to force promotion."""
     import ray
-    import ray.data as rd
 
     t0 = time.time()
     prev = mf.read_manifest(index_root)
@@ -218,7 +221,6 @@ def _build_incremental_impl(
     vdir = mf.version_dir(index_root, version)
     seg_dir = os.path.join(vdir, "segments")
     staging_dir = os.path.join(vdir, "staging", "partials")
-    termstats_dir = os.path.join(vdir, "termstats")
     for d in (seg_dir, staging_dir):
         os.makedirs(d, exist_ok=True)
 
@@ -230,42 +232,37 @@ def _build_incremental_impl(
     delta_ids_tbl = delta_ds.select_columns([id_col, state_col]).to_pandas()
     new_tomb_ids = np.sort(delta_ids_tbl[id_col].to_numpy(dtype=np.int64))
     active = delta_ds.map_batches(
-        lambda t: t.filter(pc.equal(t[state_col], "active")),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+        _active_rows, fn_kwargs={"state_col": state_col},
+        batch_format="pyarrow", zero_copy_batch=True,
     )
 
     # ---- phase 1: new segments from delta actives --------------------------
+    t_p1 = time.time()
     meta_dir = os.path.join(vdir, "staging", "meta")
     shutil.rmtree(meta_dir, ignore_errors=True)
     attr_cols = list(prev.get("attr_cols") or [])
-    metas = active.select_columns([id_col, text_col] + attr_cols).map_batches(
-        SegmentBuilder,
-        fn_constructor_kwargs={
-            "seg_dir": seg_dir,
-            "id_col": id_col,
-            "text_col": text_col,
-            "num_buckets": num_buckets,
-            "staging_dir": staging_dir,
-            # delta segments inherit the parent's attribute layout so
-            # filtered search keeps working on post-delta docs
-            "attr_cols": attr_cols,
-            # delta segments inherit the parent's positional layout so a
-            # version never mixes phrase-capable and phrase-less segments
-            "store_positions": bool(prev.get("positions", False)),
-            # ... and its _source layout so reindex keeps working post-delta
-            "store_source": bool(prev.get("store_source", False)),
-        },
-        batch_format="pyarrow",
+    build.write_segments(
+        active.select_columns([id_col, text_col] + attr_cols), meta_dir,
         batch_size=batch_size,
-        zero_copy_batch=True,
         concurrency=concurrency,
+        seg_dir=seg_dir,
+        id_col=id_col,
+        text_col=text_col,
+        num_buckets=num_buckets,
+        staging_dir=staging_dir,
+        # delta segments inherit the parent's attribute layout so filtered
+        # search keeps working on post-delta docs
+        attr_cols=attr_cols,
+        # delta segments inherit the parent's positional layout so a version
+        # never mixes phrase-capable and phrase-less segments
+        store_positions=bool(prev.get("positions", False)),
+        # ... and its _source layout so reindex keeps working post-delta
+        store_source=bool(prev.get("store_source", False)),
     )
-    metas.write_parquet(meta_dir)
-    from .build import read_segment_metas
-
-    meta_tbl = read_segment_metas(meta_dir)
+    meta_tbl = build.read_segment_metas(meta_dir)
     live_segs = set(meta_tbl["seg"].to_pylist())
+    build.remove_stray_segment_files(seg_dir, live_segs)
+    t_corr = time.time()
 
     # ---- corrections for carried segments ---------------------------------
     # one Ray task per carried segment (the same fan-out compact() uses) —
@@ -312,63 +309,19 @@ def _build_incremental_impl(
             corrections.append(tbl)
         n_removed += nr
         dl_removed += dlr
+    partial_files = build.live_partial_files(staging_dir, live_segs)
+    if corrections:
+        corr_path = os.path.join(vdir, "staging", "corrections.parquet")
+        pq.write_table(pa.concat_tables(corrections), corr_path)
+        partial_files.append(corr_path)
+    t_ts = time.time()
 
-    # ---- term stats: old per-bucket stats + new partials + corrections ----
-    shutil.rmtree(termstats_dir, ignore_errors=True)
-    os.makedirs(termstats_dir, exist_ok=True)
-    old_ts_dir = os.path.join(index_root, prev["termstats"])
-    corr_all = (
-        pa.concat_tables(corrections) if corrections else PARTIAL_SCHEMA.empty_table()
+    # ---- term stats: parent stats + new-segment partials + corrections ----
+    build.fold_term_stats(
+        vdir, partial_files, num_buckets=num_buckets,
+        parent_dir=os.path.join(index_root, prev["termstats"]),
     )
-    # new-segment partials: one (term, df, cf, bucket) file per segment
-    partial_files = sorted(
-        os.path.join(staging_dir, f)
-        for f in os.listdir(staging_dir)
-        if f.endswith(".parquet") and f[: -len(".parquet")] in live_segs
-    )
-    delta_parts = [corr_all.select(["bucket", "term", "df", "cf"])]
-    if partial_files:
-        delta_parts.append(
-            pads.dataset(partial_files).to_table(columns=["bucket", "term", "df", "cf"])
-        )
-    delta_tbl = pa.concat_tables(delta_parts)
-    delta_agg = (
-        delta_tbl.group_by(["bucket", "term"])
-        .aggregate([("df", "sum"), ("cf", "sum")])
-        .rename_columns(["bucket", "term", "df", "cf"])
-    )
-    delta_ref = ray.put(delta_agg)
-
-    def combine_bucket(batch: pa.Table) -> pa.Table:
-        delta = ray.get(delta_ref)
-        done = []
-        for b in batch["id"].to_pylist():
-            parts = []
-            old_path = os.path.join(old_ts_dir, f"bucket-{b:05d}.parquet")
-            if os.path.exists(old_path):
-                parts.append(pq.read_table(old_path, columns=["term", "df", "cf"]))
-            dsel = delta.filter(pc.equal(delta["bucket"], b)).select(["term", "df", "cf"])
-            if dsel.num_rows:
-                parts.append(dsel)
-            if not parts:
-                continue
-            tbl = pa.concat_tables(parts)
-            agg = (
-                tbl.group_by("term")
-                .aggregate([("df", "sum"), ("cf", "sum")])
-                .rename_columns(["term", "df", "cf"])
-            )
-            agg = agg.filter(pc.greater(agg["df"], 0))
-            agg = agg.take(pc.sort_indices(agg["term"]))
-            out = os.path.join(termstats_dir, f"bucket-{b:05d}.parquet")
-            pq.write_table(agg, out + ".tmp")
-            os.replace(out + ".tmp", out)
-            done.append(b)
-        return pa.table({"bucket": pa.array(done, pa.int64())})
-
-    rd.range(num_buckets).map_batches(
-        combine_bucket, batch_size=1, batch_format="pyarrow"
-    ).materialize()
+    t_man = time.time()
 
     # ---- manifest ----------------------------------------------------------
     new_segs = [
@@ -413,6 +366,9 @@ def _build_incremental_impl(
             "removed_docs": n_removed,
         },
         "metrics": {
+            "phase1_sec": round(t_corr - t_p1, 3),
+            "corrections_sec": round(t_ts - t_corr, 3),
+            "termstats_sec": round(t_man - t_ts, 3),
             "build_sec": round(time.time() - t0, 3),
             "n_new_segments": len(new_segs),
             "n_carried_segments": len(carried),

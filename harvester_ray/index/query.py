@@ -911,6 +911,15 @@ def shared_analyzer_version(readers) -> str:
     return next(iter(versions.values()))
 
 
+def check_counts(**counts: int) -> None:
+    """Raise ``ValueError`` naming the first negative count (``k``,
+    ``slop``, ``page_size``, …) before a surface does any work; a negative
+    top-k would otherwise silently drop rows."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 class SearchSurfaces:
     """The query surfaces, each written once over one index's constants:
     prepare the query with the index's analyzer and term stats, run one
@@ -946,9 +955,7 @@ class SearchSurfaces:
         """What every surface runs before any work: the backend can answer,
         and no count (``k``, ``slop``, ``page_size``) is negative."""
         self._pool()
-        for name, value in counts.items():
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        check_counts(**counts)
 
     def df(self, terms: list[str]) -> dict[str, int]:
         return self._termstats.df(terms)
@@ -982,9 +989,18 @@ class SearchSurfaces:
         round-robin, so they are iid corpus samples and an actor's local θ
         is already ≈ the global one: a second round seeding a global θ
         measured 4–5 ms slower at every pool size (BASELINE.md)."""
+        return self._topk(*self._search_plan(
+            query_text, k, mode, filters, recency, must_not, min_should_match
+        ))
+
+    def _search_plan(
+        self, query_text, k, mode, filters, recency, must_not, min_should_match
+    ) -> tuple:
+        """``search``'s checks and query prep: the arguments of its
+        ``_topk``, which the async path runs later."""
         self._check(k=k)
         neg_terms = self.prepare(must_not, "or").terms if must_not else None
-        return self._topk(
+        return (
             self.prepare(query_text, mode), k, mode, filters, recency, neg_terms,
             min_should_match,
         )
@@ -1878,20 +1894,24 @@ class QueryService(SearchSurfaces):
         mode: str = "and",
         filters: dict[str, list] | None = None,
         recency: dict | None = None,
+        must_not: str | None = None,
+        min_should_match: int | None = None,
     ) -> str:
-        """ES ``_async_search`` submit: prepare the query, hand its fan-out
-        to the service's async-search thread and return a search id
-        immediately. A query without live terms resolves here. The future
-        is the async state: ``status`` asks whether it is done, ``get``
-        blocks on it, ``delete`` cancels it if it has not started."""
-        self._check(k=k)
+        """ES ``_async_search`` submit: takes ``search``'s arguments,
+        checks and prepares the query here, hands its fan-out to the
+        service's async-search thread and returns a search id immediately.
+        A query without live terms resolves here. The future is the async
+        state: ``status`` asks whether it is done, ``get`` blocks on it,
+        ``delete`` cancels it if it has not started."""
+        plan = self._search_plan(
+            query_text, k, mode, filters, recency, must_not, min_should_match
+        )
         sid = f"async-{next(self._async_ids)}"
-        prep = self.prepare(query_text, mode)
-        if prep.empty:
+        if plan[0].empty:
             fut: Future = Future()
             fut.set_result(_empty_result())
         else:
-            fut = self._executor.submit(self._topk, prep, k, mode, filters, recency)
+            fut = self._executor.submit(self._topk, *plan)
         self._async[sid] = fut
         return sid
 

@@ -857,3 +857,48 @@ def test_has_parent_inherits_and_orders():
     by_conv = dict(zip(parents["conv"], parents["score"]))
     assert got["score"].iloc[0] == by_conv["c2"]
     assert got["score"].iloc[2] == by_conv["c1"]
+
+
+def _count_params(fn) -> list[str]:
+    import inspect
+
+    return [p for p in inspect.signature(fn).parameters if p == "k" or p.startswith("k_")]
+
+
+TOPK_FUNCTIONS = sorted(
+    name for name, fn in vars(extras).items()
+    if callable(fn) and getattr(fn, "__module__", None) == extras.__name__
+    and not name.startswith("_") and _count_params(fn)
+)
+
+
+def test_topk_functions_found():
+    assert {"search_after", "search_collapse", "assemble_context"} <= set(TOPK_FUNCTIONS)
+
+
+@pytest.mark.parametrize("name", TOPK_FUNCTIONS)
+def test_negative_k_raises_before_any_work(name):
+    """Every extras function that takes a top-k count rejects a negative
+    one the way the shared surfaces do, before touching its other
+    arguments (they are all None here), instead of silently dropping
+    rows."""
+    import inspect
+
+    fn = getattr(extras, name)
+    params = inspect.signature(fn).parameters
+    args = {
+        p: None for p, spec in params.items()
+        if spec.default is inspect.Parameter.empty
+    }
+    for count in _count_params(fn):
+        with pytest.raises(ValueError, match=f"^{count} must be >= 0, got -1$"):
+            fn(**{**args, count: -1})
+
+
+def test_negative_k_no_longer_drops_rows(idx):
+    reader = query.IndexReader(idx)
+    assert len(extras.search_after(reader, "spark", k=3, mode="or")) == 3
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        extras.search_after(reader, "spark", k=-1, mode="or")
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        extras.search_collapse(reader, "spark", field="source", k=-1, mode="or")

@@ -1,5 +1,10 @@
+import json
+import os
+import shutil
+
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
@@ -250,3 +255,97 @@ def test_delete_by_query_exact_stats(tmp_path, ray_session):
     a = query.IndexReader(root).search("customer query big", k=10, mode="or").to_pandas()
     b = query.IndexReader(fresh).search("customer query big", k=10, mode="or").to_pandas()
     pd.testing.assert_frame_equal(a, b)
+
+
+def _term_stats(root: str, man: dict):
+    import pyarrow.dataset as pads
+
+    return (
+        pads.dataset(os.path.join(root, man["termstats"]))
+        .to_table()
+        .sort_by([("term", "ascending")])
+    )
+
+
+def _copies_of(tmp_path, src: str, names: list[str]) -> list[str]:
+    roots = [str(tmp_path / n) for n in names]
+    for r in roots:
+        shutil.copytree(src, r)
+    return roots
+
+
+def test_delta_metrics_split_the_commit(setup):
+    """A delta manifest times its layers like the build's does: phase 1,
+    the carried-segment corrections and the term-stats fold, each
+    non-negative and together within ``build_sec``."""
+    _, _, _, inc_root, _, _ = setup
+    m = mf.read_manifest(inc_root)["metrics"]
+    parts = [m["phase1_sec"], m["corrections_sec"], m["termstats_sec"]]
+    assert all(p >= 0 for p in parts), m
+    assert sum(parts) <= m["build_sec"], m
+
+
+def test_delta_term_stats_tree_path_matches_in_process(setup, tmp_path, monkeypatch):
+    """The delta's term-stats fold gives the same stats whether it runs in
+    process or as the tree of tasks (GRAFT_VOCAB_TREE_BYTES=0), and both
+    equal a full rebuild of the merged corpus: terms that only the deleted
+    or modified docs held are dropped, not kept at df 0."""
+    base, _, _, _, full1_root, _ = setup
+    base_root = str(tmp_path / "base")
+    build.build_index(rd.from_pandas(base), base_root, concurrency=2, batch_size=100)
+    got = {}
+    for name, tree_bytes in (("proc", None), ("tree", "0")):
+        (root,) = _copies_of(tmp_path, base_root, [name])
+        if tree_bytes is not None:
+            monkeypatch.setenv("GRAFT_VOCAB_TREE_BYTES", tree_bytes)
+        man = incremental.build_incremental(root, rd.from_pandas(_delta1(base)))
+        got[name] = _term_stats(root, man)
+    want = _term_stats(full1_root, mf.read_manifest(full1_root))
+    assert got["proc"].num_rows > 0
+    assert got["proc"].equals(got["tree"])
+    assert got["proc"].equals(want)
+    assert pc.min(got["proc"]["df"]).as_py() > 0
+
+
+def test_builder_death_mid_delta_commits_identically(setup, tmp_path, killing_build_segment):
+    """Chaos on the delta commit: a builder worker process dies mid-write
+    (leaving a partial ``.bin.tmp``). The retried task must commit the same
+    version as an undisturbed delta: byte-identical segments, equal term
+    stats and doc counts, a clean fsck and no file left in the new
+    version's segment dir that the manifest does not name."""
+    from harvester_ray.index.fsck import fsck
+
+    base = setup[0]
+    base_root = str(tmp_path / "base")
+    build.build_index(rd.from_pandas(base), base_root, concurrency=2, batch_size=100)
+    ref_root, chaos_root = _copies_of(tmp_path, base_root, ["ref", "chaos"])
+    delta = _delta1(base)
+    ref = incremental.build_incremental(ref_root, rd.from_pandas(delta), batch_size=5)
+    flag = str(tmp_path / "killed.flag")
+    with killing_build_segment(flag):
+        got = incremental.build_incremental(chaos_root, rd.from_pandas(delta), batch_size=5)
+    assert os.path.exists(flag), "the killing builder never fired"
+
+    assert mf.current_version(chaos_root) == got["version"] == ref["version"]
+    assert (got["n_docs"], got["dl_sum"]) == (ref["n_docs"], ref["dl_sum"])
+    assert got["segments"] == ref["segments"]
+    new = [s for s in got["segments"] if s["created_version"] == got["version"]]
+    assert len(new) == 3
+    for seg in new:
+        for ext in (".terms.parquet", ".docs.parquet", ".bin", ".done"):
+            with open(os.path.join(ref_root, seg["path"] + ext), "rb") as a, \
+                    open(os.path.join(chaos_root, seg["path"] + ext), "rb") as b:
+                if ext == ".done":  # the marker carries the encode wall time
+                    assert json.load(a)["fingerprint"] == json.load(b)["fingerprint"]
+                else:
+                    assert a.read() == b.read(), seg["name"] + ext
+    assert _term_stats(chaos_root, got).equals(_term_stats(ref_root, ref))
+    report = fsck(chaos_root)
+    assert report["ok"], report["errors"]
+
+    seg_dir = os.path.join(chaos_root, f"v{got['version']}", "segments")
+    named = {
+        s["name"] + ext for s in new
+        for ext in (".terms.parquet", ".docs.parquet", ".bin", ".done")
+    }
+    assert set(os.listdir(seg_dir)) == named

@@ -518,3 +518,28 @@ def test_reader_and_service_answer_every_surface_identically(parity_roots, fixtu
     assert all(len(t) == 0 for t in local["msearch k=0"])
     ids = np.concatenate([_frame(local[n])["doc_id"].to_numpy() for n in ("search or", "search_phrase")])
     assert ((ids >= BIG) == (fixture == "big_ids")).all()
+
+
+def test_async_submit_takes_searchs_arguments():
+    """``submit`` cannot drift from ``search`` again: same parameters,
+    defaults included."""
+    import inspect
+
+    assert (inspect.signature(query.QueryService.submit).parameters
+            == inspect.signature(query.SearchSurfaces.search).parameters)
+
+
+@pytest.mark.parametrize("fixture", ["v1", "v2"])
+def test_async_submit_answers_like_search(parity_roots, fixture):
+    svc = query.QueryService(parity_roots[fixture], num_actors=2)
+    try:
+        for kwargs in ({"must_not": "engines"}, {"min_should_match": 2},
+                       {"filters": FILTERS, "must_not": "engines", "min_should_match": 2}):
+            want = svc.search(QUERY, k=10, mode="or", **kwargs)
+            got = svc.get(svc.submit(QUERY, k=10, mode="or", **kwargs))
+            assert len(want) > 0, kwargs
+            assert got.equals(want, check_metadata=True), kwargs
+        with pytest.raises(ValueError, match=re.escape("k must be >= 0, got -1")):
+            svc.submit(QUERY, k=-1, must_not="engines")
+    finally:
+        svc.shutdown()

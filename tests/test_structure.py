@@ -3,7 +3,8 @@ reader's decoded-data cache, the service's actor dispatch and the query
 surfaces each live in one place, so per-surface copies (which once analyzed
 every query as v1, whatever the index's analyzer, and let the service drift
 from the reader), per-segment LRUs (bounded by entry count, not bytes) and
-per-surface RPC paths cannot grow back."""
+per-surface RPC paths cannot grow back. The build and delta commits map
+module-level functions, so no per-call actor pool grows back either."""
 
 import ast
 import pathlib
@@ -152,6 +153,34 @@ def test_query_service_inherits_every_query_surface():
             defined.update(ast.unparse(t) for t in targets)
     assert defined <= SERVICE_DEFINES, f"QueryService defines {sorted(defined - SERVICE_DEFINES)}"
     assert [ast.unparse(b) for b in cls.bases] == ["SearchSurfaces"]
+
+
+# The two index commits. A class UDF would make Ray Data start a new actor
+# pool (worker processes and imports, 1.5–3 s) on every call.
+COMMIT_MODULES = ("index/build.py", "index/incremental.py")
+
+
+@pytest.mark.parametrize("rel", COMMIT_MODULES)
+def test_commits_map_module_level_functions(rel):
+    path = PKG / rel
+    tree = ast.parse(path.read_text())
+    functions = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    calls = [
+        n for n, _ in _module_calls(path)
+        if isinstance(n.func, ast.Attribute) and n.func.attr == "map_batches"
+    ]
+    assert calls
+    for node in calls:
+        fn = node.args[0] if node.args else next(k.value for k in node.keywords if k.arg == "fn")
+        assert isinstance(fn, ast.Name) and fn.id in functions, ast.unparse(node)
+        assert "fn_constructor_kwargs" not in {k.arg for k in node.keywords}, ast.unparse(node)
+
+
+def test_delta_term_stats_run_no_dataset_pipeline():
+    """The delta folds its term stats through the build's phase-2 fold, not
+    a Dataset of its own."""
+    src = (PKG / "index/incremental.py").read_text()
+    assert "rd.range(" not in src and ".materialize()" not in src
 
 
 def test_guard_sees_the_allowed_calls():
