@@ -405,7 +405,10 @@ class SegmentBuilder:
         name = f"seg-{doc_ids[0]:012d}-{doc_ids[-1]:012d}"
         marker_path = os.path.join(self.seg_dir, f"{name}.done")
         fingerprint = self._fingerprint(doc_ids, text)
-        if os.path.exists(marker_path):
+        # a committed version has no staging left: rebuild a segment whose
+        # partials are gone rather than replay a meta row without them
+        partials = self.staging_dir and os.path.join(self.staging_dir, f"{name}.parquet")
+        if os.path.exists(marker_path) and (not partials or os.path.exists(partials)):
             with open(marker_path) as f:
                 marker = json.load(f)
             if marker.get("fingerprint") == fingerprint:
@@ -524,6 +527,14 @@ def live_partial_files(staging_dir: str, live_segs: set[str]) -> list[str]:
         for f in os.listdir(staging_dir)
         if f.endswith(".parquet") and f[: -len(".parquet")] in live_segs
     )
+
+
+def remove_staging(vdir: str) -> None:
+    """Delete a commit's ``staging/`` (vocabulary partials, meta listing,
+    phase-1 marker, delta corrections) once its manifest is written: until
+    then it is what a killed commit resumes from, after that nothing reads
+    it."""
+    shutil.rmtree(os.path.join(vdir, "staging"), ignore_errors=True)
 
 
 def remove_stray_segment_files(seg_dir: str, live: set[str]) -> None:
@@ -895,6 +906,7 @@ def _build_index_impl(
         },
     }
     mf.write_manifest(index_root, version, man)
+    remove_staging(vdir)
     if promote:
         mf.promote(index_root, version)
         mf.purge_stale_versions(index_root, keep=keep_versions)

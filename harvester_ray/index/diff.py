@@ -30,7 +30,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 
 from . import manifest as mf
-from .query import parse_tombstones, tombstones_for_segment
+from .query import live_mask, parse_tombstones
 
 
 def _live_docs(index_root: str, version: int) -> tuple[np.ndarray, np.ndarray]:
@@ -44,9 +44,9 @@ def _live_docs(index_root: str, version: int) -> tuple[np.ndarray, np.ndarray]:
         docs = pq.read_table(base + ".docs.parquet", columns=["doc_id"])
         ids = np.asarray(docs["doc_id"].combine_chunks(), dtype=np.int64)
         created = seg_meta.get("created_version", man["_version"])
-        dead = tombstones_for_segment(tomb_ids, tomb_vers, created)
-        if dead.size:
-            ids = ids[~np.isin(ids, dead)]
+        live = live_mask(ids, tomb_ids, tomb_vers, created)
+        if live is not None:
+            ids = ids[live]
         live_parts.append(ids)
         if created == version:
             new_parts.append(ids)

@@ -82,11 +82,11 @@ def termvectors(reader: IndexReader, doc_id: int) -> pd.DataFrame:
         "tf": pd.Series(dtype=np.int64),
         "pos": pd.Series(dtype=np.int64),
     })
-    for _, seg, dead in reader.segments():
+    for _, seg, live_docs in reader.segments():
         p = np.searchsorted(seg.doc_ids, doc_id)
         if p >= seg.doc_ids.size or seg.doc_ids[p] != doc_id:
             continue
-        if dead.size and np.isin(doc_id, dead):
+        if live_docs is not None and not live_docs[p]:
             continue
         if not seg.has_positions:
             return empty
@@ -327,18 +327,21 @@ def _best_suggestion(tok: str, vocab: dict[str, int], max_edits: int) -> str:
     return cand[0][2]
 
 
-def suggest_tokens(prep, vocab, max_edits: int, prefix_length: int) -> pd.DataFrame:
+def suggest_tokens(prep, vocabs, max_edits: int, prefix_length: int) -> pd.DataFrame:
     """(token, suggestion) per distinct query token: '' for tokens the
     index holds or shorter than ``prefix_length``, else the best
-    ``_best_suggestion`` over ``vocab(prefix, min_len, max_len)`` —
-    the {term: df} candidates sharing the prefix within the edit window."""
-    out = []
-    for tok in prep.terms:
-        if prep.dfs[tok] > 0 or len(tok) < prefix_length:
-            out.append((tok, ""))
-            continue
-        cands = vocab(tok[:prefix_length], len(tok) - max_edits, len(tok) + max_edits)
-        out.append((tok, _best_suggestion(tok, cands, max_edits)))
+    ``_best_suggestion`` over its {term: df} candidates sharing the prefix
+    within the edit window. ``vocabs`` gets the ``(prefix, min_len,
+    max_len)`` of every token to correct in one call and returns their
+    candidate maps in order."""
+    fix = [t for t in prep.terms if prep.dfs[t] == 0 and len(t) >= prefix_length]
+    cands = dict(zip(fix, vocabs([
+        (t[:prefix_length], len(t) - max_edits, len(t) + max_edits) for t in fix
+    ])))
+    out = [
+        (t, _best_suggestion(t, cands[t], max_edits) if t in cands else "")
+        for t in prep.terms
+    ]
     return pd.DataFrame(out, columns=["token", "suggestion"], dtype=object)
 
 
@@ -707,20 +710,20 @@ def _entries(seg, live: list[str], mode: str) -> dict | None:
 
 
 def scored_matches(reader: IndexReader, live: list[str], idf_map: dict, mode: str):
-    """Yield ``(segment, exclude, docs, scores)`` per segment with a match,
-    EVERY matching doc BM25-scored (``or_exhaustive``; AND through
+    """Yield ``(segment, live_docs, docs, scores)`` per segment with a
+    match, EVERY matching doc BM25-scored (``or_exhaustive``; AND through
     min_should_match) — for ops that rank, group or fold all matches."""
     msm = len(live) if mode == "and" else None
-    for _, seg, exclude in reader.segments():
+    for _, seg, live_docs in reader.segments():
         entries = _entries(seg, live, mode)
         if entries is None:
             continue
         docs, scores = or_exhaustive(
             seg, entries, idf_map, reader.avgdl, k=2**31,
-            exclude=exclude, min_should_match=msm,
+            live_docs=live_docs, min_should_match=msm,
         )
         if docs.size:
-            yield seg, exclude, docs, scores
+            yield seg, live_docs, docs, scores
 
 
 def scored_query(reader: IndexReader, query_text: str, mode: str):
@@ -1034,13 +1037,13 @@ def profile_search(
     seg_touched = 0
     postings = 0
     candidates = 0
-    for _, seg, exclude in reader.segments():
+    for _, seg, live_docs in reader.segments():
         entries = _entries(seg, prep.live, mode)
         if entries is None:
             continue
         seg_touched += 1
         postings += int(sum(e["df"] for e in entries.values()))
-        candidates += int(match_one_segment(seg, prep.live, mode, exclude, None).size)
+        candidates += int(match_one_segment(seg, prep.live, mode, live_docs, None).size)
     return pd.DataFrame({
         "segments_total": [np.int64(seg_total)],
         "segments_touched": [np.int64(seg_touched)],
@@ -1188,12 +1191,12 @@ def search_span_near(
         return empty
     W = len(terms) + slop
     rows_d, rows_w = [], []
-    for _, seg, exclude in reader.segments():
+    for _, seg, live_docs in reader.segments():
         if not seg.has_positions:
             raise ValueError(
                 "span_near needs positions — build_index(store_positions=True)"
             )
-        cand = match_one_segment(seg, terms, "and", exclude, None)
+        cand = match_one_segment(seg, terms, "and", live_docs, None)
         if cand.size == 0:
             continue
         # one positional decode per term; slice per candidate doc
@@ -1367,11 +1370,11 @@ def search_boosting(
         raise ValueError("negative_boost must be a multiple of 0.1 for exact ranking")
     neg_terms = reader.prepare(negative, "or").terms
     docs_parts, key_parts = [], []
-    for seg, exclude, docs, scores in scored_query(reader, positive, mode):
+    for seg, live_docs, docs, scores in scored_query(reader, positive, mode):
         fp = np.floor(scores * 1e4 + 0.5).astype(np.int64)
         key = fp * 10
         if neg_terms:
-            neg = match_one_segment(seg, neg_terms, "or", exclude, None)
+            neg = match_one_segment(seg, neg_terms, "or", live_docs, None)
             if neg.size:
                 pos = np.searchsorted(neg, docs)
                 np.clip(pos, 0, neg.size - 1, out=pos)
@@ -2003,15 +2006,15 @@ def search_exists(
     import pyarrow.compute as _pc
 
     parts = []
-    for _, seg, exclude in reader.segments():
+    for _, seg, live_docs in reader.segments():
         if field not in seg.attrs:
             raise KeyError(
                 f"attribute {field!r} not stored — build with attr_cols=[{field!r}]"
             )
         mask = np.asarray(_pc.is_valid(seg.attrs[field]))
+        if live_docs is not None:
+            mask = mask & live_docs
         docs = seg.doc_ids[mask]
-        if exclude.size and docs.size:
-            docs = docs[~np.isin(docs, exclude)]
         if docs.size:
             parts.append(docs[:k])  # per-segment pre-cut: ids are sorted
     if not parts:
@@ -2137,12 +2140,12 @@ def search_bool(
         return empty
     scoring, idf = prep.live, prep.idf
     parts = []
-    for _, seg, exclude in reader.segments():
+    for _, seg, live_docs in reader.segments():
         if neg_terms:
-            exclude = exclude_terms(seg, exclude, neg_terms)
+            live_docs = exclude_terms(seg, live_docs, neg_terms)
         cand = match_one_segment(
             seg, must_terms if must_terms else scoring,
-            "and" if must_terms else "or", exclude, None,
+            "and" if must_terms else "or", live_docs, None,
         )
         if cand.size == 0:
             continue
@@ -2366,10 +2369,10 @@ def search_query_string(
 
     collected = []
     df_phrase = [0] * len(phrases)
-    for _, seg, tomb in reader.segments():
-        exclude = exclude_terms(seg, tomb, negs) if negs else tomb
+    for _, seg, live_docs in reader.segments():
+        kept = exclude_terms(seg, live_docs, negs) if negs else live_docs
         if plain:
-            cand = match_one_segment(seg, plain, "and", exclude, None)
+            cand = match_one_segment(seg, plain, "and", kept, None)
         else:
             cand = None  # constrained by phrases below
         ph_docs = []
@@ -2378,12 +2381,13 @@ def search_query_string(
             if not seg.has_positions:
                 raise ValueError("phrases need store_positions=True")
             d_h, ptf_h = phrase_match_segment(seg, h)
-            if tomb.size and d_h.size:
-                live = ~np.isin(d_h, tomb)
-                d_h, ptf_h = d_h[live], ptf_h[live]
+            ords = seg.ordinals(d_h)
+            if live_docs is not None:
+                live = live_docs[ords]
+                d_h, ptf_h, ords = d_h[live], ptf_h[live], ords[live]
             df_phrase[hi] += int(d_h.size)  # span df: tombstones only
-            if exclude.size and d_h.size:
-                keep = ~np.isin(d_h, exclude)
+            if kept is not None:
+                keep = kept[ords]
                 d_h, ptf_h = d_h[keep], ptf_h[keep]
             ph_docs.append((d_h, ptf_h))
             if d_h.size == 0:
@@ -2408,8 +2412,8 @@ def search_query_string(
             )
         if cand is None or cand.size == 0:
             continue
-        if not plain and exclude.size:
-            cand = cand[~np.isin(cand, exclude)]
+        if not plain and kept is not None:
+            cand = cand[kept[seg.ordinals(cand)]]
         tf_map = {}
         for t in sorted(set(plain) | set(all_exp)):
             p = seg.postings(t)
@@ -2579,15 +2583,15 @@ def attr_value_suggest(
     import pyarrow.compute as _pc
 
     partials = []
-    for _, seg, exclude in reader.segments():
+    for _, seg, live_docs in reader.segments():
         if field not in seg.attrs:
             raise KeyError(f"attribute {field!r} not stored")
         arr = seg.attrs[field]
         mask = np.asarray(
             _pc.fill_null(_pc.starts_with(arr, prefix), False)
         )
-        if exclude.size:
-            mask &= ~np.isin(seg.doc_ids, exclude)
+        if live_docs is not None:
+            mask &= live_docs
         if not mask.any():
             continue
         vals = np.asarray(arr)[mask]
@@ -2628,7 +2632,7 @@ def export_search(
     if prep.empty:
         return {"rows": 0, "shards": 0, "skipped": 0}
     rows = shards = skipped = 0
-    for seg_meta, seg, exclude in reader.segments():
+    for seg_meta, seg, live_docs in reader.segments():
         name = os.path.basename(seg_meta["path"])
         shard = os.path.join(out_dir, f"{name}.parquet")
         done = shard + ".done"
@@ -2639,7 +2643,7 @@ def export_search(
             continue
         d, s = search_segment(
             seg, prep.live, prep.idf, reader.avgdl, k=seg.doc_ids.size + 1,
-            mode=mode, exclude=exclude,
+            mode=mode, live_docs=live_docs,
         )
         if d.size == 0:
             continue
@@ -2789,7 +2793,7 @@ def _term_sums(reader: IndexReader, prep):
     segment with a live doc: every posting of the live terms scored and
     summed per doc in sorted term order (deterministic accumulation),
     tombstoned docs dropped."""
-    for _, seg, exclude in reader.segments():
+    for _, seg, live_docs in reader.segments():
         docs_parts, score_parts = [], []
         for t in prep.live:
             p = seg.postings(t)
@@ -2810,8 +2814,8 @@ def _term_sums(reader: IndexReader, prep):
         uniq, starts = np.unique(alld, return_index=True)
         sums = np.add.reduceat(alls, starts)
         n_matched = np.diff(np.append(starts, alld.size))
-        if exclude.size:
-            live = ~np.isin(uniq, exclude)
+        if live_docs is not None:
+            live = live_docs[seg.ordinals(uniq)]
             uniq, sums, n_matched = uniq[live], sums[live], n_matched[live]
         if uniq.size:
             yield seg, uniq, sums, n_matched
@@ -3308,17 +3312,16 @@ def search_has_parent(
     fp = np.floor(parents["score"].to_numpy() * 1e4 + 0.5).astype(np.int64)
     fp_map = dict(zip(parents[parent_field], fp))
     parts = []
-    for _, seg, exclude in reader.segments():
+    for _, seg, live_docs in reader.segments():
         vals = pd.Series(np.asarray(seg.attrs[parent_field], dtype=object))
         child_fp = vals.map(fp_map)
         sel = child_fp.notna().to_numpy()
+        if live_docs is not None:
+            sel = sel & live_docs
         if not sel.any():
             continue
         docs = seg.doc_ids[sel]
         cfp = child_fp.to_numpy()[sel].astype(np.int64)
-        if exclude.size:
-            live = ~np.isin(docs, exclude)
-            docs, cfp = docs[live], cfp[live]
         if docs.size:
             parts.append(pd.DataFrame({"doc_id": docs, "fp": cfp}))
     if not parts:

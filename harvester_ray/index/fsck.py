@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from . import manifest as mf
-from .query import IndexReader, tombstones_for_segment
+from .query import IndexReader
 
 
 def fsck(
@@ -52,16 +52,8 @@ def fsck(
     live_docs = 0
     live_dl = 0
     seen_terms: list[str] = []
-    for seg_meta in man["segments"]:
-        seg = reader._segment(seg_meta)
-        dead = tombstones_for_segment(
-            reader._tomb_ids, reader._tomb_vers,
-            seg_meta.get("created_version", cur),
-        )
-        keep = (
-            ~np.isin(seg.doc_ids, dead) if dead.size
-            else np.ones(seg.doc_ids.size, bool)
-        )
+    for seg_meta, seg, live in reader.segments():
+        keep = np.ones(seg.doc_ids.size, bool) if live is None else live
         live_docs += int(keep.sum())
         live_dl += int(seg.dl[keep].sum())
         if not np.all(np.diff(seg.doc_ids) > 0):
@@ -97,21 +89,14 @@ def fsck(
     sample = sorted(set(seen_terms))[:sample_terms]
     stats_df = reader.df(sample)
     for t in sample:
-        live = 0
-        for seg_meta in man["segments"]:
-            seg = reader._segment(seg_meta)
-            p = seg.postings(t)
-            if p is None:
-                continue
-            dd = p[0]
-            dead = tombstones_for_segment(
-                reader._tomb_ids, reader._tomb_vers,
-                seg_meta.get("created_version", cur),
-            )
-            live += int((~np.isin(dd, dead)).sum()) if dead.size else int(dd.size)
-        if live != stats_df.get(t, 0):
+        df = 0
+        for _, seg, live in reader.segments():
+            p = seg.postings_positions(t)
+            if p is not None:
+                df += int(p.size) if live is None else int(np.count_nonzero(live[p]))
+        if df != stats_df.get(t, 0):
             errors.append(
-                f"termstats df mismatch for {t!r}: stats {stats_df.get(t, 0)} vs live {live}"
+                f"termstats df mismatch for {t!r}: stats {stats_df.get(t, 0)} vs live {df}"
             )
     return {
         "ok": not errors,

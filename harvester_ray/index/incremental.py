@@ -11,11 +11,14 @@ Here an incremental build creates a NEW immutable version that:
 
 - **carries forward** every previous segment untouched (manifest pointers —
   the DatasetVersion copy-forward analog; no data is rewritten),
-- **builds new segments** from the delta's active rows only,
+- **builds new segments** from the delta's active rows only, in batches
+  of the parent's largest segment, so a delta that fits one segment is
+  written as one (each extra small segment is a fixed cost on every query),
 - **tombstones** every delta doc id (deleted AND modified: a modified doc's
   old posting occurrences must stop matching) as ``(doc_id, version)``
-  pairs; query-time filtering drops a doc from segments created before its
-  tombstone version, so re-added docs in newer segments still match,
+  pairs; each segment's live-docs mask (``query.live_mask``) drops a doc
+  from segments created before its tombstone version, so re-added docs in
+  newer segments still match,
 - keeps global BM25 stats **exact** (not Lucene-style stale): for each
   carried segment that contains newly tombstoned live docs, the builder
   decodes it once and emits NEGATIVE (term, -df, -cf) correction partials;
@@ -210,7 +213,10 @@ def _build_incremental_impl(
     (parent - new) / new ≥ 5%, the new version is NOT promoted — the parent
     stays CURRENT (the "replace with historic" analog) and the decision is
     recorded in ``lineage.integrity``. A bad delta therefore cannot wipe the
-    serving index. Pass ``integrity_check=False`` to force promotion."""
+    serving index. Pass ``integrity_check=False`` to force promotion.
+
+    ``batch_size=None`` (default) sizes phase-1 batches to the parent's
+    largest segment, so a delta no larger than that becomes one segment."""
     import ray
 
     t0 = time.time()
@@ -227,6 +233,8 @@ def _build_incremental_impl(
     if concurrency is None:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
         concurrency = max(2, ncpu - 2)
+    if batch_size is None and prev["segments"]:
+        batch_size = max(int(s["n_docs"]) for s in prev["segments"])
 
     # ---- split delta: all ids tombstone the past; actives become segments
     delta_ids_tbl = delta_ds.select_columns([id_col, state_col]).to_pandas()
@@ -387,6 +395,7 @@ def _build_incremental_impl(
         "is_replaced": replaced,
     }
     mf.write_manifest(index_root, version, man)
+    build.remove_staging(vdir)
     if promote and not replaced:
         mf.promote(index_root, version)
         mf.purge_stale_versions(index_root, keep=keep_versions)

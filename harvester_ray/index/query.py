@@ -70,8 +70,8 @@ class SegmentCache:
     - ``pos``: term → int32 positions of those postings in ``doc_ids``;
     - ``score``: ``(term, idf, avgdl)`` → float64 per-posting BM25 scores;
     - ``packed``: term → int64 ``(local_doc << 31) | pos`` occurrence keys;
-    - ``match``: phrase/proximity → ``(docs, span tf)``, before tombstones
-      and filters (which apply per query).
+    - ``match``: phrase/proximity → ``(docs, span tf)``, before the
+      live-docs mask and filters (which apply per query).
 
     Hits, misses, evictions and held bytes are counted per kind."""
 
@@ -367,9 +367,13 @@ class SegmentReader:
         gaps = codec.varbyte_decode(self._pos).astype(np.int64)
         return self._abs_positions(gaps, tfs_stream)
 
+    def ordinals(self, docs: np.ndarray) -> np.ndarray:
+        """Local doc ordinals (rows of ``doc_ids``) of doc ids this segment
+        holds: what a live-docs mask or ``dl`` is indexed by."""
+        return np.searchsorted(self.doc_ids, docs)
+
     def doc_lengths(self, docs: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.doc_ids, docs)
-        return self.dl[idx]
+        return self.dl[self.ordinals(docs)]
 
     def stored_values(self, col: str, docs: np.ndarray) -> pa.Array:
         """Fetch a stored-on-disk column (e.g. ``_source``) for specific doc
@@ -379,16 +383,14 @@ class SegmentReader:
                 f"stored column {col!r} absent — build with store_source=True"
             )
         tbl = pq.read_table(self.base + ".docs.parquet", columns=[col])
-        idx = np.searchsorted(self.doc_ids, docs)
-        return tbl[col].combine_chunks().take(pa.array(idx))
+        return tbl[col].combine_chunks().take(pa.array(self.ordinals(docs)))
 
     def attr_values(self, col: str, docs: np.ndarray) -> np.ndarray:
         if col not in self.attrs:
             raise KeyError(
                 f"attribute {col!r} not stored in this index — build with attr_cols=[{col!r}]"
             )
-        idx = np.searchsorted(self.doc_ids, docs)
-        return np.asarray(self.attrs[col].take(pa.array(idx)))
+        return np.asarray(self.attrs[col].take(pa.array(self.ordinals(docs))))
 
     def allowed_docs(self, filters: dict | None) -> np.ndarray | None:
         """Facet filters → sorted allowed doc-id array. Semantics mirror the
@@ -482,16 +484,16 @@ def search_segment(
     k: int,
     mode: str = "and",
     threshold: float = -np.inf,
-    exclude: np.ndarray | None = None,
+    live_docs: np.ndarray | None = None,
     include: np.ndarray | None = None,
     recency: dict | None = None,
     min_should_match: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local top-k for one segment. ``threshold`` lets callers pass a current
-    global k-th score so OR/WAND mode can prune harder; ``exclude`` is the
-    segment's tombstoned doc-id set and ``include`` the facet-filter allowed
-    set, both applied BEFORE top-k selection so dead/filtered docs never
-    crowd out live ones; ``recency`` adds the distance_feature date boost.
+    global k-th score so OR/WAND mode can prune harder; ``live_docs`` is the
+    segment's live-docs mask (``live_mask``; None = every doc live) and
+    ``include`` the facet-filter allowed set, both applied BEFORE top-k
+    selection so dead/filtered docs never crowd out live ones; ``recency`` adds the distance_feature date boost.
     ``min_should_match`` (OR mode) keeps only docs matching at least that
     many distinct query terms — it invalidates block-max upper bounds, so
     such queries always take the exhaustive path."""
@@ -526,11 +528,10 @@ def search_segment(
                 dense[idx] += sc
                 counts[idx] += 1
             nz = np.flatnonzero(counts == len(entries))
+            if live_docs is not None:
+                nz = nz[live_docs[nz]]
             cand = seg.doc_ids[nz]
             scores = dense[nz]
-            if exclude is not None and exclude.size and cand.size:
-                keep = ~np.isin(cand, exclude)
-                cand, scores = cand[keep], scores[keep]
             if include is not None and cand.size:
                 keep = np.isin(cand, include, assume_unique=True)
                 cand, scores = cand[keep], scores[keep]
@@ -538,8 +539,8 @@ def search_segment(
         # intersect, driving from the rarest term; block-skip decode others
         order = sorted(entries, key=lambda t: entries[t]["df"])
         cand, _ = seg.postings(order[0])
-        if exclude is not None and exclude.size and cand.size:
-            cand = cand[~np.isin(cand, exclude)]
+        if live_docs is not None:
+            cand = cand[live_docs[seg.postings_positions(order[0])]]
         if include is not None and cand.size:
             cand = np.intersect1d(cand, include, assume_unique=True)
         decoded = {}
@@ -581,10 +582,10 @@ def search_segment(
         or local_postings <= OR_EXHAUSTIVE_THRESHOLD
     ):
         return or_exhaustive(
-            seg, entries, idf_map, avgdl, k, exclude=exclude, include=include,
+            seg, entries, idf_map, avgdl, k, live_docs=live_docs, include=include,
             recency=recency, min_should_match=min_should_match,
         )
-    return block_max_union(seg, entries, idf_map, avgdl, k, threshold, exclude=exclude)
+    return block_max_union(seg, entries, idf_map, avgdl, k, threshold, live_docs=live_docs)
 
 
 # below this many postings per segment, exhaustive scoring beats pruning
@@ -597,7 +598,7 @@ def or_exhaustive(
     idf_map: dict[str, float],
     avgdl: float,
     k: int,
-    exclude: np.ndarray | None = None,
+    live_docs: np.ndarray | None = None,
     include: np.ndarray | None = None,
     recency: dict | None = None,
     min_should_match: int | None = None,
@@ -628,14 +629,12 @@ def or_exhaustive(
         if counts is not None:
             counts[idx] += 1
     nz = np.flatnonzero(matched)
+    if counts is not None:
+        nz = nz[counts[nz] >= min_should_match]
+    if live_docs is not None:
+        nz = nz[live_docs[nz]]
     uniq = seg.doc_ids[nz]
     sums = dense[nz]
-    if counts is not None and uniq.size:
-        keep = counts[nz] >= min_should_match
-        uniq, sums = uniq[keep], sums[keep]
-    if exclude is not None and exclude.size and uniq.size:
-        keep = ~np.isin(uniq, exclude)
-        uniq, sums = uniq[keep], sums[keep]
     if include is not None and uniq.size:
         keep = np.isin(uniq, include, assume_unique=True)
         uniq, sums = uniq[keep], sums[keep]
@@ -651,7 +650,7 @@ def block_max_union(
     avgdl: float,
     k: int,
     threshold: float = -np.inf,
-    exclude: np.ndarray | None = None,
+    live_docs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block-max pruned disjunctive top-k (block-max WAND family).
 
@@ -743,8 +742,8 @@ def block_max_union(
         alld, alls = alld[so], alls[so]
         uniq, start_idx = np.unique(alld, return_index=True)
         sums = np.add.reduceat(alls, start_idx)
-        if exclude is not None and exclude.size and uniq.size:
-            keep = ~np.isin(uniq, exclude)
+        if live_docs is not None:
+            keep = live_docs[seg.ordinals(uniq)]
             uniq, sums = uniq[keep], sums[keep]
         heap_docs = np.concatenate([heap_docs, uniq])
         heap_scores = np.concatenate([heap_scores, sums])
@@ -769,12 +768,26 @@ def parse_tombstones(manifest: dict) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def tombstones_for_segment(
-    tomb_ids: np.ndarray, tomb_vers: np.ndarray, created_version: int
-) -> np.ndarray:
-    if tomb_ids.size == 0:
-        return tomb_ids
-    return np.unique(tomb_ids[tomb_vers > created_version])
+def live_mask(
+    doc_ids: np.ndarray, tomb_ids: np.ndarray, tomb_vers: np.ndarray, created_version: int
+) -> np.ndarray | None:
+    """Lucene ``liveDocs`` of one segment: a bool mask over its local doc
+    ordinals (``doc_ids``, sorted ascending), False where a tombstone newer
+    than the segment's ``created_version`` names the doc. Computed once
+    where a segment is opened; every op then drops dead docs with a gather
+    on ordinals it already holds. Tombstoned ids the segment does not hold
+    are ignored. None when no doc of the segment is dead: a clean segment
+    carries no mask and its ops skip the gather."""
+    if tomb_ids.size == 0 or doc_ids.size == 0:
+        return None
+    dead = tomb_ids[tomb_vers > created_version]
+    pos = np.minimum(np.searchsorted(doc_ids, dead), doc_ids.size - 1)
+    pos = pos[doc_ids[pos] == dead]
+    if pos.size == 0:
+        return None
+    live = np.ones(doc_ids.size, bool)
+    live[pos] = False
+    return live
 
 
 def merge_topk(
@@ -980,9 +993,9 @@ class SearchSurfaces:
         ``recency`` is the distance_feature date boost (see recency_boost).
         ``must_not`` is negated text (simple_query_string ``-term`` clauses,
         core/models/search/query.py analog): docs containing ANY of its
-        terms are excluded before top-k, per segment, via the same exclude
-        mask tombstones use. ``min_should_match`` (OR mode) keeps only docs
-        matching at least that many distinct query terms.
+        terms are excluded before top-k, per segment, through the same
+        live-docs mask tombstones clear. ``min_should_match`` (OR mode)
+        keeps only docs matching at least that many distinct query terms.
 
         One fan-out: every segment group runs ``topk_over`` with its own
         early θ and the parts merge. ``QueryService`` assigns segments
@@ -1164,20 +1177,22 @@ class SearchSurfaces:
         ``extras.suggest_tokens``). Candidate (term, df) ranges come from
         each segment's first-``prefix_length``-chars dictionary range
         (terms are stored sorted), so cost is O(log V) probes + one prefix
-        bucket per segment — never a vocabulary scan. Returns one row per
-        distinct query token, sorted: (token, suggestion), suggestion ''
-        for tokens that are present or uncorrectable."""
+        bucket per segment — never a vocabulary scan. Every misspelled
+        token's range is read in one fan-out. Returns one row per distinct
+        query token, sorted: (token, suggestion), suggestion '' for tokens
+        that are present or uncorrectable."""
         from .extras import suggest_tokens
 
         self._check()
 
-        def vocab(prefix: str, min_len: int, max_len: int) -> dict[str, int]:
-            agg: dict[str, int] = {}
-            for part in self._fanout("prefix_vocab", prefix, min_len, max_len):
-                add_counts(agg, part)
-            return agg
+        def vocabs(specs: list[tuple[str, int, int]]) -> list[dict[str, int]]:
+            aggs: list[dict[str, int]] = [{} for _ in specs]
+            for part in self._fanout("prefix_vocab", specs) if specs else []:
+                for agg, vocab in zip(aggs, part):
+                    add_counts(agg, vocab)
+            return aggs
 
-        return suggest_tokens(self.prepare(query_text, "or"), vocab, max_edits, prefix_length)
+        return suggest_tokens(self.prepare(query_text, "or"), vocabs, max_edits, prefix_length)
 
     def date_histogram(
         self,
@@ -1221,29 +1236,35 @@ class IndexReader(SearchSurfaces):
 
     def __init__(self, index_root: str, version: int | None = None):
         super().__init__(index_root, version)
-        self._segments: dict[str, SegmentReader] = {}
-        self._tomb_ids, self._tomb_vers = parse_tombstones(self.manifest)
+        self._segments: dict[str, tuple[SegmentReader, np.ndarray | None]] = {}
+        self._tombstones = parse_tombstones(self.manifest)
         self.cache = SegmentCache.for_segments(self.manifest["segments"])
 
     def _fanout(self, op: str, *args) -> list:
         """The in-process backend: ``op`` over every segment, one part."""
         return [OPS[op](list(self.segments()), *args)]
 
-    def _segment(self, seg_meta: dict) -> SegmentReader:
+    def _open(self, seg_meta: dict) -> tuple[SegmentReader, np.ndarray | None]:
+        """The segment's reader and live-docs mask, made on first use and
+        then kept."""
         key = seg_meta["path"]
         if key not in self._segments:
-            self._segments[key] = SegmentReader(os.path.join(self.root, key), self.cache)
+            seg = SegmentReader(os.path.join(self.root, key), self.cache)
+            self._segments[key] = seg, live_mask(
+                seg.doc_ids, *self._tombstones,
+                seg_meta.get("created_version", self.manifest["_version"]),
+            )
         return self._segments[key]
 
+    def _segment(self, seg_meta: dict) -> SegmentReader:
+        return self._open(seg_meta)[0]
+
     def segments(self):
-        """Yield ``(meta, segment, exclude)`` per manifest segment — the
-        triples a ``QuerySegmentActor`` holds: the segment reader (opened
-        on first use, then cached) and the doc ids tombstoned in it."""
+        """Yield ``(meta, segment, live_docs)`` per manifest segment — the
+        triples a ``QuerySegmentActor`` holds: the segment reader and its
+        live-docs mask (``live_mask``), both made once per reader."""
         for meta in self.manifest["segments"]:
-            yield meta, self._segment(meta), tombstones_for_segment(
-                self._tomb_ids, self._tomb_vers,
-                meta.get("created_version", self.manifest["_version"]),
-            )
+            yield (meta, *self._open(meta))
 
     def matches(self, text: str, mode: str, filters: dict | None = None):
         """``iter_matches`` of the prepared query over this reader's
@@ -1345,22 +1366,26 @@ class IndexReader(SearchSurfaces):
 
 # ---------------------------------------------------------------------------
 # Per-segment operators, each written once. ``segments`` is an iterable of
-# ``(meta, segment, exclude)`` triples — ``IndexReader.segments()`` in
+# ``(meta, segment, live_docs)`` triples — ``IndexReader.segments()`` in
 # process, ``QuerySegmentActor.readers`` on the serving path — so the
 # in-process reader and the actors run the same code. ``OPS`` names the ones
 # a surface fans out.
 # ---------------------------------------------------------------------------
 
 
-def exclude_terms(seg: SegmentReader, exclude: np.ndarray, neg_terms) -> np.ndarray:
-    """``exclude`` plus the segment's docs holding any ``neg_terms`` term
-    (must_not clauses share the tombstone mask)."""
-    parts = [exclude] if exclude.size else []
-    for t in neg_terms:
-        p = seg.postings(t)
-        if p is not None and p[0].size:
-            parts.append(p[0])
-    return np.unique(np.concatenate(parts)) if parts else exclude
+def exclude_terms(
+    seg: SegmentReader, live_docs: np.ndarray | None, neg_terms
+) -> np.ndarray | None:
+    """``live_docs`` with the segment's docs holding any ``neg_terms`` term
+    cleared too (must_not clauses share the live-docs mask); the mask
+    itself when no such term is in the segment."""
+    hits = [p for t in neg_terms if (p := seg.postings_positions(t)) is not None]
+    if not hits:
+        return live_docs
+    live = np.ones(seg.doc_ids.size, bool) if live_docs is None else live_docs.copy()
+    for p in hits:
+        live[p] = False
+    return live
 
 
 def topk_over(
@@ -1383,12 +1408,12 @@ def topk_over(
         return np.empty(0, np.int64), np.empty(0, np.float64)
     parts = []
     theta = -np.inf
-    for _, seg, exclude in segments:
+    for _, seg, live_docs in segments:
         if neg_terms:
-            exclude = exclude_terms(seg, exclude, neg_terms)
+            live_docs = exclude_terms(seg, live_docs, neg_terms)
         d, s = search_segment(
             seg, terms, idf_map, avgdl, k, mode=mode, threshold=theta,
-            exclude=exclude, include=seg.allowed_docs(filters), recency=recency,
+            live_docs=live_docs, include=seg.allowed_docs(filters), recency=recency,
             min_should_match=min_should_match,
         )
         parts.append((d, s))
@@ -1419,7 +1444,7 @@ def span_matches(
     query in the error raised for a segment built without positions."""
     doc_parts, tf_parts, dl_parts = [], [], []
     df = 0
-    for _, seg, exclude in segments:
+    for _, seg, live_docs in segments:
         if positions and not seg.has_positions:
             raise ValueError(
                 f"{positions} needs positions — build_index(store_positions=True)"
@@ -1427,18 +1452,19 @@ def span_matches(
         docs, tf = match(seg)
         if docs.size == 0:
             continue
-        if exclude.size:
-            keep = ~np.isin(docs, exclude)
-            docs, tf = docs[keep], tf[keep]
+        ords = seg.ordinals(docs)
+        if live_docs is not None:
+            keep = live_docs[ords]
+            docs, tf, ords = docs[keep], tf[keep], ords[keep]
         df += int(docs.size)
         include = seg.allowed_docs(filters)
         if include is not None:
             keep = np.isin(docs, include)
-            docs, tf = docs[keep], tf[keep]
+            docs, tf, ords = docs[keep], tf[keep], ords[keep]
         if docs.size:
             doc_parts.append(docs)
             tf_parts.append(tf)
-            dl_parts.append(seg.doc_lengths(docs))
+            dl_parts.append(seg.dl[ords])
     if not doc_parts:
         z = np.empty(0, np.int64)
         return z, z, z, df
@@ -1478,8 +1504,8 @@ def iter_matches(segments, terms: list[str], mode: str, filters: dict | None = N
     """Yield ``(segment, matched doc ids)`` per segment with a match: exact
     unscored enumeration (``match_one_segment``), tombstone- and
     facet-filter-aware."""
-    for _, seg, exclude in segments:
-        m = match_one_segment(seg, terms, mode, exclude, seg.allowed_docs(filters))
+    for _, seg, live_docs in segments:
+        m = match_one_segment(seg, terms, mode, live_docs, seg.allowed_docs(filters))
         if m.size:
             yield seg, m
 
@@ -1547,6 +1573,14 @@ def vocab_with_prefix(
             if min_len <= len(t) <= max_len:
                 agg[t] = agg.get(t, 0) + int(d)
     return agg
+
+
+def vocabs_with_prefixes(segments, specs: list[tuple[str, int, int]]) -> list[dict[str, int]]:
+    """``vocab_with_prefix`` of every ``(prefix, min_len, max_len)`` of
+    ``specs``, in order: one fan-out answers every misspelled token of a
+    ``did_you_mean``."""
+    segments = list(segments)
+    return [vocab_with_prefix(segments, *spec) for spec in specs]
 
 
 def date_buckets(
@@ -1664,12 +1698,12 @@ def match_one_segment(
     seg,
     terms: list[str],
     mode: str,
-    exclude: np.ndarray | None,
+    live_docs: np.ndarray | None,
     include: np.ndarray | None,
 ) -> np.ndarray:
     """Exact match enumeration for one segment (k=∞, no scoring): posting
     intersections (``and``, rarest-first with early exit) or unions
-    (``or``), minus tombstones, intersected with the facet-filter allowed
+    (``or``), minus the docs ``live_docs`` clears, intersected with the facet-filter allowed
     set. Shared by the in-process extras and the actor-pool serving path."""
     matched: np.ndarray | None = None
     for t in sorted(terms, key=lambda t: seg.entry(t)["df"] if seg.entry(t) else 0):
@@ -1685,8 +1719,8 @@ def match_one_segment(
             break
     if matched is None or matched.size == 0:
         return np.empty(0, np.int64)
-    if exclude is not None and exclude.size:
-        matched = matched[~np.isin(matched, exclude)]
+    if live_docs is not None:
+        matched = matched[live_docs[seg.ordinals(matched)]]
     if include is not None:
         matched = np.intersect1d(matched, include, assume_unique=True)
     return matched
@@ -1708,7 +1742,7 @@ OPS = {
     "spans": spans,
     "match_counts": count_matches,
     "attr_page": attr_page,
-    "prefix_vocab": vocab_with_prefix,
+    "prefix_vocab": vocabs_with_prefixes,
     "date_histogram": date_buckets,
     "warm": warm_segments,
 }
@@ -1721,16 +1755,16 @@ class QuerySegmentActor:
     process."""
 
     def __init__(self, index_root: str, seg_metas: list[dict], manifest: dict):
-        tomb_ids, tomb_vers = parse_tombstones(manifest)
+        tombstones = parse_tombstones(manifest)
         cur_version = manifest.get("_version", 0)
         self.cache = SegmentCache.for_segments(seg_metas)
         self.readers = []
         for m in seg_metas:
             reader = SegmentReader(os.path.join(index_root, m["path"]), self.cache)
-            exclude = tombstones_for_segment(
-                tomb_ids, tomb_vers, m.get("created_version", cur_version)
+            live_docs = live_mask(
+                reader.doc_ids, *tombstones, m.get("created_version", cur_version)
             )
-            self.readers.append((m, reader, exclude))
+            self.readers.append((m, reader, live_docs))
         # largest segment first: its k-th score is the tightest early θ for
         # the rest of this actor's segments
         self.readers.sort(key=lambda r: -int(r[1].doc_ids.size))
@@ -1765,9 +1799,10 @@ class QuerySegmentActor:
 
     def stats(self) -> dict:
         """Serving observability (the soak leg's per-actor memory + cache
-        evidence): resident set size from /proc, the cache's hits and
-        misses summed over its kinds, and the per-kind counters under
-        ``cache``."""
+        evidence): resident set size from /proc, the tombstoned docs its
+        segments still hold and every op still scans (``dead_docs``: a
+        compact removes them), the cache's hits and misses summed over its
+        kinds, and the per-kind counters under ``cache``."""
         rss_kb = 0
         try:
             with open("/proc/self/status") as f:
@@ -1781,6 +1816,10 @@ class QuerySegmentActor:
         return {
             "rss_kb": rss_kb,
             "n_segments": len(self.readers),
+            "dead_docs": sum(
+                int(live.size - np.count_nonzero(live))
+                for _, _, live in self.readers if live is not None
+            ),
             "cache_hits": sum(c["hits"] for c in cache.values()),
             "cache_misses": sum(c["misses"] for c in cache.values()),
             "cache": cache,
@@ -1871,8 +1910,9 @@ class QueryService(SearchSurfaces):
             return ray.get(self._graph.execute((op, args)), timeout=-1)
 
     def actor_stats(self) -> list[dict]:
-        """Per-actor {rss_kb, n_segments, cache_hits, cache_misses, cache}
-        (``cache``: per-kind hits, misses, evictions and bytes)."""
+        """Per-actor {rss_kb, n_segments, dead_docs, cache_hits,
+        cache_misses, cache} (``cache``: per-kind hits, misses, evictions
+        and bytes)."""
         return self._fanout("stats")
 
     def shutdown(self) -> None:

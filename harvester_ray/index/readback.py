@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 
 from . import manifest as mf
-from .query import parse_tombstones, tombstones_for_segment
+from .query import live_mask, parse_tombstones
 
 
 def read_documents(
@@ -59,9 +59,10 @@ def read_documents(
         path = t["path"][0].as_py()
         seg_name = os.path.basename(path)[: -len(".docs.parquet")]
         cv = created[seg_name]
-        dead = tombstones_for_segment(tomb_ids, tomb_vers, cv)
         docs = np.asarray(t["doc_id"].combine_chunks().cast(pa.int64()))
-        keep = ~np.isin(docs, dead) if dead.size else np.ones(docs.size, bool)
+        keep = live_mask(docs, tomb_ids, tomb_vers, cv)
+        if keep is None:
+            keep = np.ones(docs.size, bool)
         out = t.filter(pa.array(keep)).drop_columns(["path"])
         return out.append_column(
             "created_version", pa.array(np.full(int(keep.sum()), cv, np.int64))
@@ -82,13 +83,14 @@ def get_document(index_root: str, doc_id: int, *, version: int | None = None) ->
     best_cv = -1
     for s in man["segments"]:
         cv = s.get("created_version", cur)
-        dead = tombstones_for_segment(tomb_ids, tomb_vers, cv)
-        if dead.size and np.isin(doc_id, dead):
-            continue
         tbl = pq.read_table(os.path.join(index_root, s["path"]) + ".docs.parquet")
         docs = np.asarray(tbl["doc_id"].combine_chunks().cast(pa.int64()))
+        live = live_mask(docs, tomb_ids, tomb_vers, cv)
         pos = int(np.searchsorted(docs, doc_id))
-        if pos < docs.size and docs[pos] == doc_id and cv > best_cv:
+        if (
+            pos < docs.size and docs[pos] == doc_id and cv > best_cv
+            and (live is None or live[pos])
+        ):
             row = {c: tbl[c][pos].as_py() for c in tbl.column_names}
             row["created_version"] = cv
             best, best_cv = row, cv
@@ -124,14 +126,14 @@ def mget(
     found: dict[int, tuple[int, dict]] = {}
     for s in man["segments"]:
         cv = s.get("created_version", cur)
-        dead = tombstones_for_segment(tomb_ids, tomb_vers, cv)
         tbl = pq.read_table(os.path.join(index_root, s["path"]) + ".docs.parquet")
         docs = np.asarray(tbl["doc_id"].combine_chunks().cast(pa.int64()))
         pos = np.searchsorted(docs, want)
         posc = np.clip(pos, 0, max(docs.size - 1, 0))
         hit = (docs.size > 0) & (docs[posc] == want)
-        if dead.size:
-            hit &= ~np.isin(want, dead)
+        live = live_mask(docs, tomb_ids, tomb_vers, cv)
+        if live is not None:
+            hit &= live[posc]
         for w, p in zip(want[hit], posc[hit]):
             prev = found.get(int(w))
             if prev is None or cv > prev[0]:

@@ -8,7 +8,7 @@ import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
-from harvester_ray.index import build, incremental, manifest as mf, query
+from harvester_ray.index import build, compact, incremental, manifest as mf, query
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
 
@@ -349,3 +349,63 @@ def test_builder_death_mid_delta_commits_identically(setup, tmp_path, killing_bu
         for ext in (".terms.parquet", ".docs.parquet", ".bin", ".done")
     }
     assert set(os.listdir(seg_dir)) == named
+
+
+def test_committed_versions_keep_no_staging(setup, tmp_path):
+    """``vN/staging/`` is what an unfinished commit resumes from; once the
+    version's manifest is written nothing reads it, so a build, a delta
+    and a compact each leave none."""
+    from harvester_ray.index.fsck import fsck
+
+    base = setup[0]
+    root = str(tmp_path / "idx")
+    build.build_index(rd.from_pandas(base), root, concurrency=2, batch_size=200)
+    incremental.build_incremental(root, rd.from_pandas(_delta1(base)))
+    compact.compact(root, target_segments=2)
+    assert mf.list_versions(root) == [1, 2, 3]
+    for v in (1, 2, 3):
+        vdir = mf.version_dir(root, v)
+        assert os.path.exists(os.path.join(vdir, "manifest.json")), v
+        assert not os.path.exists(os.path.join(vdir, "staging")), v
+    report = fsck(root)
+    assert report["ok"], report["errors"]
+
+
+def test_rebuilding_a_committed_version_keeps_its_term_stats(setup, tmp_path):
+    """A committed version has no staging left, so building the same
+    version again finds segment markers without vocabulary partials: those
+    segments are rebuilt, not replayed as meta rows whose terms would be
+    missing from the term stats."""
+    base = setup[0]
+    root = str(tmp_path / "idx")
+    man = build.build_index(rd.from_pandas(base), root, concurrency=2, batch_size=200)
+    want = _term_stats(root, man)
+    assert want.num_rows > 0
+    again = build.build_index(
+        rd.from_pandas(base), root, concurrency=2, batch_size=200, version=man["version"]
+    )
+    assert _term_stats(root, again).equals(want)
+    assert (again["n_docs"], again["segments"]) == (man["n_docs"], man["segments"])
+
+
+def test_delta_segments_are_sized_to_the_parents_largest(setup, tmp_path):
+    """With no ``batch_size`` a delta is cut into segments of the parent's
+    largest segment: one segment when it fits, ceil(n / largest) or more
+    segments of at most that size when it does not."""
+    inc_root = setup[3]
+    assert mf.read_manifest(inc_root)["metrics"]["n_new_segments"] == 1
+
+    base = setup[0]
+    root = str(tmp_path / "idx")
+    build.build_index(rd.from_pandas(base), root, concurrency=2, batch_size=100)
+    largest = max(s["n_docs"] for s in mf.read_manifest(root)["segments"])
+    assert largest == 100
+    fresh = pd.DataFrame({
+        "doc_id": np.arange(10_000, 10_250),
+        "text": [f"fresh spark window document {d}" for d in range(250)],
+        "state": "active",
+    })
+    man = incremental.build_incremental(root, rd.from_pandas(fresh))
+    new = [s for s in man["segments"] if s["created_version"] == man["version"]]
+    assert sum(s["n_docs"] for s in new) == 250
+    assert len(new) >= 3 and all(s["n_docs"] <= largest for s in new), new

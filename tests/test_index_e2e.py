@@ -274,6 +274,8 @@ def test_query_service_warm(index_root):
         # warmed terms are cache hits from the first query on
         stats = svc.actor_stats()
         assert sum(a["cache_hits"] for a in stats) > 0
+        # a fresh build has no tombstones, so no actor scans a dead doc
+        assert [a["dead_docs"] for a in stats] == [0, 0]
     finally:
         svc.shutdown()
 

@@ -90,6 +90,28 @@ def test_did_you_mean(attr_index):
     assert len(reader.did_you_mean("")) == 0
 
 
+@pytest.mark.parametrize("backend", ["reader", "service"])
+def test_did_you_mean_reads_every_prefix_in_one_fanout(attr_index, backend, monkeypatch):
+    """A 3-typo query is one fan-out (one compiled-graph round trip on a
+    service), not one per misspelled token; a query without typos is none."""
+    b = iq.IndexReader(attr_index) if backend == "reader" else iq.QueryService(attr_index, num_actors=2)
+    try:
+        ops = []
+        fanout = b._fanout
+        monkeypatch.setattr(b, "_fanout", lambda op, *args: ops.append(op) or fanout(op, *args))
+        out = b.did_you_mean("custmer filtr tabel")
+        assert ops == ["prefix_vocab"]
+        got = dict(zip(out["token"], out["suggestion"]))
+        assert (got["custmer"], got["tabel"]) == ("customer", "table")
+        assert all(got.values()), got
+        ops.clear()
+        assert b.did_you_mean("filter table")["suggestion"].tolist() == ["", ""]
+        assert ops == []
+    finally:
+        if backend == "service":
+            b.shutdown()
+
+
 def test_levenshtein_batch_exact():
     from harvester_ray.index.extras import _levenshtein_batch
 

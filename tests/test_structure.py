@@ -1,5 +1,5 @@
-"""Structural guards: query prep, the tombstone-aware segment walk, the
-reader's decoded-data cache, the service's actor dispatch and the query
+"""Structural guards: query prep, the live-docs masks tombstones resolve
+into, the reader's decoded-data cache, the service's actor dispatch and the query
 surfaces each live in one place, so per-surface copies (which once analyzed
 every query as v1, whatever the index's analyzer, and let the service drift
 from the reader), per-segment LRUs (bounded by entry count, not bytes) and
@@ -8,6 +8,7 @@ module-level functions, so no per-call actor pool grows back either."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -32,15 +33,18 @@ TOKENIZE_ALLOWED = {
         "parse_boosted_query",
     },
 }
-# Tombstones are resolved per segment by the reader's segment walk and the
-# serving actor; build-side modules read them to rewrite or verify segments.
-TOMBSTONES_ALLOWED = {
-    "index/query.py": {"IndexReader.segments", "QuerySegmentActor.__init__"},
+# Tombstones resolve into a segment's live-docs mask (query.live_mask) once,
+# where its (meta, segment, live_docs) triple is made: the reader's and the
+# serving actor's. Build-side modules make masks to rewrite or read back
+# segments (fsck walks the reader's triples).
+LIVE_MASK_ALLOWED = {
+    "index/query.py": {"IndexReader._open", "QuerySegmentActor.__init__"},
     "index/compact.py": None,
     "index/diff.py": None,
-    "index/fsck.py": None,
     "index/readback.py": None,
 }
+# names that hold a tombstone set; no set-membership test may take one
+TOMBSTONE_NAMES = re.compile(r"tomb|dead|exclude", re.IGNORECASE)
 
 # QueryService reaches its actors through one compiled graph: the actors are
 # created and bound into it in __init__, every surface runs it in _fanout,
@@ -110,10 +114,35 @@ def test_tokenize_query_only_in_prepare_and_positional_surfaces():
 
 def test_tombstones_only_in_the_segment_walk():
     stray = [
-        (rel, q) for rel, q in _calls("tombstones_for_segment")
-        if not _allowed(TOMBSTONES_ALLOWED, rel, q)
+        (rel, q) for rel, q in _calls("live_mask")
+        if not _allowed(LIVE_MASK_ALLOWED, rel, q)
     ]
-    assert not stray, f"tombstones_for_segment outside the segment walk: {stray}"
+    assert not stray, f"live_mask outside the segment walk: {stray}"
+
+
+def _isin_calls():
+    """(module, qualname, names in the arguments) of every ``np.isin`` /
+    ``np.in1d`` call under ``index/``."""
+    for path in sorted((PKG / "index").rglob("*.py")):
+        for node, qualname in _module_calls(path):
+            if ast.unparse(node.func) in ("np.isin", "np.in1d", "numpy.isin"):
+                names = {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for arg in [*node.args, *(k.value for k in node.keywords)]
+                    for n in ast.walk(arg) if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                yield path.relative_to(PKG).as_posix(), qualname, names
+
+
+def test_no_isin_takes_a_tombstone_set():
+    """Dead docs drop by a gather on the live-docs mask, never by a
+    membership test against tombstoned ids."""
+    stray = [
+        (rel, q, sorted(n for n in names if TOMBSTONE_NAMES.search(n)))
+        for rel, q, names in _isin_calls()
+        if any(TOMBSTONE_NAMES.search(n) for n in names)
+    ]
+    assert not stray, f"np.isin against tombstones: {stray}"
 
 
 @pytest.mark.parametrize("name", ["OrderedDict", "popitem"])
@@ -187,6 +216,7 @@ def test_guard_sees_the_allowed_calls():
     """The walker finds the calls it is meant to police (no vacuous pass)."""
     assert ("index/query.py", "prepare_query") in set(_calls("tokenize_query"))
     assert ("index/query.py", "SearchSurfaces._spans") in set(_calls("tokenize_query"))
-    assert ("index/query.py", "IndexReader.segments") in set(_calls("tombstones_for_segment"))
+    assert ("index/query.py", "IndexReader._open") in set(_calls("live_mask"))
+    assert ("index/query.py", "search_segment") in {(r, q) for r, q, _ in _isin_calls()}
     assert ("index/query.py", "SegmentCache.__init__") in set(_calls("OrderedDict"))
     assert ("index/query.py", "SegmentCache.get") in set(_calls("popitem"))

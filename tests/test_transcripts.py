@@ -10,7 +10,7 @@ import pytest
 import ray.data as rd
 
 from harvester_ray import analyzer, corpus, synth
-from harvester_ray.index import oracle, query
+from harvester_ray.index import build, oracle, query
 from harvester_ray.pipelines import flagship
 
 
@@ -122,20 +122,27 @@ def _segment_digest(root):
     return out
 
 
-def test_resume_skips_segments_and_is_byte_identical(transcripts_dir, tmp_path_factory):
+def test_resume_skips_segments_and_is_byte_identical(
+    transcripts_dir, tmp_path_factory, monkeypatch
+):
     root = str(tmp_path_factory.mktemp("ridx"))
-    flagship.build_transcript_index(transcripts_dir, root, concurrency=2)
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("crash after phase 1")
+
+    # a crash after phase 1: segments and staging are on disk, no manifest
+    with monkeypatch.context() as m:
+        m.setattr(build, "fold_term_stats", crash)
+        with pytest.raises(RuntimeError, match="crash after phase 1"):
+            flagship.build_transcript_index(transcripts_dir, root, concurrency=2)
+    assert not os.path.exists(os.path.join(root, "v1", "manifest.json"))
     before = _segment_digest(root)
     mtimes = {
         f: os.path.getmtime(f)
         for f in glob.glob(os.path.join(root, "v1", "segments", "seg-*.bin"))
     }
-    # simulate a crash after phase 1: wipe phase-2 outputs + manifest, keep segments
-    os.remove(os.path.join(root, "v1", "manifest.json"))
+    # rerun phase 1 too, so every segment must be skipped by its own marker
     os.remove(os.path.join(root, "v1", "staging", "phase1.done"))
-    import shutil
-
-    shutil.rmtree(os.path.join(root, "v1", "termstats"))
     man = flagship.build_transcript_index(transcripts_dir, root)
     assert man["version"] == 1 or man["version"] == 2
     after = _segment_digest(root)
