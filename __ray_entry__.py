@@ -742,7 +742,7 @@ MSEARCH_QUERIES = [BM25_QUERY_AND, BM25_QUERY_AND2, BM25_QUERY_OR]
 def _msearch(sf_dir: str) -> pd.DataFrame:
     """Batched multi-query search (ES _msearch): one segment sweep answers
     all queries — df lookup once for the term union, shared terms decoded
-    once per segment, per-query early-θ carried across segments."""
+    once per segment."""
     root = _documents_index(sf_dir)
     out = (
         index_query.IndexReader(root)
@@ -1352,8 +1352,7 @@ def _function_score(sf_dir: str) -> pd.DataFrame:
 def _recency_boost(sf_dir: str) -> pd.DataFrame:
     """Lucene distance_feature date boost (the reference's recency ranking,
     core/models/search/query.py:90-98): BM25 sum + boost·pivot/(pivot+|Δt|)
-    from the ts attribute column; OR mode takes the exhaustive scorer since
-    per-doc boosts invalidate block-max bounds."""
+    from the ts attribute column, added after the exhaustive OR scorer."""
     out = (
         index_query.IndexReader(_turnattr_index())
         .search(
@@ -3072,8 +3071,7 @@ def _knn_dot(sf_dir: str) -> pd.DataFrame:
 
 def _rank_feature(sf_dir: str) -> pd.DataFrame:
     """ES rank_feature query: BM25 sum + boost·sat(dl) saturation over the
-    indexed doc length (exhaustive OR path — per-doc boosts invalidate
-    block-max bounds)."""
+    indexed doc length (added after the exhaustive OR scorer)."""
     root = _documents_index(sf_dir)
     out = (
         index_query.IndexReader(root)

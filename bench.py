@@ -248,16 +248,15 @@ def run_headline() -> dict:
     n_turns = man["n_docs"]
     n_built_segments = man["metrics"]["n_segments"]
     # NOTE on compaction-before-serve: measured (interleaved A/B, same
-    # process) 64 small segments serve FASTER than 8 compacted ones here —
-    # early-θ propagation prunes most of the later segments per query,
-    # while a big segment forces full postings scans for hot terms. So the
+    # process) 64 small segments serve FASTER than 8 compacted ones here.
+    # So the
     # serving benchmark runs on the build output directly; compact() stays
     # the tombstone-GC / delta-merge tool it is in the incremental tests.
 
     # serving shape: segments fanned out over an actor pool (the OpenSearch
     # shard fan-out analog); in-process single-threaded numbers reported too
-    # 8 actors: with intra-actor early-θ propagation the fan-out width barely
-    # changes p50 (4≈8≈16 measured), and fewer in-flight RPCs per query mean
+    # 8 actors: the fan-out width barely changes p50 (4≈8≈16 measured),
+    # and fewer in-flight RPCs per query mean
     # fewer chances of one descheduled actor setting the tail on a noisy host
     qs = _query_set()
     p50_ms = p95_ms = p50_best_ms = p95_best_ms = cold_p50_ms = inproc_p50_ms = 0.0

@@ -7,11 +7,12 @@ surfedushare/harvester's Edusources search stack, re-expressed Ray-Data-first:
   (mirrors harvester/files/models/datatypes/file.py:181-185 truncation,
   harvester/core/analysis/text.py:48-50 tokenization semantics).
 - ``harvester_ray.index``      — document-partitioned segment index build
-  (actor-pool segment builders, varbyte + delta-gap postings, block-max skip
+  (Ray Data segment-build tasks, varbyte + delta-gap postings, block skip
   metadata), versioned manifests with atomic current-pointer promotion
   (the analog of DatasetVersion + alias flip,
   harvester/search/models/index.py:113-156), BM25 (k1=1.2, b=0.75) top-k
-  query with block-max WAND, and an independent brute-force oracle scorer.
+  query with one dense disjunctive scorer, and an independent brute-force
+  oracle scorer.
 - ``harvester_ray.ops``        — training-data-pipeline operators: exact and
   near dedup (MinHash-LSH, SimHash, n-gram Jaccard), embedding similarity
   search, text quality analysis, multimodal stubs.

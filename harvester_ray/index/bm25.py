@@ -44,15 +44,3 @@ def score(
 ) -> np.ndarray:
     return term_idf * tf_component(tf, dl, avgdl, k1, b)
 
-
-def block_upper_bound(
-    max_tf: np.ndarray, min_dl: np.ndarray, term_idf: float, avgdl: float,
-    k1: float = K1, b: float = B,
-) -> np.ndarray:
-    """Exact upper bound on any posting's score within a block: the per-term
-    BM25 score is increasing in tf and decreasing in dl, so
-    ``score(max_tf, min_dl)`` dominates every posting in the block. Computed
-    at query time from build-time (max_tf, min_dl) block metadata — this is
-    what makes single-pass index builds possible (idf/avgdl not needed at
-    encode time). See codec.py."""
-    return term_idf * tf_component(np.asarray(max_tf), np.asarray(min_dl), avgdl, k1, b)

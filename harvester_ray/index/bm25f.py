@@ -13,9 +13,7 @@ Engine shape: one index per field (built with ``build_index(text_col=f)``),
 each queried exhaustively in OR mode (k = n_docs so no per-field top-k
 truncation can drop a doc whose *combined* score lands in the final top-k),
 then a vectorized weighted merge. At serving scale the per-field reads fan
-out through the same segment-actor machinery as single-field search; a
-cross-field WAND upper-bound (sum of per-field block maxima) is the
-documented optimization if exhaustive OR ever dominates.
+out through the same segment-actor machinery as single-field search.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ reference's OpenSearch/Lucene backend itself uses; one "shard" per doc range):
   Each batch becomes one immutable *segment*: the builder normalizes +
   tokenizes (vectorized Arrow/numpy, see analyzer.py), computes per-doc term
   frequencies and doc lengths, delta-gap + varbyte encodes every term's
-  posting list in one vectorized pass, attaches per-block (last_doc, max_tf,
-  min_dl) skip metadata, and atomically writes
+  posting list in one vectorized pass, attaches per-block (last_doc, byte
+  offsets) skip metadata, and atomically writes
   ``seg-*.{terms.parquet,docs.parquet,bin}`` plus a fingerprinted ``.done``
   marker. Its *return value* is the segment's tiny vocabulary partial —
   ``(term, df, cf)`` rows plus one ``term=""`` meta row — which Ray streams
@@ -36,9 +36,9 @@ reference's OpenSearch/Lucene backend itself uses; one "shard" per doc range):
 Compared to a term-partitioned ``groupby(term)`` over raw ``(term, doc, tf)``
 postings, this moves ~100-1000× less data through the object store at 100 TB
 scale and is exactly how Lucene builds per-shard indexes; global BM25 stats
-(N, avgdl, df) are recovered by the cheap phase-2 aggregate, and block-max
-bounds remain exact because blocks store (max_tf, min_dl) rather than
-precomputed scores (see codec.py / bm25.py).
+(N, avgdl, df) are recovered by the cheap phase-2 aggregate. Segments store
+no scores, so phase 1 never needs them and the build stays single-pass
+(queries score with the global stats; see codec.py / query.py).
 
 Resume (north_rule): per-segment fingerprinted done markers — a rerun skips
 encode+write for any segment whose input fingerprint matches and replays its
@@ -140,7 +140,6 @@ def encode_postings_streams(
     p_code: np.ndarray,
     p_doc: np.ndarray,
     p_tf: np.ndarray,
-    p_dl: np.ndarray,
     dictionary: pa.Array,
     positions: np.ndarray | None = None,
 ) -> tuple[bytes, bytes, pa.Table, bytes]:
@@ -150,7 +149,7 @@ def encode_postings_streams(
     ``dictionary[p_code]`` gives the term string. Returns (doc_stream,
     tf_stream, terms_tbl, pos_stream) where terms_tbl is the term-sorted
     dictionary table the segment's ``.terms.parquet`` stores (delta-gap +
-    varbyte streams, per-term byte ranges, block-max skip metadata). Shared
+    varbyte streams, per-term byte ranges, block skip metadata). Shared
     by the phase-1 ``SegmentBuilder`` and postings-level
     ``compact.merge_segments`` — no per-term ``encode_postings`` Python loop
     anywhere.
@@ -194,16 +193,6 @@ def encode_postings_streams(
     blk_start = term_starts[blk_term] + within * bs
     blk_end = np.minimum(blk_start + bs, term_ends[blk_term])
     last_doc = p_doc[blk_end - 1] if total_blocks else np.zeros(0, dtype=np.int64)
-    max_tf = (
-        np.maximum.reduceat(p_tf, blk_start).astype(np.int64)
-        if total_blocks
-        else np.zeros(0, dtype=np.int64)
-    )
-    min_dl = (
-        np.minimum.reduceat(p_dl, blk_start).astype(np.int64)
-        if total_blocks
-        else np.zeros(0, dtype=np.int64)
-    )
     blk_doc_off = doc_starts[blk_start] - doc_starts[term_starts][blk_term]
     blk_tf_off = tf_starts[blk_start] - tf_starts[term_starts][blk_term]
 
@@ -252,8 +241,6 @@ def encode_postings_streams(
             "tf_nbytes": pa.array(tf_starts[term_ends] - tf_starts[term_starts], pa.int64()),
             **pos_cols,
             "block_last_doc": _list_arr(last_doc),
-            "block_max_tf": _list_arr(max_tf),
-            "block_min_dl": _list_arr(min_dl),
             "block_doc_off": _list_arr(blk_doc_off),
             "block_tf_off": _list_arr(blk_tf_off),
         }
@@ -419,13 +406,11 @@ class SegmentBuilder:
         dl = np.bincount(rows, minlength=n).astype(np.int64)
         p_row, p_code, p_tf = analyzer.term_frequencies(rows, codes)
         p_doc = doc_ids[p_row]
-        p_dl = dl[p_row]
         # postings order: (term, doc_id) ascending; doc ids are pre-sorted so
         # p_row ascending ⇒ p_doc ascending within a term
         order2 = np.lexsort((p_doc, p_code))
         p_doc = p_doc[order2]
         p_tf = p_tf[order2]
-        p_dl = p_dl[order2]
         p_code = p_code[order2]
 
         positions = None
@@ -437,7 +422,7 @@ class SegmentBuilder:
             positions = tok_pos[np.argsort(codes, kind="stable")]
 
         doc_stream, tf_stream, terms_tbl, pos_stream = encode_postings_streams(
-            p_code, p_doc, p_tf, p_dl, dictionary, positions=positions
+            p_code, p_doc, p_tf, dictionary, positions=positions
         )
         # term-sorted views (terms_tbl order) for partials and the marker
         seg_terms = terms_tbl["term"].combine_chunks()

@@ -1,4 +1,4 @@
-"""Posting-list codec: delta-gap + varbyte compression with block-max skip
+"""Posting-list codec: delta-gap + varbyte compression with block skip
 metadata.
 
 The reference delegates physical posting-list storage to OpenSearch/Lucene;
@@ -7,16 +7,12 @@ as two byte streams (doc-id gaps, term frequencies), each varbyte-encoded,
 chunked into blocks of ``BLOCK_SIZE`` postings. Per block we keep:
 
 - ``last_doc``  — the last (largest) doc id in the block (skip pointer),
-- ``max_tf``    — max term frequency in the block,
-- ``min_dl``    — min document length among the block's postings,
 - byte offsets of the block within each stream (standalone block decode).
 
-``(max_tf, min_dl)`` yields an exact BM25 upper bound for the block at query
-time — BM25's per-term score is monotonically increasing in tf and decreasing
-in dl — without needing global stats (idf, avgdl) at *build* time. That is
-what lets the index build run in a single streaming pass; the classical
-precomputed block-max score is recovered at query time as
-``idf * ub(max_tf, min_dl)``.
+That is what the candidate-driven AND path needs to decode only the blocks
+that can hold its candidates. No per-block score bound is stored: there is
+no pruned disjunction to use one (see ``query.or_exhaustive``). Segments
+written with the former ``max_tf``/``min_dl`` block columns still read.
 
 All encode/decode paths are numpy-vectorized (per byte position, not per
 value); no Python loops over postings.
@@ -87,22 +83,22 @@ def varbyte_decode(buf: bytes | memoryview | np.ndarray) -> np.ndarray:
 
 
 def encode_postings(
-    doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray
+    doc_ids: np.ndarray, tfs: np.ndarray
 ) -> tuple[bytes, bytes, dict[str, np.ndarray]]:
     """Encode one term's postings (sorted by doc_id ascending).
 
     Returns ``(doc_bytes, tf_bytes, blocks)`` where ``blocks`` holds per-block
-    skip metadata: ``last_doc``, ``max_tf``, ``min_dl``, ``doc_off``,
-    ``tf_off`` (byte offset of each block inside the two streams). Doc ids are
+    skip metadata: ``last_doc``, ``doc_off``, ``tf_off`` (byte offset of
+    each block inside the two streams). Doc ids are
     delta-gap encoded; the first gap of block k is relative to block k-1's
     last doc id, so any block decodes standalone given the previous block's
     ``last_doc``.
     """
     n = doc_ids.size
-    assert tfs.size == n and dls.size == n
+    assert tfs.size == n
     if n == 0:
         z = np.empty(0, dtype=np.int64)
-        return b"", b"", {k: z for k in ("last_doc", "max_tf", "min_dl", "doc_off", "tf_off")}
+        return b"", b"", {k: z for k in ("last_doc", "doc_off", "tf_off")}
     gaps = np.empty(n, dtype=np.uint64)
     gaps[0] = doc_ids[0]
     np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:], casting="unsafe")
@@ -123,13 +119,8 @@ def encode_postings(
         tf_parts.append(tb)
         pos_d += len(db)
         pos_t += len(tb)
-    last_doc = doc_ids[bounds - 1].astype(np.int64)
-    max_tf = np.maximum.reduceat(tfs, starts).astype(np.int64)
-    min_dl = np.minimum.reduceat(dls, starts).astype(np.int64)
     blocks = {
-        "last_doc": last_doc,
-        "max_tf": max_tf,
-        "min_dl": min_dl,
+        "last_doc": doc_ids[bounds - 1].astype(np.int64),
         "doc_off": doc_off,
         "tf_off": tf_off,
     }
@@ -142,16 +133,6 @@ def decode_postings(doc_bytes: bytes | memoryview, tf_bytes: bytes | memoryview)
     doc_ids = np.cumsum(gaps.astype(np.int64))
     tfs = varbyte_decode(tf_bytes).astype(np.int64)
     return doc_ids, tfs
-
-
-def decode_block(
-    doc_bytes: bytes | memoryview,
-    tf_bytes: bytes | memoryview,
-    blocks: dict[str, np.ndarray],
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode block ``k`` standalone → (doc_ids, tfs)."""
-    return decode_block_run(doc_bytes, tf_bytes, blocks, k, k)
 
 
 def decode_block_run(

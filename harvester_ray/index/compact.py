@@ -127,14 +127,13 @@ def merge_segments(
             idx = np.repeat(src_start - out_start, out_tf) + np.arange(pos_cat.size)
             positions = pos_cat[idx]
         p_code, p_doc, p_tf = p_code[order2], p_doc[order2], p_tf[order2]
-        p_dl = dls[np.searchsorted(doc_ids, p_doc)]
     else:
-        p_code = p_doc = p_tf = p_dl = np.empty(0, np.int64)
+        p_code = p_doc = p_tf = np.empty(0, np.int64)
 
     from .build import encode_postings_streams
 
     doc_stream, tf_stream, terms_tbl, pos_stream = encode_postings_streams(
-        p_code, p_doc, p_tf, p_dl, merged_vocab, positions=positions
+        p_code, p_doc, p_tf, merged_vocab, positions=positions
     )
 
     name = f"seg-{doc_ids[0]:012d}-{doc_ids[-1]:012d}" if doc_ids.size else "seg-empty"

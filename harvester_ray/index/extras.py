@@ -34,7 +34,6 @@ from .query import (
     score_spans,
     search_segment,
     span_matches,
-    vocab_with_prefix,
 )
 
 
@@ -418,10 +417,8 @@ def suggest_phrases(
     if not toks:
         return empty
     cand_lists: list[list[tuple[str, int]]] = []
-    for tok in toks:
-        vocab = vocab_with_prefix(
-            reader.segments(), tok[:1], len(tok) - max_edits, len(tok) + max_edits
-        )
+    vocabs = reader.vocab([(t[:1], len(t) - max_edits, len(t) + max_edits) for t in toks])
+    for tok, vocab in zip(toks, vocabs):
         names = sorted(vocab)
         if names:
             dists = _levenshtein_batch(tok, names)
@@ -594,9 +591,9 @@ def fuzzy_search(
 def _fuzzy_terms(reader: IndexReader, tok: str, max_edits: int, prefix_length: int) -> list[str]:
     """Sorted dictionary terms within ``max_edits`` Levenshtein edits of
     ``tok`` sharing its first ``prefix_length`` chars."""
-    cands = sorted(vocab_with_prefix(
-        reader.segments(), tok[:prefix_length], len(tok) - max_edits, len(tok) + max_edits
-    ))
+    cands = sorted(reader.vocab([
+        (tok[:prefix_length], len(tok) - max_edits, len(tok) + max_edits)
+    ])[0])
     if not cands:
         return []
     return [c for c, d in zip(cands, _levenshtein_batch(tok, cands)) if d <= max_edits]
@@ -3256,10 +3253,9 @@ def search_function_score(
     OR-mode BM25 sum is MULTIPLIED by
     ``decay ** ((|ts − origin| / scale)²)`` — computed as
     ``exp(ln(decay) · m·m)`` with ``m = dist/scale`` so engine and oracle
-    share one float expression (no pow()), offset = 0. Multiplicative
-    boosts invalidate block-max upper bounds, so scoring is exhaustive per
-    segment (the recency/rank_feature contract); per-segment top-k after
-    the multiply is exact because the decay is per-doc."""
+    share one float expression (no pow()), offset = 0. Scoring is
+    exhaustive per segment; per-segment top-k after the multiply is exact
+    because the decay is per-doc."""
     check_counts(k=k)
     import math
 

@@ -22,8 +22,8 @@ from .query import IndexReader, SearchSurfaces, shared_analyzer_version
 class FederatedReader(SearchSurfaces):
     """Read-only search over the union of several index versions: every
     ``SearchSurfaces`` surface, run in process over the members' chained
-    segments with GLOBAL idf/avgdl (early θ propagates across the segments
-    of ALL members — the same plan the per-index reader runs). Members must
+    segments with GLOBAL idf/avgdl (the same plan the per-index reader
+    runs over its own segments). Members must
     share one analyzer version (``ValueError`` naming each root's version
     otherwise): a query is analyzed once for all of them."""
 

@@ -3,13 +3,13 @@
 Mirrors the reference's search semantics: ``simple_query_string`` with
 ``default_operator: "and"`` (harvester/core/models/search/query.py:80-86)
 ⇒ AND = posting-list intersection across query terms; OR mode scores the
-union (used by block-max WAND). Scores are Okapi BM25, k1=1.2, b=0.75
-(see bm25.py), ties broken (score desc, doc_id asc), matching the oracle.
+union. Scores are Okapi BM25, k1=1.2, b=0.75 (see bm25.py), ties broken
+(score desc, doc_id asc), matching the oracle.
 
 Physical execution is document-partitioned fan-out — each segment computes
-its local top-k with block-skip pruning, the driver (or a merge step) merges
-heaps — the same plan OpenSearch runs across shards for the reference's
-search API (harvester/search/views/document.py:122-143).
+its local top-k, the driver (or a merge step) merges heaps — the same plan
+OpenSearch runs across shards for the reference's search API
+(harvester/search/views/document.py:122-143).
 
 Every query surface is written once, on ``SearchSurfaces``, over two
 fan-out backends:
@@ -136,18 +136,24 @@ class SegmentReader:
     def __init__(self, base_path: str, cache: SegmentCache):
         self.base = base_path
         self.cache = cache
-        terms = pq.read_table(base_path + ".terms.parquet")
+        # indexes written before the block (max_tf, min_dl) columns were
+        # dropped still hold them: they are never read
+        pf = pq.ParquetFile(base_path + ".terms.parquet")
+        terms = pf.read(columns=[
+            c for c in pf.schema_arrow.names if c not in ("block_max_tf", "block_min_dl")
+        ])
         self._term_strings = terms["term"].combine_chunks()
         self._lookup = {t: i for i, t in enumerate(self._term_strings.to_pylist())}
         for col in ("df", "cf", "doc_off", "doc_nbytes", "tf_off", "tf_nbytes"):
             setattr(self, "_" + col, np.asarray(terms[col].combine_chunks(), dtype=np.int64))
-        self._blocks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for col in ("block_last_doc", "block_max_tf", "block_min_dl", "block_doc_off", "block_tf_off"):
-            arr = terms[col].combine_chunks()
-            self._blocks[col] = (
-                np.asarray(arr.offsets, dtype=np.int64),
-                np.asarray(arr.values, dtype=np.int64),
-            )
+        # the block columns share one list layout: per-term [lo, hi) slices
+        self._block_off = np.asarray(
+            terms["block_last_doc"].combine_chunks().offsets, dtype=np.int64
+        )
+        self._blocks = {
+            col: np.asarray(terms[col].combine_chunks().values, dtype=np.int64)
+            for col in ("block_last_doc", "block_doc_off", "block_tf_off")
+        }
         # underscore-prefixed columns (e.g. the ES-_source analog "_source")
         # are stored-on-disk-only: pruned at the read, never held in serving
         # memory, fetched per doc batch via stored_values()
@@ -191,11 +197,8 @@ class SegmentReader:
             "tf_off": int(self._tf_off[i]),
             "tf_nbytes": int(self._tf_nbytes[i]),
         }
-        off, vals = self._blocks["block_last_doc"]
-        lo, hi = off[i], off[i + 1]
-        row["block_last_doc"] = vals[lo:hi]
-        for col in ("block_max_tf", "block_min_dl", "block_doc_off", "block_tf_off"):
-            _, v = self._blocks[col]
+        lo, hi = self._block_off[i], self._block_off[i + 1]
+        for col, v in self._blocks.items():
             row[col] = v[lo:hi]
         return row
 
@@ -425,12 +428,6 @@ class SegmentReader:
         return self.doc_ids[mask]
 
 
-# pruning-threshold safety margin: candidates within half a 4th-decimal ulp
-# of the current k-th score can still round-tie with it and win the doc_id
-# tie-break, so thresholds are slackened by one rounding quantum
-ROUND_MARGIN = 1e-4
-
-
 def _topk(docs: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic top-k on the ORACLE's ordering key: 4-decimal-rounded
     score desc, doc_id asc. Selecting on the rounded score (scores are
@@ -452,8 +449,7 @@ def _topk(docs: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.
 
 
 def recency_boost(seg: SegmentReader, docs: np.ndarray, recency: dict) -> np.ndarray:
-    """Per-doc additive score feature (applied AFTER term scoring, which is
-    why these queries take the exhaustive path in OR mode). Two kinds:
+    """Per-doc additive score feature, applied AFTER term scoring. Two kinds:
 
     - Lucene ``distance_feature`` date boost (default):
       ``boost * pivot/(pivot+|Δt|)`` — reference defaults pivot=90d,
@@ -483,20 +479,18 @@ def search_segment(
     avgdl: float,
     k: int,
     mode: str = "and",
-    threshold: float = -np.inf,
     live_docs: np.ndarray | None = None,
     include: np.ndarray | None = None,
     recency: dict | None = None,
     min_should_match: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local top-k for one segment. ``threshold`` lets callers pass a current
-    global k-th score so OR/WAND mode can prune harder; ``live_docs`` is the
-    segment's live-docs mask (``live_mask``; None = every doc live) and
-    ``include`` the facet-filter allowed set, both applied BEFORE top-k
-    selection so dead/filtered docs never crowd out live ones; ``recency`` adds the distance_feature date boost.
-    ``min_should_match`` (OR mode) keeps only docs matching at least that
-    many distinct query terms — it invalidates block-max upper bounds, so
-    such queries always take the exhaustive path."""
+    """Local top-k for one segment. ``live_docs`` is the segment's live-docs
+    mask (``live_mask``; None = every doc live) and ``include`` the
+    facet-filter allowed set, both applied BEFORE top-k selection so
+    dead/filtered docs never crowd out live ones; ``recency`` adds the
+    distance_feature date boost. ``min_should_match`` (OR mode) keeps only
+    docs matching at least that many distinct query terms. OR mode is
+    always ``or_exhaustive``."""
     entries = {}
     for t in terms:
         row = seg.entry(t)
@@ -511,31 +505,20 @@ def search_segment(
     if mode == "and":
         # dense fast path: when the rarest term still covers a large slice
         # of the segment (head-term conjunctions — the 64x soak's p50
-        # regime) or every term's position index is already hot, full
-        # dense accumulation + count filter beats candidate-driven block
-        # decode; contributions accumulate in the same sorted-term order,
-        # so scores are bitwise identical to the candidate path.
+        # regime) or every term's position index is already hot, the dense
+        # disjunction keeping docs that match every term beats
+        # candidate-driven block decode; contributions accumulate in the
+        # same sorted-term order, so scores are bitwise identical to the
+        # candidate path.
         min_df = min(e["df"] for e in entries.values())
         if recency is None and (
             4 * min_df >= seg.doc_ids.size
             or all(("pos", seg.base, t) in seg.cache for t in entries)
         ):
-            n_seg = seg.doc_ids.size
-            dense = np.zeros(n_seg, np.float64)
-            counts = np.zeros(n_seg, np.int16)
-            for t in sorted(entries):
-                idx, sc = seg.scored_postings(t, idf_map[t], avgdl)
-                dense[idx] += sc
-                counts[idx] += 1
-            nz = np.flatnonzero(counts == len(entries))
-            if live_docs is not None:
-                nz = nz[live_docs[nz]]
-            cand = seg.doc_ids[nz]
-            scores = dense[nz]
-            if include is not None and cand.size:
-                keep = np.isin(cand, include, assume_unique=True)
-                cand, scores = cand[keep], scores[keep]
-            return _topk(cand, scores, k)
+            return or_exhaustive(
+                seg, entries, idf_map, avgdl, k, live_docs=live_docs, include=include,
+                min_should_match=len(entries),
+            )
         # intersect, driving from the rarest term; block-skip decode others
         order = sorted(entries, key=lambda t: entries[t]["df"])
         cand, _ = seg.postings(order[0])
@@ -569,27 +552,10 @@ def search_segment(
             scores = scores + recency_boost(seg, cand, recency)
         return _topk(cand, scores, k)
 
-    # mode == "or": exhaustive vectorized union when the lists are small
-    # (decode cost ≈ one memcpy); block-max pruned union for long lists,
-    # where skipping whole blocks actually pays for its bookkeeping.
-    # filters/recency change per-doc scores, which would invalidate block-max
-    # upper bounds → those queries always take the exhaustive path
-    local_postings = sum(e["df"] for e in entries.values())
-    if (
-        include is not None
-        or recency is not None
-        or min_should_match is not None
-        or local_postings <= OR_EXHAUSTIVE_THRESHOLD
-    ):
-        return or_exhaustive(
-            seg, entries, idf_map, avgdl, k, live_docs=live_docs, include=include,
-            recency=recency, min_should_match=min_should_match,
-        )
-    return block_max_union(seg, entries, idf_map, avgdl, k, threshold, live_docs=live_docs)
-
-
-# below this many postings per segment, exhaustive scoring beats pruning
-OR_EXHAUSTIVE_THRESHOLD = 500_000
+    return or_exhaustive(
+        seg, entries, idf_map, avgdl, k, live_docs=live_docs, include=include,
+        recency=recency, min_should_match=min_should_match,
+    )
 
 
 def or_exhaustive(
@@ -603,34 +569,32 @@ def or_exhaustive(
     recency: dict | None = None,
     min_should_match: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact disjunctive top-k by full vectorized decode + sort/reduceat
-    score aggregation. Accumulation is in sorted-term order per doc (stable
-    argsort keeps per-doc contributions in append order) — the same order
-    as AND mode and the oracle, so scores are bit-comparable."""
-    # dense accumulation over the segment's doc space: one zeros(n) plus a
-    # fancy-index add per term (a term's postings hit each doc at most
-    # once, so no np.add.at is needed). Per-doc contributions land in
-    # sorted-term order — bitwise identical to the old concatenate +
-    # stable-argsort + reduceat fold, at a fraction of the cost (the 64x
-    # soak measured 87%-df head terms paying ~6 ms/segment in the sort +
-    # per-query doc_lengths searchsorted; this path is ~0.5 ms).
+    """Exact disjunctive top-k over the segment's whole doc space: the one
+    scorer of every OR query, and of an AND query whose terms are dense or
+    hot (``min_should_match=len(entries)``). Accumulation is in sorted-term
+    order per doc — the same order as the candidate AND path and the
+    oracle, so scores are bit-comparable.
+
+    There is deliberately no block-max (WAND) pruned path: every block of a
+    head term holds a near-max score, so the bounds do not prune, and
+    BASELINE.md measured such a path slower than this one on every query
+    long enough to take it."""
+    # dense accumulation: one zeros(n) plus a fancy-index add per term (a
+    # term's postings hit each doc at most once, so no np.add.at is needed);
+    # per-doc contributions land in sorted-term order. With
+    # min_should_match > 1 the per-doc term counts alone pick the matches.
     n_seg = seg.doc_ids.size
     dense = np.zeros(n_seg, np.float64)
-    matched = np.zeros(n_seg, bool)
-    counts = (
-        np.zeros(n_seg, np.int16)
-        if (min_should_match is not None and min_should_match > 1)
-        else None
-    )
+    need = min_should_match if min_should_match is not None and min_should_match > 1 else 0
+    hits = np.zeros(n_seg, np.int16 if need else bool)
     for t in sorted(entries):
         idx, sc = seg.scored_postings(t, idf_map[t], avgdl)
         dense[idx] += sc
-        matched[idx] = True
-        if counts is not None:
-            counts[idx] += 1
-    nz = np.flatnonzero(matched)
-    if counts is not None:
-        nz = nz[counts[nz] >= min_should_match]
+        if need:
+            hits[idx] += 1
+        else:
+            hits[idx] = True
+    nz = np.flatnonzero(hits >= need) if need else np.flatnonzero(hits)
     if live_docs is not None:
         nz = nz[live_docs[nz]]
     uniq = seg.doc_ids[nz]
@@ -641,118 +605,6 @@ def or_exhaustive(
     if recency is not None and uniq.size:
         sums = sums + recency_boost(seg, uniq, recency)
     return _topk(uniq, sums, k)
-
-
-def block_max_union(
-    seg: SegmentReader,
-    entries: dict[str, dict],
-    idf_map: dict[str, float],
-    avgdl: float,
-    k: int,
-    threshold: float = -np.inf,
-    live_docs: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block-max pruned disjunctive top-k (block-max WAND family).
-
-    Doc space is cut at every block boundary of every term; for each
-    resulting interval the exact upper bound is the sum of the covering
-    blocks' ``idf * ub(max_tf, min_dl)`` (bm25.block_upper_bound — exact, see
-    codec.py). Intervals are processed in descending upper-bound order; once
-    the bound falls below the running k-th score θ, every remaining interval
-    is pruned and its blocks are never decoded. Equivalent to BMW's pivot
-    skipping but interval-vectorized instead of cursor-per-posting, which is
-    the right shape for numpy."""
-    t_names = sorted(entries)
-    blocks = []
-    for ti, t in enumerate(t_names):
-        row = entries[t]
-        last = np.asarray(row["block_last_doc"], dtype=np.int64)
-        ub = bm25.block_upper_bound(
-            np.asarray(row["block_max_tf"], dtype=np.float64),
-            np.asarray(row["block_min_dl"], dtype=np.float64),
-            idf_map[t],
-            avgdl,
-        )
-        first = np.empty_like(last)
-        if last.size:
-            first[0] = 0
-            first[1:] = last[:-1] + 1
-        blocks.append((first, last, ub))
-
-    # interval boundaries across all terms
-    cuts = np.unique(np.concatenate([b[1] for b in blocks] + [np.array([-1], np.int64)]))
-    starts = cuts[:-1] + 1
-    ends = cuts[1:]
-    n_int = starts.size
-    int_ub = np.zeros(n_int, dtype=np.float64)
-    cover = []  # per term: block index covering each interval (-1 = none)
-    for first, last, ub in blocks:
-        bi = np.searchsorted(last, starts)
-        ok = (bi < last.size) & (first[np.clip(bi, 0, max(last.size - 1, 0))] <= ends) if last.size else np.zeros(n_int, bool)
-        contrib = np.where(ok, ub[np.clip(bi, 0, max(last.size - 1, 0))], 0.0)
-        int_ub += contrib
-        cover.append(np.where(ok, bi, -1))
-
-    order = np.argsort(-int_ub, kind="stable")
-    heap_docs = np.empty(0, np.int64)
-    heap_scores = np.empty(0, np.float64)
-    theta = threshold
-    decoded: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    slices: dict[int, tuple[memoryview, memoryview, dict]] = {}
-
-    for ii in order:
-        if int_ub[ii] <= theta and heap_docs.size >= k:
-            break
-        lo, hi = starts[ii], ends[ii]
-        # gather exact postings for this interval from each covering block
-        docs_parts, score_parts = [], []
-        for ti, t in enumerate(t_names):
-            bi = cover[ti][ii]
-            if bi < 0:
-                continue
-            key = (ti, int(bi))
-            if key not in decoded:
-                if ti not in slices:
-                    row = entries[t]
-                    db, tb = seg._slices(row)
-                    slices[ti] = (
-                        db,
-                        tb,
-                        {
-                            "last_doc": np.asarray(row["block_last_doc"], np.int64),
-                            "doc_off": np.asarray(row["block_doc_off"], np.int64),
-                            "tf_off": np.asarray(row["block_tf_off"], np.int64),
-                        },
-                    )
-                db, tb, bmeta = slices[ti]
-                decoded[key] = codec.decode_block(db, tb, bmeta, int(bi))
-            d, f = decoded[key]
-            sel = (d >= lo) & (d <= hi)
-            if not sel.any():
-                continue
-            dsel = d[sel]
-            dl = seg.doc_lengths(dsel).astype(np.float64)
-            docs_parts.append(dsel)
-            score_parts.append(bm25.score(f[sel].astype(np.float64), dl, idf_map[t], avgdl))
-        if not docs_parts:
-            continue
-        alld = np.concatenate(docs_parts)
-        alls = np.concatenate(score_parts)
-        so = np.argsort(alld, kind="stable")
-        alld, alls = alld[so], alls[so]
-        uniq, start_idx = np.unique(alld, return_index=True)
-        sums = np.add.reduceat(alls, start_idx)
-        if live_docs is not None:
-            keep = live_docs[seg.ordinals(uniq)]
-            uniq, sums = uniq[keep], sums[keep]
-        heap_docs = np.concatenate([heap_docs, uniq])
-        heap_scores = np.concatenate([heap_scores, sums])
-        if heap_docs.size > 4 * k:
-            heap_docs, heap_scores = _topk(heap_docs, heap_scores, k)
-        if heap_docs.size >= k:
-            kth = np.partition(heap_scores, heap_scores.size - k)[heap_scores.size - k] if heap_scores.size > k else heap_scores.min()
-            theta = max(theta, kth - ROUND_MARGIN)
-    return _topk(heap_docs, heap_scores, k)
 
 
 def parse_tombstones(manifest: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -988,7 +840,7 @@ class SearchSurfaces:
     ) -> pa.Table:
         """Top-k BM25. ``mode="and"`` = intersection semantics
         (simple_query_string default_operator:and parity); ``mode="or"`` =
-        disjunctive block-max pruned scoring. ``filters`` are facet filters
+        disjunctive scoring. ``filters`` are facet filters
         (OR within field, AND across fields, filter-context scoring);
         ``recency`` is the distance_feature date boost (see recency_boost).
         ``must_not`` is negated text (simple_query_string ``-term`` clauses,
@@ -997,11 +849,8 @@ class SearchSurfaces:
         live-docs mask tombstones clear. ``min_should_match`` (OR mode)
         keeps only docs matching at least that many distinct query terms.
 
-        One fan-out: every segment group runs ``topk_over`` with its own
-        early θ and the parts merge. ``QueryService`` assigns segments
-        round-robin, so they are iid corpus samples and an actor's local θ
-        is already ≈ the global one: a second round seeding a global θ
-        measured 4–5 ms slower at every pool size (BASELINE.md)."""
+        One fan-out: every segment group runs ``topk_over`` and the parts
+        merge."""
         return self._topk(*self._search_plan(
             query_text, k, mode, filters, recency, must_not, min_should_match
         ))
@@ -1174,25 +1023,31 @@ class SearchSurfaces:
     ) -> pd.DataFrame:
         """Per-token spelling suggestions over the index vocabulary (ES term
         suggester, ``suggest_mode: missing``; ranking in
-        ``extras.suggest_tokens``). Candidate (term, df) ranges come from
-        each segment's first-``prefix_length``-chars dictionary range
-        (terms are stored sorted), so cost is O(log V) probes + one prefix
-        bucket per segment — never a vocabulary scan. Every misspelled
-        token's range is read in one fan-out. Returns one row per distinct
+        ``extras.suggest_tokens``). Candidates come from ``vocab``: each
+        segment's first-``prefix_length``-chars dictionary range (terms are
+        stored sorted), so cost is O(log V) probes + one prefix bucket per
+        segment — never a vocabulary scan — weighed by the live df. Every
+        misspelled token's range is read in one fan-out. Returns one row per distinct
         query token, sorted: (token, suggestion), suggestion '' for tokens
         that are present or uncorrectable."""
         from .extras import suggest_tokens
 
         self._check()
+        return suggest_tokens(self.prepare(query_text, "or"), self.vocab, max_edits, prefix_length)
 
-        def vocabs(specs: list[tuple[str, int, int]]) -> list[dict[str, int]]:
-            aggs: list[dict[str, int]] = [{} for _ in specs]
-            for part in self._fanout("prefix_vocab", specs) if specs else []:
-                for agg, vocab in zip(aggs, part):
-                    add_counts(agg, vocab)
-            return aggs
-
-        return suggest_tokens(self.prepare(query_text, "or"), vocabs, max_edits, prefix_length)
+    def vocab(self, specs: list[tuple[str, int, int]]) -> list[dict[str, int]]:
+        """``{term: df}`` per ``(prefix, min_len, max_len)`` of ``specs``:
+        the dictionary terms in that prefix range and length window (one
+        fan-out for all specs), each with its df from the term stats, which
+        every delta corrects; terms whose df is 0 (only tombstoned docs
+        held them) are dropped. The candidate source of every spelling and
+        fuzzy surface, so they answer like a rebuild of the live corpus."""
+        found = [set() for _ in specs]
+        for part in self._fanout("prefix_vocab", specs) if specs else []:
+            for acc, terms in zip(found, part):
+                acc |= terms
+        dfs = self.df(sorted(set().union(*found)))
+        return [{t: dfs[t] for t in terms if dfs[t] > 0} for terms in found]
 
     def date_histogram(
         self,
@@ -1400,25 +1255,18 @@ def topk_over(
     neg_terms: list[str] | None = None,
     min_should_match: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k over the segments with early θ: each segment's k-th score,
-    less ROUND_MARGIN, becomes the block-max pruning threshold of the
-    segments after it (not under ``recency``, whose per-doc boost the block
-    bounds do not cover)."""
-    if k == 0:  # nothing to select (block-max pruning needs a k-th score)
+    """Top-k over the segments: each segment's local top-k, merged."""
+    if k == 0:
         return np.empty(0, np.int64), np.empty(0, np.float64)
     parts = []
-    theta = -np.inf
     for _, seg, live_docs in segments:
         if neg_terms:
             live_docs = exclude_terms(seg, live_docs, neg_terms)
-        d, s = search_segment(
-            seg, terms, idf_map, avgdl, k, mode=mode, threshold=theta,
-            live_docs=live_docs, include=seg.allowed_docs(filters), recency=recency,
+        parts.append(search_segment(
+            seg, terms, idf_map, avgdl, k, mode=mode, live_docs=live_docs,
+            include=seg.allowed_docs(filters), recency=recency,
             min_should_match=min_should_match,
-        )
-        parts.append((d, s))
-        if s.size >= k and recency is None:
-            theta = max(theta, np.sort(s)[-k] - ROUND_MARGIN)
+        ))
     if not parts:
         return np.empty(0, np.int64), np.empty(0, np.float64)
     return _topk(
@@ -1560,25 +1408,24 @@ def attr_page(
 
 def vocab_with_prefix(
     segments, prefix: str, min_len: int = 0, max_len: int = 1 << 30
-) -> dict[str, int]:
-    """{term: df summed over the segments} for dictionary terms starting
-    with ``prefix`` with length in [min_len, max_len] — enumerated from each
-    segment's sorted dictionary range only, never a vocabulary scan."""
-    agg: dict[str, int] = {}
+) -> set[str]:
+    """The dictionary terms of the segments starting with ``prefix`` with
+    length in [min_len, max_len] — enumerated from each segment's sorted
+    dictionary range only, never a vocabulary scan. A dictionary still
+    holds terms only tombstoned docs have: ``SearchSurfaces.vocab`` weighs
+    these candidates by the live df."""
+    out: set[str] = set()
     for _, seg, _ in segments:
-        lo, hi = seg.prefix_range(prefix)
-        if hi <= lo:
-            continue
-        for t, d in zip(seg._term_strings.slice(lo, hi - lo).to_pylist(), seg._df[lo:hi]):
-            if min_len <= len(t) <= max_len:
-                agg[t] = agg.get(t, 0) + int(d)
-    return agg
+        out.update(
+            t for t in seg.terms_with_prefix(prefix) if min_len <= len(t) <= max_len
+        )
+    return out
 
 
-def vocabs_with_prefixes(segments, specs: list[tuple[str, int, int]]) -> list[dict[str, int]]:
+def vocabs_with_prefixes(segments, specs: list[tuple[str, int, int]]) -> list[set[str]]:
     """``vocab_with_prefix`` of every ``(prefix, min_len, max_len)`` of
-    ``specs``, in order: one fan-out answers every misspelled token of a
-    ``did_you_mean``."""
+    ``specs``, in order: one fan-out answers every token a spelling or
+    fuzzy surface expands."""
     segments = list(segments)
     return [vocab_with_prefix(segments, *spec) for spec in specs]
 
@@ -1765,9 +1612,6 @@ class QuerySegmentActor:
                 reader.doc_ids, *tombstones, m.get("created_version", cur_version)
             )
             self.readers.append((m, reader, live_docs))
-        # largest segment first: its k-th score is the tightest early θ for
-        # the rest of this actor's segments
-        self.readers.sort(key=lambda r: -int(r[1].doc_ids.size))
         self.avgdl = float(manifest["avgdl"])
 
     def run(self, request: tuple[str, tuple]):

@@ -59,8 +59,8 @@ def search_similarity(
     mu: float = MU,
 ) -> pd.DataFrame:
     """Top-k under a non-BM25 similarity model. OR mode scores every doc
-    matching ≥1 term (AND intersects first); exhaustive per segment —
-    block-max bounds are BM25-shaped and don't transfer to other models."""
+    matching ≥1 term (AND intersects first); exhaustive per segment, like
+    BM25's own disjunctions."""
     empty = pd.DataFrame({
         "doc_id": pd.Series(dtype=np.int64),
         "score": pd.Series(dtype=np.float64),

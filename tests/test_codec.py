@@ -34,8 +34,7 @@ def test_postings_roundtrip():
     n = 1000
     doc_ids = np.sort(rng.choice(100_000, size=n, replace=False)).astype(np.int64)
     tfs = rng.integers(1, 50, size=n).astype(np.int64)
-    dls = rng.integers(5, 500, size=n).astype(np.int64)
-    db, tb, blocks = codec.encode_postings(doc_ids, tfs, dls)
+    db, tb, blocks = codec.encode_postings(doc_ids, tfs)
     d2, f2 = codec.decode_postings(db, tb)
     np.testing.assert_array_equal(d2, doc_ids)
     np.testing.assert_array_equal(f2, tfs)
@@ -46,8 +45,6 @@ def test_postings_roundtrip():
     for k in range(n_blocks):
         s, e = k * bs, min((k + 1) * bs, n)
         assert blocks["last_doc"][k] == doc_ids[e - 1]
-        assert blocks["max_tf"][k] == tfs[s:e].max()
-        assert blocks["min_dl"][k] == dls[s:e].min()
-        dk, fk = codec.decode_block(db, tb, blocks, k)
+        dk, fk = codec.decode_block_run(db, tb, blocks, k, k)
         np.testing.assert_array_equal(dk, doc_ids[s:e])
         np.testing.assert_array_equal(fk, tfs[s:e])

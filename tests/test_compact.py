@@ -1,9 +1,14 @@
+import os
+import shutil
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
-from harvester_ray.index import build, compact, incremental, manifest as mf, query
+from harvester_ray.index import build, codec, compact, fsck, incremental, manifest as mf, query
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
 
@@ -122,3 +127,71 @@ def test_tiered_compaction_carries_big_segments(tmp_path_factory, ray_session):
     v = mf.current_version(root)
     man2 = compact.compact_tiered(root, small_docs=100)
     assert mf.current_version(root) == v and man2["_version"] == v
+
+
+# -- segments written with the former per-block (max_tf, min_dl) columns -------
+
+
+def _add_block_score_columns(root):
+    """Give every segment's ``.terms.parquet`` the per-block ``block_max_tf``
+    and ``block_min_dl`` columns indexes held before they were dropped,
+    computed from the segment's own postings as the former encoder did and
+    placed where it wrote them (after ``block_last_doc``)."""
+    for m in mf.read_manifest(root)["segments"]:
+        base = os.path.join(root, m["path"])
+        seg = query.SegmentReader(base, query.SegmentCache(0))
+        terms = pq.read_table(base + ".terms.parquet")
+        max_tf, min_dl = [], []
+        for t in terms["term"].to_pylist():
+            d, f = seg.postings(t)
+            starts = np.arange(0, d.size, codec.BLOCK_SIZE)
+            max_tf.append(np.maximum.reduceat(f, starts))
+            min_dl.append(np.minimum.reduceat(seg.doc_lengths(d), starts))
+        offsets = terms["block_last_doc"].combine_chunks().offsets
+        at = terms.column_names.index("block_last_doc") + 1
+        for name, parts in (("block_min_dl", min_dl), ("block_max_tf", max_tf)):
+            col = pa.ListArray.from_arrays(offsets, pa.array(np.concatenate(parts), pa.int64()))
+            terms = terms.add_column(at, name, col)
+        pq.write_table(terms, base + ".terms.parquet")
+
+
+def _block_columns(root):
+    return [
+        {c for c in pq.read_schema(os.path.join(root, m["path"]) + ".terms.parquet").names
+         if c.startswith("block_")}
+        for m in mf.read_manifest(root)["segments"]
+    ]
+
+
+def test_segments_with_block_score_columns_read_and_compact(tmp_path):
+    """An index written with the per-block (max_tf, min_dl) columns answers
+    ``search`` (AND and OR) and ``search_phrase`` exactly like the same
+    build without them, passes fsck, and compacts into the new format."""
+    new_root, old_root = str(tmp_path / "new"), str(tmp_path / "old")
+    build.build_index(
+        rd.read_parquet(DOCS, columns=["doc_id", "text"]), new_root,
+        concurrency=2, store_positions=True,
+    )
+    shutil.copytree(new_root, old_root)
+    _add_block_score_columns(old_root)
+    every = {"block_last_doc", "block_max_tf", "block_min_dl", "block_doc_off", "block_tf_off"}
+    assert all(cols == every for cols in _block_columns(old_root))
+
+    def answers(root):
+        r = query.IndexReader(root)
+        out = {(q, m): r.search(q, k=25, mode=m).to_pandas() for q, m in QUERIES}
+        out["phrase"] = r.search_phrase("spark window", k=25).to_pandas()
+        return out
+
+    want = answers(new_root)
+    assert all(len(v) for v in want.values())
+    for key, got in answers(old_root).items():
+        pd.testing.assert_frame_equal(got, want[key], obj=str(key))
+    rep = fsck.fsck(old_root)
+    assert rep["ok"], rep["errors"]
+
+    compact.compact(old_root, target_segments=1)
+    assert _block_columns(old_root) == [{"block_last_doc", "block_doc_off", "block_tf_off"}]
+    for key, got in answers(old_root).items():
+        pd.testing.assert_frame_equal(got, want[key], obj=str(key))
+    assert fsck.fsck(old_root)["ok"]

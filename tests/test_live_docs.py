@@ -8,7 +8,9 @@
   proximity and ``match_counts`` hits before it: every ``SearchSurfaces``
   surface, with ``must_not`` and filters on top of the tombstones, on both
   backends and on a build whose doc ids are all >= 2^62, returns no dead
-  doc and answers exactly like a full rebuild of the merged corpus.
+  doc and answers exactly like a full rebuild of the merged corpus;
+- a delta that leaves no live doc holding a dictionary term: spelling and
+  fuzzy candidates (``SearchSurfaces.vocab``) answer like a rebuild.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
-from harvester_ray.index import build, incremental, query
+from harvester_ray.index import build, extras, incremental, query
 from test_prepared_query import BIG, FILTERS, QUERY, _corpus, _frame, _parity_calls, _same
 
 ATTRS = ["source", "lang", "ts", "conv_id", "tool"]
@@ -167,3 +169,55 @@ def test_no_dead_doc_comes_back_and_answers_equal_a_rebuild(killed, backend):
     assert len(got["search or k=all"]) > 0 and len(got["search_phrase k=all"]) > 0
     assert readded in set(got["search or k=all"]["doc_id"].to_pylist())
     assert got["match_counts and"]["results_total"]["value"] > 0
+
+
+# -- spelling and fuzzy candidates after a delta ----------------------------------
+
+SPELL = pd.DataFrame({
+    "doc_id": [1, 2, 3, 4, 5],
+    "text": ["zebra one", "zebra two", "zebre three", "plain four", "zebre plain five"],
+})
+SPELL_SURFACES = {
+    "did_you_mean": lambda b: b.did_you_mean("zebrx plainn"),
+    "suggest_phrases": lambda b: extras.suggest_phrases(b, "zebrx plainn"),
+    # the cap leaves one expansion: a dead term must not take it
+    "fuzzy_search": lambda b: extras.fuzzy_search(b, "zebrx", max_expansions=1),
+}
+
+
+@pytest.fixture(scope="module")
+def respelled(tmp_path_factory):
+    """A delta deletes one "zebra" doc and rewrites the other, so the old
+    segments' dictionaries still hold "zebra" (df 2 there, the df of
+    "zebre") but no live doc does; and a rebuild of the merged corpus."""
+    delta_root = str(tmp_path_factory.mktemp("respelled"))
+    build.build_index(rd.from_pandas(SPELL), delta_root, concurrency=1)
+    delta = pd.DataFrame({
+        "doc_id": [1, 2], "text": ["", "plain two"], "state": ["deleted", "active"],
+    })
+    incremental.build_incremental(delta_root, rd.from_pandas(delta), integrity_check=False)
+    merged = SPELL[SPELL["doc_id"] != 1].assign(
+        text=lambda d: d["text"].where(d["doc_id"] != 2, "plain two"))
+    rebuild_root = str(tmp_path_factory.mktemp("respelled_rebuild"))
+    build.build_index(rd.from_pandas(merged), rebuild_root, concurrency=1)
+    return delta_root, rebuild_root
+
+
+@pytest.mark.parametrize("name", sorted(SPELL_SURFACES))
+def test_spelling_and_fuzzy_candidates_answer_like_a_rebuild(respelled, name):
+    delta_root, rebuild_root = respelled
+    surface = SPELL_SURFACES[name]
+    got = surface(query.IndexReader(delta_root))
+    pd.testing.assert_frame_equal(got, surface(query.IndexReader(rebuild_root)))
+    assert len(got)
+
+
+def test_service_did_you_mean_answers_like_a_rebuild(respelled):
+    delta_root, rebuild_root = respelled
+    svc = query.QueryService(delta_root, num_actors=2)
+    try:
+        got = svc.did_you_mean("zebrx plainn")
+    finally:
+        svc.shutdown()
+    pd.testing.assert_frame_equal(got, query.IndexReader(rebuild_root).did_you_mean("zebrx plainn"))
+    assert got["suggestion"].tolist() == ["plain", "zebre"]

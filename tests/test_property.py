@@ -49,26 +49,24 @@ def postings(draw):
         dtype=np.int64,
     )
     tfs = np.array(draw(st.lists(st.integers(1, 10**4), min_size=n, max_size=n)), dtype=np.int64)
-    dls = np.array(draw(st.lists(st.integers(1, 10**5), min_size=n, max_size=n)), dtype=np.int64)
-    return doc_ids, tfs, dls
+    return doc_ids, tfs
 
 
 @given(postings())
 @settings(max_examples=100, deadline=None)
 def test_postings_roundtrip_property(p):
-    doc_ids, tfs, dls = p
-    db, tb, blocks = codec.encode_postings(doc_ids, tfs, dls)
+    doc_ids, tfs = p
+    db, tb, blocks = codec.encode_postings(doc_ids, tfs)
     d2, f2 = codec.decode_postings(db, tb)
     np.testing.assert_array_equal(d2, doc_ids)
     np.testing.assert_array_equal(f2, tfs)
-    # every block decodes standalone and block-max metadata dominates
+    # every block decodes standalone
     bs = codec.BLOCK_SIZE
     for k in range(blocks["last_doc"].size):
-        dk, fk = codec.decode_block(db, tb, blocks, k)
+        dk, fk = codec.decode_block_run(db, tb, blocks, k, k)
         s, e = k * bs, min((k + 1) * bs, doc_ids.size)
         np.testing.assert_array_equal(dk, doc_ids[s:e])
-        assert fk.max() <= blocks["max_tf"][k]
-        assert blocks["min_dl"][k] <= dls[s:e].min()
+        np.testing.assert_array_equal(fk, tfs[s:e])
 
 
 @given(st.lists(st.text(max_size=80), max_size=30))

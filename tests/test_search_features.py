@@ -657,13 +657,12 @@ def test_dictionary_decompound_wordlist(ray_session):
 
 
 def test_service_search_matches_reader(attr_index):
-    """The actors' top-k (largest segment first, early θ carried across an
-    actor's own segments, one fan-out) returns exactly the in-process
-    reader's results — both run ``topk_over`` — in both modes and with
-    facet filters."""
+    """The actors' top-k (each actor's segments, one fan-out) returns
+    exactly the in-process reader's results — both run ``topk_over`` — in
+    both modes and with facet filters."""
     svc = query.QueryService(attr_index, num_actors=2)
     reader = query.IndexReader(attr_index)
-    # each actor walks several segments, so its local θ is exercised
+    # each actor walks several segments, so its local merge is exercised
     assert len(svc.manifest["segments"]) > len(svc.actors)
     try:
         for q, mode, filters in [

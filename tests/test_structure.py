@@ -4,13 +4,18 @@ surfaces each live in one place, so per-surface copies (which once analyzed
 every query as v1, whatever the index's analyzer, and let the service drift
 from the reader), per-segment LRUs (bounded by entry count, not bytes) and
 per-surface RPC paths cannot grow back. The build and delta commits map
-module-level functions, so no per-call actor pool grows back either."""
+module-level functions, so no per-call actor pool grows back either. Every
+disjunction is scored by one dense scorer, so no block-max pruned path (or
+the per-block score metadata it read) grows back."""
 
 import ast
+import inspect
 import pathlib
 import re
 
+import pyarrow.parquet as pq
 import pytest
+import ray.data as rd
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "harvester_ray"
 
@@ -217,6 +222,78 @@ def test_guard_sees_the_allowed_calls():
     assert ("index/query.py", "prepare_query") in set(_calls("tokenize_query"))
     assert ("index/query.py", "SearchSurfaces._spans") in set(_calls("tokenize_query"))
     assert ("index/query.py", "IndexReader._open") in set(_calls("live_mask"))
-    assert ("index/query.py", "search_segment") in {(r, q) for r, q, _ in _isin_calls()}
+    assert ("index/query.py", "or_exhaustive") in {(r, q) for r, q, _ in _isin_calls()}
     assert ("index/query.py", "SegmentCache.__init__") in set(_calls("OrderedDict"))
     assert ("index/query.py", "SegmentCache.get") in set(_calls("popitem"))
+
+
+# -- one disjunctive scorer ------------------------------------------------------
+
+ALLOC = {"np.zeros", "np.empty", "np.ones", "np.full"}
+
+
+def _dense_score_vectors():
+    """(module, function) of every float array allocated over a segment's
+    whole doc space (``….doc_ids.size``, or a name bound to it) under
+    ``index/``."""
+    for path in sorted((PKG / "index").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            sizes = {
+                t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                and "doc_ids.size" in ast.unparse(node.value)
+                for t in node.targets if isinstance(t, ast.Name)
+            }
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and ast.unparse(node.func) in ALLOC and node.args):
+                    continue
+                size = ast.unparse(node.args[0])
+                if not ("doc_ids.size" in size or size in sizes):
+                    continue
+                dtype = [ast.unparse(k.value) for k in node.keywords if k.arg == "dtype"]
+                dtype += [ast.unparse(a) for a in node.args[1 + (ast.unparse(node.func) == "np.full"):]]
+                if not dtype or dtype[0] in ("np.float64", "float", "np.float32"):
+                    yield path.relative_to(PKG).as_posix(), fn.name
+
+
+def test_one_function_accumulates_dense_segment_scores():
+    assert sorted(set(_dense_score_vectors())) == [("index/query.py", "or_exhaustive")]
+
+
+def test_no_threshold_parameter_on_the_top_k_path():
+    from harvester_ray.index import query
+
+    for fn in (query.search_segment, query.topk_over):
+        assert "threshold" not in inspect.signature(fn).parameters, fn.__name__
+
+
+@pytest.mark.parametrize("name", ["block_max_union", "block_upper_bound", "OR_EXHAUSTIVE_THRESHOLD"])
+def test_pruned_path_names_are_gone(name):
+    stray = [
+        p.relative_to(PKG).as_posix() for p in sorted(PKG.rglob("*.py"))
+        if name in p.read_text()
+    ]
+    assert not stray, f"{name} in {stray}"
+
+
+def test_build_and_compact_write_no_block_score_columns(tmp_path):
+    from harvester_ray.index import build, compact, manifest as mf
+
+    docs = [{"doc_id": i, "text": f"alpha beta gamma{i % 3} delta{i % 5}"} for i in range(400)]
+    root = str(tmp_path / "idx")
+    build.build_index(rd.from_items(docs).repartition(2), root, concurrency=1)
+
+    def columns():
+        man = mf.read_manifest(root)
+        return [
+            set(pq.read_schema(f"{root}/{m['path']}.terms.parquet").names)
+            for m in man["segments"]
+        ]
+
+    built = columns()
+    compact.compact(root, target_segments=1)
+    for names in built + columns():
+        assert "block_last_doc" in names
+        assert not {"block_max_tf", "block_min_dl"} & names, names
