@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from . import codec
+from . import build, codec
 from . import manifest as mf
 from .query import SegmentCache, SegmentReader, live_mask, parse_tombstones
 
@@ -118,21 +118,18 @@ def merge_segments(
         if carry_pos:
             # segmented gather: output posting j's tokens come from the
             # contiguous source slice of input posting order2[j]
-            from .build import _exclusive_cumsum
-
+            
             pos_cat = np.concatenate(pos_parts)
-            src_start = _exclusive_cumsum(p_tf.astype(np.int64))[:-1][order2]
+            src_start = build._exclusive_cumsum(p_tf.astype(np.int64))[:-1][order2]
             out_tf = p_tf[order2]
-            out_start = _exclusive_cumsum(out_tf.astype(np.int64))[:-1]
+            out_start = build._exclusive_cumsum(out_tf.astype(np.int64))[:-1]
             idx = np.repeat(src_start - out_start, out_tf) + np.arange(pos_cat.size)
             positions = pos_cat[idx]
         p_code, p_doc, p_tf = p_code[order2], p_doc[order2], p_tf[order2]
     else:
         p_code = p_doc = p_tf = np.empty(0, np.int64)
 
-    from .build import encode_postings_streams
-
-    doc_stream, tf_stream, terms_tbl, pos_stream = encode_postings_streams(
+    doc_stream, tf_stream, terms_tbl, pos_stream = build.encode_postings_streams(
         p_code, p_doc, p_tf, merged_vocab, positions=positions
     )
 
@@ -191,6 +188,9 @@ def _compact_impl(
         if len(g)
     ]
     merged = ray.get(futures)
+    # a merge task that died before its retry left partial files behind;
+    # so does a group whose docs were all dead (no segment to name)
+    build.remove_stray_segment_files(seg_dir, {m["name"] for m in merged if m["n_docs"] > 0})
 
     # term stats are already exact under tombstones → copy forward
     shutil.copytree(os.path.join(index_root, prev["termstats"]), termstats_dir)
@@ -288,6 +288,7 @@ def _compact_tiered_impl(
         if g
     ]
     merged = ray.get(futures)
+    build.remove_stray_segment_files(seg_dir, {m["name"] for m in merged if m["n_docs"] > 0})
     shutil.copytree(os.path.join(index_root, prev["termstats"]), termstats_dir)
     new_segs = [dict(s) for s in big] + [
         {

@@ -25,7 +25,8 @@ from .query import (
     _topk,
     check_counts,
     exclude_terms,
-    iter_matches,
+    fold_counts,
+    key_name,
     match_one_segment,
     merge_topk,
     or_exhaustive,
@@ -35,6 +36,13 @@ from .query import (
     search_segment,
     span_matches,
 )
+
+
+def key_counts(reader: IndexReader, query_text: str, keys: list, mode: str) -> pa.Table:
+    """The match set's counts per distinct tuple of ``keys``: the fold of
+    the reader's ``value_counts`` partials, keys ascending. Every
+    count-shaped aggregation here is a pure function of this table."""
+    return fold_counts(reader.value_counts(query_text, keys, mode=mode), keys)
 
 
 def doc_top_terms(
@@ -504,27 +512,15 @@ def search_after(
     total order (rounded score desc, doc_id asc). The cursor compares
     ROUNDED scores so a page boundary is stable across processes (the same
     rounding the API response carries). Deep cursors score each segment's
-    full match set — the per-shard cost ES pays on deep pagination too —
-    rather than inflating a top-k heap by the cursor depth."""
+    full match set (``scored_query``) — the per-shard cost ES pays on deep
+    pagination too — rather than inflating a top-k heap by the cursor
+    depth."""
     check_counts(k=k)
-    prep = reader.prepare(query_text, mode)
-    if prep.empty:
+    parts = [(docs, scores) for _, _, docs, scores in scored_query(reader, query_text, mode)]
+    if not parts:
         return _no_hits()
-    doc_parts, score_parts = [], []
-    for seg, matched in iter_matches(reader.segments(), prep.live, mode):
-        dl = seg.doc_lengths(matched).astype(np.float64)
-        s = np.zeros(matched.size, np.float64)
-        for t in prep.live:
-            d, f = seg.postings(t)
-            pos = np.searchsorted(d, matched)
-            posc = np.clip(pos, 0, max(d.size - 1, 0))
-            hit = (d.size > 0) & (d[posc] == matched) if d.size else np.zeros(matched.size, bool)
-            tf = np.where(hit, f[posc], 0).astype(np.float64)
-            s += bm25.score(tf, dl, prep.idf[t], reader.avgdl)
-        doc_parts.append(matched)
-        score_parts.append(s)
-    docs = np.concatenate(doc_parts)
-    scores = np.round(np.concatenate(score_parts), round_digits)
+    docs = np.concatenate([d for d, _ in parts])
+    scores = np.round(np.concatenate([s for _, s in parts]), round_digits)
     if after is not None:
         cs, cd = float(after[0]), int(after[1])
         keep = (scores < cs) | ((scores == cs) & (docs > cd))
@@ -542,26 +538,19 @@ def search_stats(
 ) -> pd.DataFrame:
     """Numeric stats aggregation over the match set (the ES ``stats`` agg
     next to the facet counts): per ``by``-field value, match count and
-    token-length sum/mean of the matching docs. dl comes from the doc-table
-    sidecars already in memory — no text is touched."""
-    acc: dict[str, list[int]] = {}
-    for seg, matched in reader.matches(query_text, mode):
-        vals = seg.attr_values(by, matched)
-        dl = seg.doc_lengths(matched)
-        svals = np.asarray(vals, dtype=object)
-        uniq, inv = np.unique(svals, return_inverse=True)
-        n = np.bincount(inv)
-        s = np.bincount(inv, weights=dl.astype(np.float64)).astype(np.int64)
-        for v, c, ds in zip(uniq, n, s):
-            cur = acc.setdefault(str(v), [0, 0])
-            cur[0] += int(c)
-            cur[1] += int(ds)
-    rows = sorted(acc.items())
-    dl_sum = np.array([v[1] for _, v in rows], np.int64)
-    n_m = np.array([v[0] for _, v in rows], np.int64)
+    token-length sum/mean of the matching docs, from the ``(by, dl)``
+    counts — no text is touched."""
+    h = key_counts(reader, query_text, [by, "dl"], mode)
+    acc = pd.DataFrame({
+        by: pd.Series([str(v) for v in np.asarray(h[by])], dtype=object),
+        "n_matches": np.asarray(h["count"], np.int64),
+        "dl_sum": np.asarray(h["dl"], np.int64) * np.asarray(h["count"], np.int64),
+    }).groupby(by, as_index=False).sum()
+    n_m = acc["n_matches"].to_numpy(np.int64)
+    dl_sum = acc["dl_sum"].to_numpy(np.int64)
     avg = np.floor(dl_sum / np.maximum(n_m, 1) * 1e6 + 0.5) / 1e6
     return pd.DataFrame({
-        by: pd.Series([k for k, _ in rows], dtype=object),
+        by: pd.Series(acc[by].tolist(), dtype=object),
         "n_matches": n_m,
         "dl_sum": dl_sum,
         "avg_dl": avg,
@@ -870,44 +859,28 @@ def terms_stats_agg(
     """ES ``terms`` aggregation carrying a metric SUB-aggregation — the
     single most common aggs nesting (`terms` + per-bucket `avg`): for each
     attr value of the match set, doc_count, sum of token lengths and their
-    fixed-point average. Per segment one (value → count, dl_sum) partial
-    fold leaves the worker (bounded by distinct values, never matches);
-    exact regime only (every value reported), so counts are exact and the
-    oracle mirrors byte-identically. Buckets ordered count desc, value asc,
-    cut at ``size``."""
-    empty = pd.DataFrame({
-        field: pd.Series(dtype=object),
-        "doc_count": pd.Series(dtype=np.int64),
-        "sum_dl": pd.Series(dtype=np.int64),
-        "avg_dl": pd.Series(dtype=np.float64),
-    })
-    parts: list[pd.DataFrame] = []
-    for seg, docs in reader.matches(query_text, mode):
-        vals = seg.attr_values(field, docs)
-        dl = seg.doc_lengths(docs).astype(np.int64)
-        order = np.argsort(vals, kind="mergesort")
-        vals, dl = vals[order], dl[order]
-        first = np.empty(vals.size, dtype=bool)
-        first[0] = True
-        first[1:] = vals[1:] != vals[:-1]
-        starts = np.flatnonzero(first)
-        parts.append(pd.DataFrame({
-            field: vals[starts],
-            "doc_count": np.diff(np.append(starts, vals.size)).astype(np.int64),
-            "sum_dl": np.add.reduceat(dl, starts).astype(np.int64),
-        }))
-    if not parts:
-        return empty
-    agg = (
-        pd.concat(parts, ignore_index=True)
-        .groupby(field, as_index=False)[["doc_count", "sum_dl"]]
-        .sum()
-    )
+    fixed-point average, from the ``(field, dl)`` counts (bounded by
+    distinct values × lengths, never matches); exact regime only (every
+    value reported), so counts are exact and the oracle mirrors
+    byte-identically. Buckets ordered count desc, value asc, cut at
+    ``size``."""
+    import math
+
+    h = key_counts(reader, query_text, [field, "dl"], mode).drop_null()
+    if h.num_rows == 0:
+        return pd.DataFrame({
+            field: pd.Series(dtype=object),
+            "doc_count": pd.Series(dtype=np.int64),
+            "sum_dl": pd.Series(dtype=np.int64),
+            "avg_dl": pd.Series(dtype=np.float64),
+        })
+    c = np.asarray(h["count"], np.int64)
+    agg = pd.DataFrame({
+        field: np.asarray(h[field]), "doc_count": c, "sum_dl": np.asarray(h["dl"], np.int64) * c,
+    }).groupby(field, as_index=False)[["doc_count", "sum_dl"]].sum()
     agg = agg.sort_values(
         ["doc_count", field], ascending=[False, True], kind="mergesort"
     ).head(size).reset_index(drop=True)
-    import math
-
     agg["avg_dl"] = [
         math.floor(int(s) / int(c) * 1e6 + 0.5) / 1e6
         for s, c in zip(agg["sum_dl"], agg["doc_count"])
@@ -935,27 +908,15 @@ def terms_agg(
     ``shard_size`` ≥ per-shard distinct values, counts are exact and every
     bound is 0.
 
-    This is the facet path that stays cheap at 100 TB: per segment one
-    unscored match enumeration + one sort/reduceat count fold, and only
-    ``shard_size`` rows leave each segment regardless of match count.
-    ``shard_size=None`` keeps everything (exact mode, bounds ≡ 0)."""
-    empty = pd.DataFrame({
-        field: pd.Series(dtype=object),
-        "doc_count": pd.Series(dtype=np.int64),
-        "doc_count_error_upper_bound": pd.Series(dtype=np.int64),
-    })
+    This is the facet path that stays cheap at 100 TB: the ``value_counts``
+    partials stay per segment, so each is cut to its own ``shard_size``
+    before the merge. ``shard_size=None`` keeps everything (exact mode,
+    bounds ≡ 0)."""
     seg_reports: list[pd.DataFrame] = []
     seg_worst: list[int] = []
-    for seg, docs in reader.matches(query_text, mode):
-        vals = seg.attr_values(field, docs)
-        order = np.argsort(vals, kind="mergesort")
-        vals = vals[order]
-        first = np.empty(vals.size, dtype=bool)
-        first[0] = True
-        first[1:] = vals[1:] != vals[:-1]
-        starts = np.flatnonzero(first)
-        counts = np.diff(np.append(starts, vals.size))
-        uvals = vals[starts]
+    for part in reader.value_counts(query_text, [field], mode=mode):
+        part = part.drop_null()
+        uvals, counts = np.asarray(part[field]), np.asarray(part["count"], np.int64)
         order = np.lexsort((uvals, -counts))
         uvals, counts = uvals[order], counts[order]
         if shard_size is not None and uvals.size > shard_size:
@@ -965,7 +926,11 @@ def terms_agg(
             seg_worst.append(0)
         seg_reports.append(pd.DataFrame({field: uvals, "doc_count": counts}))
     if not seg_reports:
-        return empty
+        return pd.DataFrame({
+            field: pd.Series(dtype=object),
+            "doc_count": pd.Series(dtype=np.int64),
+            "doc_count_error_upper_bound": pd.Series(dtype=np.int64),
+        })
     merged = (
         pd.concat(seg_reports)
         .groupby(field, as_index=False)["doc_count"].sum()
@@ -977,7 +942,7 @@ def terms_agg(
             bounds[missing] += worst
     merged["doc_count_error_upper_bound"] = bounds
     merged = merged.sort_values(
-        [ "doc_count", field], ascending=[False, True], kind="mergesort"
+        ["doc_count", field], ascending=[False, True], kind="mergesort"
     ).head(size)
     merged["doc_count"] = merged["doc_count"].astype(np.int64)
     return merged.reset_index(drop=True)[
@@ -1060,13 +1025,11 @@ def cardinality_agg(
     mode: str = "or",
 ) -> pd.DataFrame:
     """ES ``cardinality`` aggregation over the match set — EXACT here
-    (per-segment distinct attr values union-folded on the driver; the
+    (the distinct non-null values of the folded ``field`` counts; the
     value set is facet-bounded). The index-free approximate siblings for
     unbounded fields are ops/sketch.py's HLL/KMV gates."""
-    vals: set = set()
-    for seg, docs in reader.matches(query_text, mode):
-        vals.update(np.unique(seg.attr_values(field, docs)).tolist())
-    return pd.DataFrame({"n_distinct": [np.int64(len(vals))]})
+    n = key_counts(reader, query_text, [field], mode).drop_null().num_rows
+    return pd.DataFrame({"n_distinct": [np.int64(n)]})
 
 
 def parse_boosted_query(query_text: str, version: str = "v1") -> dict[str, float]:
@@ -1292,14 +1255,35 @@ LIMIT {k}
 """.strip()
 
 
-def _add_bincount(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``counts`` plus the bincount of non-negative int ``values``."""
-    part = np.bincount(values)
-    if part.size > counts.size:
-        part[: counts.size] += counts
-        return part
-    counts[: part.size] += part
-    return counts
+def _dl_histogram(reader: IndexReader, query_text: str, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The match set's exact doc-length histogram: the distinct lengths
+    ascending and each one's doc count — bounded by the distinct lengths,
+    never by the match count. Every ``dl`` statistic folds this."""
+    h = key_counts(reader, query_text, ["dl"], mode)
+    return np.asarray(h["dl"], np.int64), np.asarray(h["count"], np.int64)
+
+
+def _quantile_cont(vals: np.ndarray, counts: np.ndarray, q: float) -> float:
+    """``quantile_cont`` over a histogram (``vals`` ascending, ``counts``
+    >= 0): linear interpolation between the values at the neighbouring
+    0-based ranks."""
+    nz = counts > 0
+    v, cum = vals[nz].astype(np.float64), np.cumsum(counts[nz])
+    total = int(cum[-1])
+    h = q * (total - 1)  # 0-based fractional rank
+    lo = int(np.floor(h))
+    hi = min(lo + 1, total - 1)
+    lo_v = v[np.searchsorted(cum, lo + 1)]
+    hi_v = v[np.searchsorted(cum, hi + 1)]
+    return float(lo_v + (h - lo) * (hi_v - lo_v))
+
+
+def _int_moments(*cols: np.ndarray, counts: np.ndarray) -> int:
+    """Σ (product of ``cols``) · count as an exact Python int."""
+    prod = counts.astype(object)
+    for c in cols:
+        prod = prod * c.astype(object)
+    return int(prod.sum())
 
 
 def percentiles_agg(
@@ -1310,33 +1294,20 @@ def percentiles_agg(
     mode: str = "or",
 ) -> pd.DataFrame:
     """ES ``percentiles`` aggregation over the match set, on the doc-length
-    field — EXACT, not t-digest: token counts are small integers, so each
-    segment emits a bincount partial (bounded by max dl, not match count),
-    the driver folds counts, and quantile_cont's interpolation is evaluated
-    from ranks. With quarter quantiles the interpolation fraction is a
-    power-of-two rational, so float64 evaluation is bit-exact against the
-    oracle's ``quantile_cont``. Counting-sort percentiles are the
-    scale-path alternative to shipping every value."""
-    empty = pd.DataFrame({"q": pd.Series(dtype=np.float64),
-                          "value": pd.Series(dtype=np.float64)})
-    counts = np.zeros(1, dtype=np.int64)
-    for seg, docs in reader.matches(query_text, mode):
-        counts = _add_bincount(counts, seg.doc_lengths(docs).astype(np.int64))
-    n = int(counts.sum())
-    if n == 0:
-        return empty
-    cum = np.cumsum(counts)
-    vals = []
-    for q in qs:
-        h = (n - 1) * q
-        lo = int(np.floor(h))
-        hi = min(lo + 1, n - 1)
-        x_lo = int(np.searchsorted(cum, lo + 1))
-        x_hi = int(np.searchsorted(cum, hi + 1))
-        vals.append(x_lo + (h - lo) * (x_hi - x_lo))
+    field — EXACT, not t-digest: token counts are small integers, so the
+    match set folds into one exact histogram (``_dl_histogram``) and
+    quantile_cont's interpolation is evaluated from ranks. With quarter
+    quantiles the interpolation fraction is a power-of-two rational, so
+    float64 evaluation is bit-exact against the oracle's
+    ``quantile_cont``. Counting-sort percentiles are the scale-path
+    alternative to shipping every value."""
+    vals, counts = _dl_histogram(reader, query_text, mode)
+    if counts.sum() == 0:
+        return pd.DataFrame({"q": pd.Series(dtype=np.float64),
+                             "value": pd.Series(dtype=np.float64)})
     return pd.DataFrame({
         "q": np.asarray(qs, dtype=np.float64),
-        "value": np.round(np.asarray(vals, dtype=np.float64), 6),
+        "value": np.round([_quantile_cont(vals, counts, q) for q in qs], 6),
     })
 
 
@@ -1684,34 +1655,32 @@ def filters_agg(
     filter (attr value-membership predicates, AND across fields like the
     facet API), plus ``_other_`` for matching docs claimed by no named
     filter. A doc may land in several named buckets (ES semantics) but in
-    ``_other_`` only when it matches none. Scale shape: per segment one
-    unscored match enumeration and F+1 counters leave — never rows."""
+    ``_other_`` only when it matches none. Each filter is evaluated once
+    per distinct tuple of the filtered fields' counts, never per doc."""
     names = sorted(named_filters)
-    counts = {nm: 0 for nm in names}
-    other = 0
-    for seg, matched in reader.matches(query_text, mode):
-        any_mask = np.zeros(matched.size, dtype=bool)
-        for nm in names:
-            m = _filter_mask(seg, matched, named_filters[nm])
-            counts[nm] += int(m.sum())
-            any_mask |= m
-        other += int((~any_mask).sum())
-    rows = [(nm, counts[nm]) for nm in names]
+    counts, masks = _filter_masks(reader, query_text, named_filters, mode)
+    rows = [(nm, int(counts[m].sum())) for nm, m in zip(names, masks)]
     if other_bucket:
-        rows.append(("_other_", other))
+        rows.append(("_other_", int(counts[~masks.any(axis=0)].sum())))
     out = pd.DataFrame(rows, columns=["bucket", "doc_count"])
     out = out.sort_values("bucket").reset_index(drop=True)
     out["doc_count"] = out["doc_count"].astype(np.int64)
     return out
 
 
-def _filter_mask(seg, matched: np.ndarray, spec: dict[str, list]) -> np.ndarray:
-    """Which ``matched`` docs satisfy a named filter (value membership per
-    field, AND across fields)."""
-    m = np.ones(matched.size, dtype=bool)
-    for field, values in spec.items():
-        m &= np.isin(seg.attr_values(field, matched), np.asarray(values))
-    return m
+def _filter_masks(
+    reader: IndexReader, query_text: str, named_filters: dict[str, dict[str, list]], mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The match set's counts over every field the named filters test,
+    and per filter (sorted by name) which of those key tuples satisfy it
+    (value membership per field, AND across fields)."""
+    fields = sorted({f for spec in named_filters.values() for f in spec})
+    h = key_counts(reader, query_text, fields, mode)
+    masks = np.ones((len(named_filters), h.num_rows), dtype=bool)
+    for i, nm in enumerate(sorted(named_filters)):
+        for field, values in named_filters[nm].items():
+            masks[i] &= np.isin(np.asarray(h[field]), np.asarray(values))
+    return np.asarray(h["count"], np.int64), masks
 
 
 def adjacency_matrix(
@@ -1724,21 +1693,17 @@ def adjacency_matrix(
     """ES ``adjacency_matrix`` aggregation: one bucket per named filter and
     per filter pair (key ``a&b``, names joined in sorted order), counting
     matching docs that satisfy BOTH; empty buckets omitted (ES contract).
-    Per segment the F×F intersection grid is one boolean-matrix GEMM
-    (``M @ M.T``) and only F² counters leave the segment."""
+    The F×F intersection grid is one count-weighted boolean-matrix product
+    (``M·diag(count)·Mᵀ``) over the filtered fields' distinct tuples."""
     names = sorted(named_filters)
-    F = len(names)
-    grid = np.zeros((F, F), dtype=np.int64)
-    for seg, matched in reader.matches(query_text, mode):
-        M = np.zeros((F, matched.size), dtype=np.int64)
-        for i, nm in enumerate(names):
-            M[i] = _filter_mask(seg, matched, named_filters[nm])
-        grid += M @ M.T
+    counts, masks = _filter_masks(reader, query_text, named_filters, mode)
+    M = masks.astype(np.int64)
+    grid = (M * counts) @ M.T
     rows = []
-    for i in range(F):
+    for i in range(len(names)):
         if grid[i, i]:
             rows.append((names[i], int(grid[i, i])))
-        for j in range(i + 1, F):
+        for j in range(i + 1, len(names)):
             if grid[i, j]:
                 rows.append((f"{names[i]}&{names[j]}", int(grid[i, j])))
     out = pd.DataFrame(rows, columns=["bucket", "doc_count"])
@@ -1759,24 +1724,16 @@ def composite_agg(
     """ES ``composite`` aggregation: buckets of the attr-tuple grid in
     ascending key order, paginated by the exclusive ``after`` cursor — the
     agg that lets a client stream EVERY bucket of a high-cardinality
-    grouping in bounded pages. Scale shape: per segment one sort/reduceat
-    pair-count partial (≤ distinct combos rows leave the segment), the
-    coordinator merges, range-filters past the cursor and cuts ``size``."""
+    grouping in bounded pages. The folded ``sources`` counts (≤ distinct
+    combos rows per segment; docs missing a source are skipped, ES's
+    default) are range-filtered past the cursor and cut at ``size``."""
     cols = list(sources)
-    empty = pd.DataFrame(
-        {**{c: pd.Series(dtype=object) for c in cols},
-         "doc_count": pd.Series(dtype=np.int64)}
-    )
-    partials = []
-    for seg, matched in reader.matches(query_text, mode):
-        dfp = pd.DataFrame({c: seg.attr_values(c, matched) for c in cols})
-        partials.append(dfp.groupby(cols, as_index=False).size())
-    if not partials:
-        return empty
-    merged = (
-        pd.concat(partials).groupby(cols, as_index=False)["size"].sum()
-        .sort_values(cols, kind="mergesort").reset_index(drop=True)
-    )
+    merged = key_counts(reader, query_text, cols, mode).drop_null().to_pandas()
+    if merged.empty:
+        return pd.DataFrame(
+            {**{c: pd.Series(dtype=object) for c in cols},
+             "doc_count": pd.Series(dtype=np.int64)}
+        )
     if after is not None:
         gt = np.zeros(len(merged), dtype=bool)
         eq = np.ones(len(merged), dtype=bool)
@@ -1785,7 +1742,7 @@ def composite_agg(
             gt |= eq & (v > a)
             eq &= v == a
         merged = merged[gt]
-    merged = merged.head(size).rename(columns={"size": "doc_count"})
+    merged = merged.head(size).rename(columns={"count": "doc_count"})
     merged["doc_count"] = merged["doc_count"].astype(np.int64)
     return merged.reset_index(drop=True)
 
@@ -1900,44 +1857,38 @@ def matrix_stats(
     """ES ``matrix_stats`` aggregation over the match set, between the two
     numeric per-doc signals the index already holds: token length (dl) and
     the ts attribute (seconds since ``ts_base_s``, a fixture constant so the
-    integer sufficient statistics stay small). Exact: per segment six
-    integer counters (n, Σdl, Σts, Σdl², Σts², Σdl·ts) folded as Python
-    ints (no int64 overflow by construction), all ratios derived from the
-    same integer pairs on both sides. Returns one row: count, means,
-    population variances, covariance and Pearson correlation (6 dp)."""
+    integer sufficient statistics stay small). Exact: six integer counters
+    (n, Σdl, Σts, Σdl², Σts², Σdl·ts) folded as Python ints from the
+    ``(dl, ts second)`` counts, all ratios derived from the same integer
+    pairs on both sides. Returns one row: count, means, population
+    variances, covariance and Pearson correlation (6 dp)."""
     import math
 
-    n = 0
-    s_dl = s_ts = s_dl2 = s_ts2 = s_dlts = 0
-    for seg, matched in reader.matches(query_text, mode):
-        dl = seg.doc_lengths(matched).astype(np.int64)
-        ts = seg.attr_values(ts_field, matched)
-        ts = ts.astype("datetime64[us]").astype(np.int64) // 1_000_000
-        ts = ts - ts_base_s
-        n += int(matched.size)
-        s_dl += int(dl.sum())
-        s_ts += int(ts.sum())
-        s_dl2 += int((dl * dl).sum())
-        s_ts2 += int((ts * ts).sum())
-        s_dlts += int((dl * ts).sum())
-    empty = pd.DataFrame({
-        "n": pd.Series(dtype=np.int64),
-        "mean_dl": pd.Series(dtype=np.float64),
-        "mean_ts_s": pd.Series(dtype=np.float64),
-        "var_dl": pd.Series(dtype=np.float64),
-        "var_ts_s": pd.Series(dtype=np.float64),
-        "cov": pd.Series(dtype=np.float64),
-        "corr": pd.Series(dtype=np.float64),
-    })
+    sec = (ts_field, 1_000_000)
+    h = key_counts(reader, query_text, ["dl", sec], mode)
+    c = np.asarray(h["count"], np.int64)
+    n = int(c.sum())
     if n == 0:
-        return empty
+        return pd.DataFrame({
+            "n": pd.Series(dtype=np.int64),
+            "mean_dl": pd.Series(dtype=np.float64),
+            "mean_ts_s": pd.Series(dtype=np.float64),
+            "var_dl": pd.Series(dtype=np.float64),
+            "var_ts_s": pd.Series(dtype=np.float64),
+            "cov": pd.Series(dtype=np.float64),
+            "corr": pd.Series(dtype=np.float64),
+        })
+    dl = np.asarray(h["dl"], np.int64)
+    ts = np.asarray(h[key_name(sec)], np.int64) // 1_000_000 - ts_base_s
+    s_dl = _int_moments(dl, counts=c)
+    s_ts = _int_moments(ts, counts=c)
 
     def r6(x: float) -> float:
         return math.floor(x * 1e6 + 0.5) / 1e6
 
-    var_dl_num = n * s_dl2 - s_dl * s_dl
-    var_ts_num = n * s_ts2 - s_ts * s_ts
-    cov_num = n * s_dlts - s_dl * s_ts
+    var_dl_num = n * _int_moments(dl, dl, counts=c) - s_dl * s_dl
+    var_ts_num = n * _int_moments(ts, ts, counts=c) - s_ts * s_ts
+    cov_num = n * _int_moments(dl, ts, counts=c) - s_dl * s_ts
     nn = float(n) * float(n)
     corr = (
         float(cov_num)
@@ -2062,24 +2013,22 @@ def range_agg(
     """ES ``range`` aggregation over the match set, bucketing the indexed
     doc length ([from, to) half-open, ES semantics; None = unbounded).
     Bucket keys use the ES label format ``from-to`` with ``*`` for
-    unbounded. Per segment one unscored enumeration + R counters."""
+    unbounded. R range sums over one doc-length histogram."""
     labels = [
         f"{'*' if lo is None else lo}-{'*' if hi is None else hi}"
         for lo, hi in ranges
     ]
-    counts = np.zeros(len(ranges), dtype=np.int64)
-    for seg, matched in reader.matches(query_text, mode):
-        dl = seg.doc_lengths(matched)
-        for i, (lo, hi) in enumerate(ranges):
-            m = np.ones(dl.size, dtype=bool)
-            if lo is not None:
-                m &= dl >= lo
-            if hi is not None:
-                m &= dl < hi
-            counts[i] += int(m.sum())
-    out = pd.DataFrame({"bucket": labels, "doc_count": counts})
-    out["doc_count"] = out["doc_count"].astype(np.int64)
-    return out  # ES returns ranges in the given order
+    vals, counts = _dl_histogram(reader, query_text, mode)
+    doc_count = []
+    for lo, hi in ranges:
+        m = np.ones(vals.size, dtype=bool)
+        if lo is not None:
+            m &= vals >= lo
+        if hi is not None:
+            m &= vals < hi
+        doc_count.append(int(counts[m].sum()))
+    # ES returns ranges in the given order
+    return pd.DataFrame({"bucket": labels, "doc_count": np.asarray(doc_count, np.int64)})
 
 
 def rare_terms_agg(
@@ -2093,20 +2042,15 @@ def rare_terms_agg(
     """ES ``rare_terms`` aggregation: the long-tail complement of ``terms``
     — attribute values whose match-set doc count is ≤ ``max_doc_count``,
     ordered count-ascending then value. Exact regime (ES's CuckooFilter
-    approximation exists to bound coordinator memory; per-segment partials
-    already bound ours at distinct-values-per-segment)."""
-    empty = pd.DataFrame({
-        field: pd.Series(dtype=object),
-        "doc_count": pd.Series(dtype=np.int64),
-    })
-    partials = []
-    for seg, matched in reader.matches(query_text, mode):
-        vals = seg.attr_values(field, matched)
-        uniq, counts = np.unique(vals, return_counts=True)
-        partials.append(pd.DataFrame({field: uniq, "doc_count": counts}))
-    if not partials:
-        return empty
-    merged = pd.concat(partials).groupby(field, as_index=False)["doc_count"].sum()
+    approximation exists to bound coordinator memory; the folded counts
+    are already bounded by the distinct values)."""
+    merged = key_counts(reader, query_text, [field], mode).drop_null().to_pandas()
+    if merged.empty:
+        return pd.DataFrame({
+            field: pd.Series(dtype=object),
+            "doc_count": pd.Series(dtype=np.int64),
+        })
+    merged = merged.rename(columns={"count": "doc_count"})
     merged = merged[merged["doc_count"] <= max_doc_count]
     merged = merged.sort_values(["doc_count", field], kind="mergesort")
     merged["doc_count"] = merged["doc_count"].astype(np.int64)
@@ -2539,24 +2483,20 @@ def percentile_ranks_agg(
 ) -> pd.DataFrame:
     """ES ``percentile_ranks``: for each probe value, the percentage of the
     match set's doc lengths ≤ value — the inverse of percentiles_agg.
-    Exact: one (count ≤ v, total) integer pair per value, the percentage
-    derived with the shared floor(x·1e6+0.5) rule."""
+    Exact: one (count ≤ v, total) integer pair per value from the
+    doc-length histogram, the percentage derived with the shared
+    floor(x·1e6+0.5) rule."""
     import math
 
-    empty = pd.DataFrame({
-        "value": pd.Series(dtype=np.float64),
-        "n_le": pd.Series(dtype=np.int64),
-        "pct_rank": pd.Series(dtype=np.float64),
-    })
-    total = 0
-    n_le = np.zeros(len(values), dtype=np.int64)
-    for seg, matched in reader.matches(query_text, mode):
-        dl = seg.doc_lengths(matched)
-        total += int(matched.size)
-        for i, v in enumerate(values):
-            n_le[i] += int((dl <= v).sum())
+    vals, counts = _dl_histogram(reader, query_text, mode)
+    total = int(counts.sum())
     if total == 0:
-        return empty
+        return pd.DataFrame({
+            "value": pd.Series(dtype=np.float64),
+            "n_le": pd.Series(dtype=np.int64),
+            "pct_rank": pd.Series(dtype=np.float64),
+        })
+    n_le = np.array([counts[vals <= v].sum() for v in values], dtype=np.int64)
     return pd.DataFrame({
         "value": np.asarray(values, np.float64),
         "n_le": n_le,
@@ -2664,31 +2604,25 @@ def boxplot_agg(
     mode: str = "or",
 ) -> pd.DataFrame:
     """ES ``boxplot`` aggregation over the match set's doc lengths:
-    min / q1 / median / q3 / max in one row, from the same exact bincount
-    partials as percentiles_agg (quarter quantiles are dyadic → bit-exact
-    vs quantile_cont; min/max are integers)."""
-    q = percentiles_agg(reader, query_text, qs=(0.25, 0.5, 0.75), mode=mode)
-    empty = pd.DataFrame({
-        "min_dl": pd.Series(dtype=np.int64),
-        "q1": pd.Series(dtype=np.float64),
-        "median": pd.Series(dtype=np.float64),
-        "q3": pd.Series(dtype=np.float64),
-        "max_dl": pd.Series(dtype=np.int64),
-    })
-    if q.empty:
-        return empty
-    lo, hi = None, None
-    for seg, docs in reader.matches(query_text, mode):
-        dl = seg.doc_lengths(docs)
-        lo = int(dl.min()) if lo is None else min(lo, int(dl.min()))
-        hi = int(dl.max()) if hi is None else max(hi, int(dl.max()))
-    vals = dict(zip(q["q"], q["value"]))
+    min / q1 / median / q3 / max in one row, from one doc-length histogram
+    (quarter quantiles are dyadic → bit-exact vs quantile_cont; min/max
+    are integers)."""
+    vals, counts = _dl_histogram(reader, query_text, mode)
+    if counts.sum() == 0:
+        return pd.DataFrame({
+            "min_dl": pd.Series(dtype=np.int64),
+            "q1": pd.Series(dtype=np.float64),
+            "median": pd.Series(dtype=np.float64),
+            "q3": pd.Series(dtype=np.float64),
+            "max_dl": pd.Series(dtype=np.int64),
+        })
+    q1, med, q3 = np.round([_quantile_cont(vals, counts, q) for q in (0.25, 0.5, 0.75)], 6)
     return pd.DataFrame([{
-        "min_dl": np.int64(lo),
-        "q1": vals[0.25],
-        "median": vals[0.5],
-        "q3": vals[0.75],
-        "max_dl": np.int64(hi),
+        "min_dl": np.int64(vals[0]),
+        "q1": q1,
+        "median": med,
+        "q3": q3,
+        "max_dl": np.int64(vals[-1]),
     }])
 
 
@@ -2968,24 +2902,16 @@ def extended_stats_agg(
 ) -> pd.DataFrame:
     """ES ``extended_stats`` aggregation over the match set's token lengths
     (the numeric signal the index holds without re-reading text): count,
-    min, max, sum, sum_of_squares as exact integers; avg, population
-    variance, std_deviation and ±2σ bounds derived from the SAME integer
-    sufficient statistics on both engine and oracle sides (variance
-    numerator n·Σx² − (Σx)² is an exact Python int / HUGEINT; sqrt is
-    IEEE-correctly-rounded on an exactly-equal double, so the floor-1e6
-    quantization cannot diverge)."""
+    min, max, sum, sum_of_squares as exact integers from the doc-length
+    histogram; avg, population variance, std_deviation and ±2σ bounds
+    derived from the SAME integer sufficient statistics on both engine and
+    oracle sides (variance numerator n·Σx² − (Σx)² is an exact Python int /
+    HUGEINT; sqrt is IEEE-correctly-rounded on an exactly-equal double, so
+    the floor-1e6 quantization cannot diverge)."""
     import math
 
-    n = 0
-    s = s2 = 0
-    mn, mx = None, None
-    for seg, matched in reader.matches(query_text, mode):
-        dl = seg.doc_lengths(matched).astype(np.int64)
-        n += int(matched.size)
-        s += int(dl.sum())
-        s2 += int((dl * dl).sum())
-        mn = int(dl.min()) if mn is None else min(mn, int(dl.min()))
-        mx = int(dl.max()) if mx is None else max(mx, int(dl.max()))
+    vals, counts = _dl_histogram(reader, query_text, mode)
+    n = int(counts.sum())
     if n == 0:
         return pd.DataFrame({
             "n": pd.Series(dtype=np.int64),
@@ -3002,13 +2928,14 @@ def extended_stats_agg(
     def r6(x: float) -> float:
         return math.floor(x * 1e6 + 0.5) / 1e6
 
-    var_num = n * s2 - s * s  # exact integer, >= 0
+    s = _int_moments(vals, counts=counts)
+    var_num = n * _int_moments(vals, vals, counts=counts) - s * s  # exact integer, >= 0
     avg = float(s) / n
     std = math.sqrt(float(var_num)) / n
     return pd.DataFrame([{
         "n": np.int64(n),
-        "min_dl": np.int64(mn),
-        "max_dl": np.int64(mx),
+        "min_dl": np.int64(vals[0]),
+        "max_dl": np.int64(vals[-1]),
         "sum_dl": np.int64(s),
         "avg_dl": r6(avg),
         "variance": r6(float(var_num) / (float(n) * n)),
@@ -3026,24 +2953,14 @@ def missing_agg(
     mode: str = "or",
 ) -> pd.DataFrame:
     """ES ``missing`` aggregation: how many matched docs have NO value for
-    an attribute field. Per segment only two integers leave the worker
-    (matched count, null count) — validity comes straight from the Arrow
-    null bitmap of the stored attr column."""
-    import pyarrow.compute as _pc
-
-    total = 0
-    nmiss = 0
-    for seg, matched in reader.matches(query_text, mode):
-        if field not in seg.attrs:
-            raise KeyError(
-                f"attribute {field!r} not stored — build with attr_cols=[{field!r}]"
-            )
-        idx = np.searchsorted(seg.doc_ids, matched)
-        valid = np.asarray(_pc.is_valid(seg.attrs[field].take(pa.array(idx))))
-        total += int(matched.size)
-        nmiss += int(matched.size - valid.sum())
+    an attribute field — the null key's share of the folded ``field``
+    counts (validity comes straight from the Arrow null bitmap of the
+    stored attr column)."""
+    h = key_counts(reader, query_text, [field], mode)
+    c = np.asarray(h["count"], np.int64)
+    missing = c[~np.asarray(h[field].is_valid())]
     return pd.DataFrame(
-        [{"missing_count": np.int64(nmiss), "doc_count": np.int64(total)}]
+        [{"missing_count": np.int64(missing.sum()), "doc_count": np.int64(c.sum())}]
     )
 
 
@@ -3055,21 +2972,16 @@ def histogram_agg(
     mode: str = "or",
 ) -> pd.DataFrame:
     """ES numeric ``histogram`` aggregation over the match set's token
-    lengths: bucket = floor(dl / interval) · interval. Per segment one
-    bincount over ``dl // interval`` leaves the worker — bounded by
-    max_dl/interval, never by matches."""
+    lengths: bucket = floor(dl / interval) · interval, refolded from the
+    doc-length histogram — bounded by max_dl/interval, never by matches."""
     if interval <= 0:
         raise ValueError("interval must be positive")
-    counts = np.zeros(0, np.int64)
-    for seg, matched in reader.matches(query_text, mode):
-        counts = _add_bincount(counts, seg.doc_lengths(matched).astype(np.int64) // interval)
-    nz = np.flatnonzero(counts)
-    return pd.DataFrame(
-        {
-            "bucket": (nz * interval).astype(np.int64),
-            "doc_count": counts[nz].astype(np.int64),
-        }
-    )
+    vals, counts = _dl_histogram(reader, query_text, mode)
+    h = fold_counts([pa.table({"bucket": vals // interval * interval, "count": counts})], ["bucket"])
+    return pd.DataFrame({
+        "bucket": np.asarray(h["bucket"], np.int64),
+        "doc_count": np.asarray(h["count"], np.int64),
+    })
 
 
 def stats_agg(
@@ -3094,14 +3006,12 @@ def mad_agg(
     mode: str = "or",
 ) -> pd.DataFrame:
     """ES ``median_absolute_deviation`` aggregation over the match set's
-    token lengths — EXACT, not the TDigest approximation: per-segment
-    bincount partials over integer dl (the percentiles_agg machinery), the
-    median via quantile_cont interpolation from ranks, then a SECOND exact
-    histogram over the integer 2·|dl − median| deviations (median is a
-    multiple of 1/2, deviations of 1/4 — all exact in binary floats)."""
-    counts = np.zeros(0, np.int64)
-    for seg, matched in reader.matches(query_text, mode):
-        counts = _add_bincount(counts, seg.doc_lengths(matched).astype(np.int64))
+    token lengths — EXACT, not the TDigest approximation: the median via
+    quantile_cont interpolation over the doc-length histogram, then a
+    SECOND exact histogram over the integer 2·|dl − median| deviations
+    (median is a multiple of 1/2, deviations of 1/4 — all exact in binary
+    floats)."""
+    vals, counts = _dl_histogram(reader, query_text, mode)
     n = int(counts.sum())
     if n == 0:
         return pd.DataFrame({
@@ -3109,28 +3019,11 @@ def mad_agg(
             "median_dl": pd.Series(dtype=np.float64),
             "mad": pd.Series(dtype=np.float64),
         })
-
-    def _quantile_cont(cnt: np.ndarray, vals: np.ndarray, q: float) -> float:
-        """quantile_cont over a histogram (vals ascending, cnt >= 0)."""
-        nz = cnt > 0
-        v, c = vals[nz].astype(np.float64), cnt[nz]
-        cum = np.cumsum(c)
-        total = int(cum[-1])
-        h = q * (total - 1)  # 0-based fractional rank
-        lo_rank = int(np.floor(h))
-        hi_rank = min(lo_rank + 1, total - 1)
-        lo_v = v[np.searchsorted(cum, lo_rank + 1)]
-        hi_v = v[np.searchsorted(cum, hi_rank + 1)]
-        return float(lo_v + (h - lo_rank) * (hi_v - lo_v))
-
-    vals = np.arange(counts.size, dtype=np.int64)
-    med = _quantile_cont(counts, vals, 0.5)
+    med = _quantile_cont(vals, counts, 0.5)
     # deviations in quarter units: 2*|dl - med| is a non-negative integer
     dev2 = np.abs(2 * vals - int(round(2 * med)))
     dev_counts = np.bincount(dev2, weights=counts).astype(np.int64)
-    mad2 = _quantile_cont(
-        dev_counts, np.arange(dev_counts.size, dtype=np.int64), 0.5
-    )
+    mad2 = _quantile_cont(np.arange(dev_counts.size, dtype=np.int64), dev_counts, 0.5)
     return pd.DataFrame([{
         "n": np.int64(n),
         "median_dl": med,
@@ -3152,23 +3045,15 @@ def string_stats_agg(
     log2(total) − Σ cnt·log2(cnt)/total is one mirrored float expression
     over exact integer character counts, floor-1e4 quantized on both sides
     (keyword attrs are short enumerated values — the per-value Python
-    Counter walk is bounded by the attr alphabet, not the corpus)."""
+    Counter walk over the folded counts is bounded by the distinct values,
+    not the corpus)."""
     import math
     from collections import Counter
 
-    n = 0
-    len_sum = 0
-    mn, mx = None, None
-    chars: Counter = Counter()
-    for seg, matched in reader.matches(query_text, mode):
-        vals = [str(v) for v in seg.attr_values(field, matched)]
-        n += len(vals)
-        lens = [len(v) for v in vals]
-        len_sum += sum(lens)
-        mn = min(lens) if mn is None else min(mn, min(lens))
-        mx = max(lens) if mx is None else max(mx, max(lens))
-        chars.update("".join(vals))
-    if n == 0:
+    h = key_counts(reader, query_text, [field], mode)
+    vals = [str(v) for v in np.asarray(h[field])]
+    counts = [int(c) for c in np.asarray(h["count"])]
+    if not vals:
         return pd.DataFrame({
             "n": pd.Series(dtype=np.int64),
             "min_len": pd.Series(dtype=np.int64),
@@ -3176,6 +3061,12 @@ def string_stats_agg(
             "avg_len": pd.Series(dtype=np.float64),
             "entropy": pd.Series(dtype=np.float64),
         })
+    n = sum(counts)
+    len_sum = sum(len(v) * c for v, c in zip(vals, counts))
+    chars: Counter = Counter()
+    for v, c in zip(vals, counts):
+        for ch, k in Counter(v).items():
+            chars[ch] += k * c
     total = sum(chars.values())
     ent = (
         math.log2(total) - sum(c * math.log2(c) for c in chars.values()) / total
@@ -3184,8 +3075,8 @@ def string_stats_agg(
     )
     return pd.DataFrame([{
         "n": np.int64(n),
-        "min_len": np.int64(mn),
-        "max_len": np.int64(mx),
+        "min_len": np.int64(min(len(v) for v in vals)),
+        "max_len": np.int64(max(len(v) for v in vals)),
         "avg_len": math.floor(len_sum * 1.0 / n * 1e6 + 0.5) / 1e6,
         "entropy": math.floor(ent * 1e4 + 0.5) / 1e4,
     }])
@@ -3204,21 +3095,20 @@ def t_test_agg(
     two attribute-defined groups of the match set, over token lengths:
     t = (m̄₁ − m̄₂) / sqrt(s₁²/n₁ + s₂²/n₂) with SAMPLE variances
     sᵢ² = (nᵢ·Σx² − (Σx)²) / (nᵢ·(nᵢ−1)). All sufficient statistics are
-    exact Python ints (HUGEINT in the oracle); the final expression is
-    mirrored verbatim and floor-1e4 quantized."""
+    exact Python ints from the ``(field, dl)`` counts (HUGEINT in the
+    oracle); the final expression is mirrored verbatim and floor-1e4
+    quantized. When both groups have zero variance the divisor is 0 and t
+    is NaN (the oracle's NULL)."""
     import math
 
-    stats = {group_a: [0, 0, 0], group_b: [0, 0, 0]}  # n, sum, sumsq
-    for seg, matched in reader.matches(query_text, mode):
-        dl = seg.doc_lengths(matched).astype(np.int64)
-        vals = np.asarray(seg.attr_values(field, matched), dtype=object)
-        for g in (group_a, group_b):
-            d = dl[vals == g]
-            stats[g][0] += int(d.size)
-            stats[g][1] += int(d.sum())
-            stats[g][2] += int((d * d).sum())
-    n1, s1, q1 = stats[group_a]
-    n2, s2, q2 = stats[group_b]
+    h = key_counts(reader, query_text, [field, "dl"], mode)
+    vals = np.asarray(h[field], dtype=object)
+    dl, c = np.asarray(h["dl"], np.int64), np.asarray(h["count"], np.int64)
+    (n1, s1, q1), (n2, s2, q2) = (
+        (int(c[sel].sum()), _int_moments(dl[sel], counts=c[sel]),
+         _int_moments(dl[sel], dl[sel], counts=c[sel]))
+        for sel in (vals == group_a, vals == group_b)
+    )
     if n1 < 2 or n2 < 2:
         return pd.DataFrame({
             "n_a": pd.Series(dtype=np.int64),
@@ -3227,15 +3117,14 @@ def t_test_agg(
         })
     v1_num = n1 * q1 - s1 * s1  # sample var numerator (over n1*(n1-1))
     v2_num = n2 * q2 - s2 * s2
-    t = (float(s1) / n1 - float(s2) / n2) / math.sqrt(
+    den = math.sqrt(
         float(v1_num) / (float(n1) * n1 * (n1 - 1))
         + float(v2_num) / (float(n2) * n2 * (n2 - 1))
     )
-    return pd.DataFrame([{
-        "n_a": np.int64(n1),
-        "n_b": np.int64(n2),
-        "t_stat": math.floor(t * 1e4 + 0.5) / 1e4,
-    }])
+    t_stat = math.nan  # both variances 0: the oracle's 0-divisor is NULL
+    if den:
+        t_stat = math.floor((float(s1) / n1 - float(s2) / n2) / den * 1e4 + 0.5) / 1e4
+    return pd.DataFrame([{"n_a": np.int64(n1), "n_b": np.int64(n2), "t_stat": t_stat}])
 
 
 def search_function_score(

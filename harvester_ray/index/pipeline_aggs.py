@@ -10,11 +10,14 @@ native equivalents over the segment index.
 
 Scale/parity notes shared by every function here:
 
-- Per segment only bounded partials leave the worker: ``(bucket, count)``
-  rows for histogram-shaped aggs, ``(bucket, key)`` DISTINCT pairs for the
-  cardinality agg, one ``(sum, count)`` pair for weighted_avg — never the
-  match set itself. The cross-segment merge is bounded by the time range /
-  key cardinality, not by the corpus.
+- The histogram-shaped aggs read ``date_histogram``; ``cumulative_cardinality``,
+  ``weighted_avg`` and ``bucket_script`` fold ``value_counts`` partials
+  (``(bucket, key)``, ``(dl, hour)`` and ``(bucket, tool)`` counts). Either
+  way only per-segment counts of distinct keys leave a segment — never the
+  match set — so the merge is bounded by the time range / key cardinality,
+  not by the corpus, and a ``QueryService`` answers them on its actors.
+  ``top_metrics`` alone needs row-level pairs (the argmax row per group)
+  and walks the matches in process.
 - Every emitted float is derived from integer sufficient statistics with
   half-away-from-zero fixed-point division — ``(2·num·10^d + den) //
   (2·den)`` — mirrored verbatim by the SQL oracles, so the driver's value
@@ -28,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .extras import scored_query
-from .query import IndexReader
+from .extras import key_counts, scored_query
+from .query import IndexReader, key_name
 
 HOUR_US = 3_600_000_000
 
@@ -164,42 +167,24 @@ def cumulative_cardinality(
 ) -> pd.DataFrame:
     """ES ``cumulative_cardinality`` pipeline agg, exact: per histogram
     bucket the number of DISTINCT ``field`` values seen in any bucket up to
-    and including it. Per segment only DISTINCT ``(bucket, field)`` pairs
-    leave the worker; the merge takes each key's first bucket then a
-    cumulative sum of first-appearance counts, so the exchange is bounded
-    by key-cardinality × time-range, never the match count."""
-    empty = pd.DataFrame({
-        "bucket_us": pd.Series(dtype=np.int64),
-        "doc_count": pd.Series(dtype=np.int64),
-        "cum_card": pd.Series(dtype=np.int64),
-    })
-    hist_parts: list[pd.DataFrame] = []
-    pair_parts: list[pd.DataFrame] = []
-    for seg, docs in reader.matches(query_text, mode):
-        ts_int = (
-            seg.attr_values(ts_field, docs)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        bucket = (ts_int // interval_us) * interval_us
-        keys = seg.attr_values(field, docs)
-        uniq, counts = np.unique(bucket, return_counts=True)
-        hist_parts.append(pd.DataFrame({"bucket_us": uniq, "doc_count": counts}))
-        pair_parts.append(
-            pd.DataFrame({"bucket_us": bucket, "k": keys}).drop_duplicates()
-        )
-    if not hist_parts:
-        return empty
+    and including it. The ``(bucket, field)`` counts fold into the
+    histogram and into each key's first bucket, then a cumulative sum of
+    first-appearance counts — bounded by key-cardinality × time-range,
+    never the match count."""
+    bucket = (ts_field, interval_us)
+    h = key_counts(reader, query_text, [bucket, field], mode).to_pandas()
+    if h.empty:
+        return pd.DataFrame({
+            "bucket_us": pd.Series(dtype=np.int64),
+            "doc_count": pd.Series(dtype=np.int64),
+            "cum_card": pd.Series(dtype=np.int64),
+        })
+    h = h.rename(columns={key_name(bucket): "bucket_us"})
     hist = (
-        pd.concat(hist_parts)
-        .groupby("bucket_us", as_index=False)["doc_count"].sum()
-        .sort_values("bucket_us")
-        .reset_index(drop=True)
+        h.groupby("bucket_us", as_index=False)["count"].sum()
+        .rename(columns={"count": "doc_count"})
     )
-    firsts = (
-        pd.concat(pair_parts)
-        .groupby("k", as_index=False)["bucket_us"].min()
-        .groupby("bucket_us").size()
-    )
+    firsts = h.groupby(field)["bucket_us"].min().value_counts()
     hist["cum_card"] = (
         hist["bucket_us"].map(firsts).fillna(0).cumsum().astype(np.int64)
     )
@@ -215,28 +200,23 @@ def weighted_avg(
 ) -> pd.DataFrame:
     """ES ``weighted_avg`` metric agg over the match set: value = indexed
     doc length, weight = UTC hour-of-day + 1 derived from the timestamp
-    attribute (an integer weight so the whole aggregation stays in int64;
-    ``(epoch_us // 3600s) % 24 + 1`` on both sides). One (Σv·w, Σw) pair
-    per segment; the quotient is emitted with 6-digit half-away
-    fixed-point."""
-    vw_sum = 0
-    w_sum = 0
-    for seg, docs in reader.matches(query_text, mode):
-        ts_int = (
-            seg.attr_values(ts_field, docs)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        w = (ts_int // HOUR_US) % 24 + 1
-        v = seg.doc_lengths(docs).astype(np.int64)
-        vw_sum += int((v * w).sum())
-        w_sum += int(w.sum())
+    attribute (an integer weight so the whole aggregation stays in integers;
+    ``(epoch_us // 3600s) % 24 + 1`` on both sides), from the
+    ``(dl, hour)`` counts. One (Σv·w, Σw) pair; the quotient is emitted
+    with 6-digit half-away fixed-point."""
+    hour = (ts_field, HOUR_US)
+    h = key_counts(reader, query_text, ["dl", hour], mode)
+    c = np.asarray(h["count"], np.int64).astype(object)
+    w = (np.asarray(h[key_name(hour)], np.int64) // HOUR_US % 24 + 1).astype(object)
+    # Python ints: Σv·w at corpus scale exceeds what 2·num·10^6 can hold
+    # in int64, and the quotient must stay exact (HUGEINT in the oracle)
+    w_sum = int((w * c).sum())
     if w_sum == 0:
         return pd.DataFrame({
             "weight_sum": pd.Series(dtype=np.int64),
             "weighted_avg": pd.Series(dtype=np.float64),
         })
-    # Python ints: Σv·w at corpus scale exceeds what 2·num·10^6 can hold
-    # in int64, and the quotient must stay exact (HUGEINT in the oracle)
+    vw_sum = int((np.asarray(h["dl"], np.int64).astype(object) * w * c).sum())
     avg = ((2 * vw_sum * 1_000_000 + w_sum) // (2 * w_sum)) / 1e6
     return pd.DataFrame({
         "weight_sum": np.array([w_sum], dtype=np.int64),
@@ -401,45 +381,29 @@ def bucket_script(
     """ES ``bucket_script`` pipeline agg: a derived per-bucket metric
     computed from two sibling metrics of the same histogram — here the
     tool-call share ``tool_count / doc_count`` per hourly bucket (the
-    canonical ES example is exactly such a ratio script). Per segment one
-    ``(bucket, doc_count, tool_count)`` partial row per non-empty bucket
-    leaves the worker; the ratio uses the shared half-away fixed-point
-    quotient so the oracle hash is exact."""
-    empty = pd.DataFrame({
-        "bucket_us": pd.Series(dtype=np.int64),
-        "doc_count": pd.Series(dtype=np.int64),
-        "tool_count": pd.Series(dtype=np.int64),
-        "tool_share": pd.Series(dtype=np.float64),
-    })
-    partials: list[pd.DataFrame] = []
-    for seg, docs in reader.matches(query_text, mode):
-        ts_int = (
-            seg.attr_values(ts_field, docs)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        bucket = (ts_int // interval_us) * interval_us
-        tool = seg.attr_values(tool_field, docs)
-        has_tool = np.array([v is not None for v in tool], dtype=np.int64)
-        uniq, inv = np.unique(bucket, return_inverse=True)
-        partials.append(pd.DataFrame({
-            "bucket_us": uniq,
-            "doc_count": np.bincount(inv),
-            "tool_count": np.bincount(inv, weights=has_tool).astype(np.int64),
-        }))
-    if not partials:
-        return empty
-    h = (
-        pd.concat(partials)
-        .groupby("bucket_us", as_index=False)[["doc_count", "tool_count"]].sum()
-        .sort_values("bucket_us")
-        .reset_index(drop=True)
-        .astype({"bucket_us": np.int64, "doc_count": np.int64,
-                 "tool_count": np.int64})
+    canonical ES example is exactly such a ratio script). Both counts fold
+    from the ``(bucket, tool)`` counts (tool_count: the non-null tools);
+    the ratio uses the shared half-away fixed-point quotient so the oracle
+    hash is exact."""
+    bucket = (ts_field, interval_us)
+    h = key_counts(reader, query_text, [bucket, tool_field], mode)
+    if h.num_rows == 0:
+        return pd.DataFrame({
+            "bucket_us": pd.Series(dtype=np.int64),
+            "doc_count": pd.Series(dtype=np.int64),
+            "tool_count": pd.Series(dtype=np.int64),
+            "tool_share": pd.Series(dtype=np.float64),
+        })
+    c = np.asarray(h["count"], np.int64)
+    out = pd.DataFrame({
+        "bucket_us": np.asarray(h[key_name(bucket)], np.int64),
+        "doc_count": c,
+        "tool_count": c * np.asarray(h[tool_field].is_valid()),
+    }).groupby("bucket_us", as_index=False).sum()
+    out["tool_share"] = _fixed_div(
+        out["tool_count"].to_numpy(), out["doc_count"].to_numpy(), 6
     )
-    h["tool_share"] = _fixed_div(
-        h["tool_count"].to_numpy(), h["doc_count"].to_numpy(), 6
-    )
-    return h
+    return out.astype({"bucket_us": np.int64, "doc_count": np.int64, "tool_count": np.int64})
 
 
 def normalize_agg(

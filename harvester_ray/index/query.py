@@ -388,12 +388,16 @@ class SegmentReader:
         tbl = pq.read_table(self.base + ".docs.parquet", columns=[col])
         return tbl[col].combine_chunks().take(pa.array(self.ordinals(docs)))
 
-    def attr_values(self, col: str, docs: np.ndarray) -> np.ndarray:
+    def attr_column(self, col: str, docs: np.ndarray) -> pa.Array:
+        """The stored attribute ``col`` of doc ids this segment holds."""
         if col not in self.attrs:
             raise KeyError(
                 f"attribute {col!r} not stored in this index — build with attr_cols=[{col!r}]"
             )
-        return np.asarray(self.attrs[col].take(pa.array(self.ordinals(docs))))
+        return self.attrs[col].take(pa.array(self.ordinals(docs)))
+
+    def attr_values(self, col: str, docs: np.ndarray) -> np.ndarray:
+        return np.asarray(self.attr_column(col, docs))
 
     def allowed_docs(self, filters: dict | None) -> np.ndarray | None:
         """Facet filters → sorted allowed doc-id array. Semantics mirror the
@@ -951,22 +955,48 @@ class SearchSurfaces:
         filters: dict[str, list] | None = None,
     ) -> dict:
         """Exact ``results_total`` + per-field value counts over the matching
-        docs (``include_filter_counts`` analog): matches are enumerated per
-        segment from posting intersections/unions (k=∞ without scoring) and
-        the parts' counts add up."""
-        self._check()
-        prep = self.prepare(query_text, mode)
-        parts = [] if prep.empty else self._fanout(
-            "match_counts", prep.live, mode, filters, count_fields
+        docs (``include_filter_counts`` analog): one ``value_counts`` over
+        every count field; each field's counts are the fold of its column."""
+        fields = list(count_fields or [])
+        counts = fold_counts(
+            self.value_counts(query_text, fields, mode=mode, filters=filters), fields
         )
-        counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
-        for _, part in parts:
-            for f, vals in part.items():
-                add_counts(counts[f], vals)
+        filter_counts = {}
+        for f in fields:
+            m = fold_counts([counts.select([f, "count"])], [f])
+            filter_counts[f] = {
+                str(v): int(c) for v, c in zip(np.asarray(m[f]), np.asarray(m["count"]))
+            }
         return {
-            "results_total": {"value": sum(p[0] for p in parts), "is_precise": True},
-            "filter_counts": counts,
+            "results_total": {"value": int(np.asarray(counts["count"]).sum()), "is_precise": True},
+            "filter_counts": filter_counts,
         }
+
+    def value_counts(
+        self,
+        query_text: str,
+        keys: list,
+        *,
+        mode: str,
+        filters: dict[str, list] | None = None,
+    ) -> list[pa.Table]:
+        """The partials of every count-shaped aggregation: per segment with
+        a match, each distinct tuple of ``keys`` over its matching docs with
+        their ``count`` (``OPS["value_counts"]``). A key is an attribute
+        column, ``"dl"`` (the doc length), or ``(ts_field, interval_us)``
+        (the floored epoch-µs bucket of a timestamp attribute); the columns
+        are named by ``key_name``. The partials stay per segment (``terms``'
+        ``shard_size`` cut is per segment); ``fold_counts`` sums them."""
+        self._check()
+        keys = list(keys)
+        for key in keys:
+            if not isinstance(key, str) and key[1] <= 0:
+                raise ValueError(f"interval_us must be > 0, got {key[1]!r}")
+        prep = self.prepare(query_text, mode)
+        if prep.empty:
+            return []
+        parts = self._fanout("value_counts", prep.live, mode, filters, keys)
+        return [t for part in parts for t in part]
 
     def search_page(
         self,
@@ -1049,6 +1079,12 @@ class SearchSurfaces:
         dfs = self.df(sorted(set().union(*found)))
         return [{t: dfs[t] for t in terms if dfs[t] > 0} for terms in found]
 
+    def terms_with_prefix(self, prefix: str) -> list[str]:
+        """Sorted distinct terms starting with ``prefix`` that a live doc
+        holds (``vocab``): the candidates every prefix expansion caps at
+        its ``max_expansions``."""
+        return sorted(self.vocab([(prefix, 0, 1 << 30)])[0])
+
     def date_histogram(
         self,
         query_text: str,
@@ -1063,15 +1099,12 @@ class SearchSurfaces:
         merge is bounded by the time range, never the match count. Bucket
         keys are epoch-microsecond integers (``(epoch_us // interval) ·
         interval``) — exact on both sides."""
-        self._check()
-        if interval_us <= 0:
-            raise ValueError(f"interval_us must be > 0, got {interval_us!r}")
-        prep = self.prepare(query_text, mode)
-        parts = [] if prep.empty else self._fanout(
-            "date_histogram", prep.live, mode, ts_field, interval_us
-        )
-        buckets, counts = sum_by_key(parts)
-        return pd.DataFrame({"bucket_us": buckets, "doc_count": counts})
+        key = (ts_field, interval_us)
+        h = fold_counts(self.value_counts(query_text, [key], mode=mode), [key])
+        return pd.DataFrame({
+            "bucket_us": np.asarray(h[key_name(key)], np.int64),
+            "doc_count": np.asarray(h["count"], np.int64),
+        })
 
     def warm(self, query_texts: list[str]) -> int:
         """ES index-warmer analog: pre-populate the postings, position and
@@ -1123,19 +1156,13 @@ class IndexReader(SearchSurfaces):
 
     def matches(self, text: str, mode: str, filters: dict | None = None):
         """``iter_matches`` of the prepared query over this reader's
-        segments; yields nothing when the query cannot match."""
+        segments; yields nothing when the query cannot match. Only for the
+        consumers that need the matched doc ids themselves: a count-shaped
+        aggregation folds ``value_counts`` partials instead."""
         prep = self.prepare(text, mode)
         if prep.empty:
             return iter(())
         return iter_matches(self.segments(), prep.live, mode, filters)
-
-    def terms_with_prefix(self, prefix: str) -> list[str]:
-        """Sorted distinct dictionary terms starting with ``prefix``, over
-        every segment."""
-        out: set[str] = set()
-        for _, seg, _ in self.segments():
-            out.update(seg.terms_with_prefix(prefix))
-        return sorted(out)
 
     def _search_terms(self, terms: list[str], k: int, mode: str) -> pa.Table:
         """Top-k over already-analyzed terms (dictionary expansions)."""
@@ -1145,7 +1172,7 @@ class IndexReader(SearchSurfaces):
     def search_prefix(self, prefix: str, k: int = 10, max_expansions: int = 50) -> pa.Table:
         """Prefix (wildcard ``pre*``) top-k: expand against the segment
         dictionaries (sorted — two binary searches each), take the first
-        ``max_expansions`` distinct terms in lexicographic order (Lucene
+        ``max_expansions`` distinct live terms in lexicographic order (Lucene
         MultiTermQuery rewrite cap), then score as a disjunction where each
         expanded term keeps its own idf."""
         pfx = self.prepare(prefix, "or").terms
@@ -1156,12 +1183,16 @@ class IndexReader(SearchSurfaces):
     def _expand_pattern(self, kernel, pattern: str, k: int, max_expansions: int) -> pa.Table:
         """Top-k disjunction over the dictionary terms one vectorized Arrow
         ``kernel`` selects per segment, capped at the first
-        ``max_expansions`` distinct terms lexicographically."""
+        ``max_expansions`` distinct live terms lexicographically."""
         expanded: set[str] = set()
         for _, seg, _ in self.segments():
             hit = kernel(seg._term_strings, pattern)
             expanded.update(seg._term_strings.filter(hit).to_pylist())
-        return self._search_terms(sorted(expanded)[:max_expansions], k, "or")
+        # a dictionary still holds terms only tombstoned docs had: drop them
+        # before the cap, so a dead term takes no slot
+        dfs = self.df(sorted(expanded))
+        live = [t for t in sorted(expanded) if dfs[t] > 0]
+        return self._search_terms(live[:max_expansions], k, "or")
 
     def search_wildcard(
         self, pattern: str, k: int = 10, max_expansions: int = 50
@@ -1358,27 +1389,6 @@ def iter_matches(segments, terms: list[str], mode: str, filters: dict | None = N
             yield seg, m
 
 
-def count_matches(
-    segments, terms: list[str], mode: str, filters: dict | None,
-    count_fields: list[str] | None,
-) -> tuple[int, dict[str, dict[str, int]]]:
-    """Match count + per-field value counts of the segments' matches
-    (``iter_matches``); partials add up (``add_counts``)."""
-    total = 0
-    counts: dict[str, dict[str, int]] = {f: {} for f in (count_fields or [])}
-    for seg, matched in iter_matches(segments, terms, mode, filters):
-        total += int(matched.size)
-        for f in counts:
-            uniq, cnt = np.unique(seg.attr_values(f, matched), return_counts=True)
-            add_counts(counts[f], {str(v): int(c) for v, c in zip(uniq, cnt)})
-    return total, counts
-
-
-def add_counts(into: dict, part: dict) -> None:
-    for v, c in part.items():
-        into[v] = into.get(v, 0) + c
-
-
 def _attr_cut(docs: np.ndarray, vals: np.ndarray, desc: bool, limit: int):
     """The first ``limit`` rows by (value asc/desc, doc_id asc); dense value
     codes make descending order work for any attr dtype."""
@@ -1430,28 +1440,58 @@ def vocabs_with_prefixes(segments, specs: list[tuple[str, int, int]]) -> list[se
     return [vocab_with_prefix(segments, *spec) for spec in specs]
 
 
-def date_buckets(
-    segments, terms: list[str], mode: str, ts_field: str, interval_us: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``date_histogram`` partial: (bucket, count) of the segments' matches,
-    bucketed ``(epoch_us // interval_us) · interval_us`` per segment (one
-    floor-div and one unique each) and summed."""
-    parts = []
-    for seg, docs in iter_matches(segments, terms, mode):
-        ts = seg.attr_values(ts_field, docs).astype("datetime64[us]").astype(np.int64)
-        parts.append(np.unique((ts // interval_us) * interval_us, return_counts=True))
-    return sum_by_key(parts)
+def key_name(key) -> str:
+    """The column of a ``value_counts`` key: an attribute and ``"dl"`` keep
+    their names, a ``(ts_field, interval_us)`` bucket is
+    ``"ts_field@interval_us"``."""
+    return key if isinstance(key, str) else f"{key[0]}@{key[1]}"
 
 
-def sum_by_key(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Fold ``(keys, counts)`` partials: the distinct keys ascending, each
-    with its summed count (int64, exact)."""
+def _key_column(seg: SegmentReader, docs: np.ndarray, key) -> pa.Array:
+    if key == "dl":
+        return pa.array(seg.doc_lengths(docs))
+    if isinstance(key, str):
+        return seg.attr_column(key, docs)
+    ts_field, interval_us = key
+    us = seg.attr_values(ts_field, docs).astype("datetime64[us]").astype(np.int64)
+    return pa.array((us // interval_us) * interval_us)
+
+
+def value_counts(
+    segments, terms: list[str], mode: str, filters: dict | None, keys: list
+) -> list[pa.Table]:
+    """Per segment with a match (``iter_matches``): one table of each
+    distinct tuple of ``keys`` (``SearchSurfaces.value_counts``) over its
+    matching docs, with their ``count``. Bounded by the distinct keys,
+    never by the match count."""
+    names = [key_name(k) for k in keys]
+    out = []
+    for seg, docs in iter_matches(segments, terms, mode, filters):
+        if not keys:
+            out.append(pa.table({"count": pa.array([docs.size], pa.int64())}))
+            continue
+        t = pa.table({n: _key_column(seg, docs, k) for n, k in zip(names, keys)})
+        # one thread: a segment's keys are a few thousand rows, where the
+        # thread pool's start costs more than the hashing
+        t = t.group_by(names, use_threads=False).aggregate([([], "count_all")])
+        out.append(t.select(names + ["count_all"]).rename_columns(names + ["count"]))
+    return out
+
+
+def fold_counts(parts: list[pa.Table], keys: list) -> pa.Table:
+    """The one fold of ``value_counts`` partials: ``count`` summed per
+    distinct key tuple, keys ascending (nulls last). A segment whose
+    attribute column is all null stores it as the null type; it still
+    concatenates with the others."""
+    names = [key_name(k) for k in keys]
     if not parts:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    keys, inverse = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
-    counts = np.zeros(keys.size, np.int64)
-    np.add.at(counts, inverse, np.concatenate([p[1] for p in parts]))
-    return keys.astype(np.int64), counts
+        return pa.table(
+            {**{n: pa.array([], pa.null()) for n in names}, "count": pa.array([], pa.int64())}
+        )
+    t = pa.concat_tables(parts, promote_options="permissive")
+    t = t.group_by(names).aggregate([("count", "sum")])
+    t = t.select(names + ["count_sum"]).rename_columns(names + ["count"])
+    return t.sort_by([(n, "ascending") for n in names]) if names else t
 
 
 def proximity_match_segment(
@@ -1587,10 +1627,9 @@ OPS = {
     "search": topk_over,
     "search_many": topk_many,
     "spans": spans,
-    "match_counts": count_matches,
     "attr_page": attr_page,
     "prefix_vocab": vocabs_with_prefixes,
-    "date_histogram": date_buckets,
+    "value_counts": value_counts,
     "warm": warm_segments,
 }
 

@@ -58,3 +58,38 @@ def killing_build_segment():
             build.build_segment = orig
 
     return patch
+
+
+@pytest.fixture
+def killing_merge_segments():
+    """``killing_merge_segments(flag)``: a context manager that patches
+    ``compact.merge_segments`` (both compactions look it up at call time)
+    so that exactly one merge task leaves partial ``.tmp`` files in the new
+    version's segment dir and hard-exits its worker process; ``flag``
+    records that it fired. One file is named after the group's first
+    source segment, the other after no segment at all. The replacement is
+    a closure, so it ships to the task workers by value."""
+    from harvester_ray.index import compact
+
+    @contextlib.contextmanager
+    def patch(flag: str):
+        orig = compact.merge_segments
+
+        def kill_once(index_root, seg_metas, tomb_ids, tomb_vers, out_dir):
+            try:
+                os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                return orig(index_root, seg_metas, tomb_ids, tomb_vers, out_dir)
+            for stem in (seg_metas[0]["name"], "seg-aborted"):
+                for ext in (".bin.tmp", ".docs.parquet.tmp"):
+                    with open(os.path.join(out_dir, stem + ext), "wb") as f:
+                        f.write(b"partial garbage")
+            os._exit(1)
+
+        compact.merge_segments = kill_once
+        try:
+            yield
+        finally:
+            compact.merge_segments = orig
+
+    return patch

@@ -65,6 +65,65 @@ def test_compact_preserves_attrs(tmp_path):
     np.testing.assert_allclose(before["score"], after["score"], rtol=0)
 
 
+def _small_index(root: str, n: int = 400) -> None:
+    """``n`` docs in two build segments, then two small deltas: two tiny
+    segments and tombstones."""
+    base = pd.DataFrame({
+        "doc_id": np.arange(n, dtype=np.int64),
+        "text": [f"alpha beta doc {i} " + ("spark" if i % 3 == 0 else "window")
+                 for i in range(n)],
+    })
+    build.build_index(rd.from_pandas(base), root, concurrency=2, input_desc="base")
+    for ver in range(2):
+        delta = pd.DataFrame({
+            "doc_id": np.array([ver * 2, ver * 2 + 1, n + ver], dtype=np.int64),
+            "text": ["updated spark text", "", f"new window doc {ver}"],
+            "state": ["active", "deleted", "active"],
+        })
+        incremental.build_incremental(root, rd.from_pandas(delta),
+                                      input_desc=f"d{ver}", integrity_check=False)
+
+
+COMPACTIONS = {
+    "compact": lambda root: compact.compact(root, target_segments=2),
+    "compact_tiered": lambda root: compact.compact_tiered(root, small_docs=100),
+}
+
+
+@pytest.mark.parametrize("how", sorted(COMPACTIONS))
+def test_merge_task_death_compacts_identically(tmp_path, killing_merge_segments, how):
+    """Chaos on compaction: one merge task's worker dies mid-write, leaving
+    ``.tmp`` files in the new version's segment dir. The retried task must
+    commit what an undisturbed compaction commits: the same segments, equal
+    answers, a clean fsck and no file in the new ``segments/`` that the
+    manifest does not name."""
+    base_root = str(tmp_path / "base")
+    _small_index(base_root)
+    ref_root, chaos_root = str(tmp_path / "ref"), str(tmp_path / "chaos")
+    shutil.copytree(base_root, ref_root)
+    shutil.copytree(base_root, chaos_root)
+    want = COMPACTIONS[how](ref_root)
+    flag = str(tmp_path / "killed.flag")
+    with killing_merge_segments(flag):
+        got = COMPACTIONS[how](chaos_root)
+    assert os.path.exists(flag), "the killing merge never fired"
+
+    assert got["segments"] == want["segments"]
+    for q, m in QUERIES + [("alpha beta", "or")]:
+        pd.testing.assert_frame_equal(
+            query.IndexReader(chaos_root).search(q, k=50, mode=m).to_pandas(),
+            query.IndexReader(ref_root).search(q, k=50, mode=m).to_pandas(),
+        )
+    rep = fsck.fsck(chaos_root)
+    assert rep["ok"], rep["errors"]
+    seg_dir = os.path.join(chaos_root, f"v{got['version']}", "segments")
+    named = {
+        s["name"] + ext for s in got["segments"] if s["created_version"] == got["version"]
+        for ext in (".terms.parquet", ".docs.parquet", ".bin", ".done")
+    }
+    assert named and set(os.listdir(seg_dir)) == named
+
+
 def test_tiered_compaction_carries_big_segments(tmp_path_factory, ray_session):
     """Tiered merge: small (delta) segments merge, big segments carry by
     pointer (files untouched), search results and tombstone semantics

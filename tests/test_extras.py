@@ -902,3 +902,52 @@ def test_negative_k_no_longer_drops_rows(idx):
         extras.search_after(reader, "spark", k=-1, mode="or")
     with pytest.raises(ValueError, match="k must be >= 0, got -1"):
         extras.search_collapse(reader, "spark", field="source", k=-1, mode="or")
+
+
+def test_search_after_answers_a_term_a_segment_lacks_and_an_empty_and(tmp_path):
+    """Two segments, one per term: in OR mode a matching segment lacks a
+    live term, and in AND mode no segment matches at all. ``search_after``
+    scores through the dense scorer, so the OR answer is ``search`` over
+    every match (rounded to 4) and the AND answer an empty frame."""
+    import pandas as pd
+
+    text = ["alpha one", "alpha two", "alpha five", "alpha six",
+            "beta three", "beta four", "beta seven", "beta eight"]
+    df = pd.DataFrame({"doc_id": np.arange(1, 9, dtype=np.int64), "text": text})
+    root = str(tmp_path / "idx")
+    build.build_index(rd.from_pandas(df).repartition(2), root, concurrency=1)
+    r = query.IndexReader(root)
+    assert len(r.manifest["segments"]) == 2
+    got = extras.search_after(r, "alpha beta", k=100, mode="or")
+    want = r.search("alpha beta", k=100, mode="or").to_pandas()
+    assert len(got) == 8
+    assert got["doc_id"].tolist() == want["doc_id"].tolist()
+    assert got["score"].tolist() == want["score"].round(4).tolist()
+    none = extras.search_after(r, "alpha beta", k=100, mode="and")
+    assert none.empty and list(none.columns) == ["doc_id", "score"]
+
+
+def test_t_test_zero_variance_answers_like_its_oracle(tmp_path):
+    """Both groups have zero variance, so t's divisor is 0: the oracle's
+    DuckDB division turns it into NULL, and the engine answers the same one
+    row with a NaN t instead of raising."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from harvester_ray.index import oracle
+
+    path = str(tmp_path / "d.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(1, 9), pa.int64()),
+        "text": ["a b"] * 4 + ["a b c"] * 4,
+        "g": ["x"] * 4 + ["y"] * 4,
+    }), path)
+    root = str(tmp_path / "idx")
+    build.build_index(rd.read_parquet(path), root, concurrency=1, attr_cols=["g"])
+    got = extras.t_test_agg(query.IndexReader(root), "a", field="g", group_a="x", group_b="y")
+    exp = duckdb.connect().execute(oracle.t_test_sql(
+        f"read_parquet('{path}')", "a", field="g", group_a="x", group_b="y",
+    )).fetchdf()
+    assert exp[["n_a", "n_b"]].values.tolist() == [[4, 4]] and np.isnan(exp["t_stat"][0])
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)

@@ -10,7 +10,9 @@
   backends and on a build whose doc ids are all >= 2^62, returns no dead
   doc and answers exactly like a full rebuild of the merged corpus;
 - a delta that leaves no live doc holding a dictionary term: spelling and
-  fuzzy candidates (``SearchSurfaces.vocab``) answer like a rebuild.
+  fuzzy candidates (``SearchSurfaces.vocab``) and every prefix, wildcard
+  and regexp expansion answer like a rebuild, so a dead term never takes a
+  ``max_expansions`` slot.
 """
 
 import numpy as np
@@ -123,8 +125,9 @@ def killed(request, tmp_path_factory):
 
 def _calls(b):
     calls = _parity_calls(b)
-    # ``warm`` counts (segment, term) entries, which follow the segment layout
-    del calls["warm"]
+    # ``warm`` counts (segment, term) entries and ``terms``' ``shard_size``
+    # cut is per segment: both follow the segment layout
+    del calls["warm"], calls["terms_agg shard_size=1"]
     calls.update({
         "search and filtered must_not": lambda: b.search(
             QUERY, k=25, mode="and", filters=FILTERS, must_not="engines"),
@@ -183,6 +186,16 @@ SPELL_SURFACES = {
     # the cap leaves one expansion: a dead term must not take it
     "fuzzy_search": lambda b: extras.fuzzy_search(b, "zebrx", max_expansions=1),
 }
+# dictionary expansions capped at one term: the dead "zebra" sorts first
+PREFIX_SURFACES = {
+    "search_prefix": lambda b: b.search_prefix("zeb", max_expansions=1).to_pandas(),
+    "search_wildcard": lambda b: b.search_wildcard("zeb*", max_expansions=1).to_pandas(),
+    "search_regexp": lambda b: b.search_regexp("zeb.*", max_expansions=1).to_pandas(),
+    "search_match_phrase_prefix": lambda b: extras.search_match_phrase_prefix(b, "zeb", max_expansions=1),
+    "search_match_bool_prefix": lambda b: extras.search_match_bool_prefix(b, "zeb", max_expansions=1),
+    "search_span_multi": lambda b: extras.search_span_multi(b, "zeb", max_expansions=1),
+    "search_query_string": lambda b: extras.search_query_string(b, "plain zeb*", max_expansions=1),
+}
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +204,7 @@ def respelled(tmp_path_factory):
     segments' dictionaries still hold "zebra" (df 2 there, the df of
     "zebre") but no live doc does; and a rebuild of the merged corpus."""
     delta_root = str(tmp_path_factory.mktemp("respelled"))
-    build.build_index(rd.from_pandas(SPELL), delta_root, concurrency=1)
+    build.build_index(rd.from_pandas(SPELL), delta_root, concurrency=1, store_positions=True)
     delta = pd.DataFrame({
         "doc_id": [1, 2], "text": ["", "plain two"], "state": ["deleted", "active"],
     })
@@ -199,7 +212,7 @@ def respelled(tmp_path_factory):
     merged = SPELL[SPELL["doc_id"] != 1].assign(
         text=lambda d: d["text"].where(d["doc_id"] != 2, "plain two"))
     rebuild_root = str(tmp_path_factory.mktemp("respelled_rebuild"))
-    build.build_index(rd.from_pandas(merged), rebuild_root, concurrency=1)
+    build.build_index(rd.from_pandas(merged), rebuild_root, concurrency=1, store_positions=True)
     return delta_root, rebuild_root
 
 
@@ -207,6 +220,15 @@ def respelled(tmp_path_factory):
 def test_spelling_and_fuzzy_candidates_answer_like_a_rebuild(respelled, name):
     delta_root, rebuild_root = respelled
     surface = SPELL_SURFACES[name]
+    got = surface(query.IndexReader(delta_root))
+    pd.testing.assert_frame_equal(got, surface(query.IndexReader(rebuild_root)))
+    assert len(got)
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_SURFACES))
+def test_prefix_and_pattern_expansions_answer_like_a_rebuild(respelled, name):
+    delta_root, rebuild_root = respelled
+    surface = PREFIX_SURFACES[name]
     got = surface(query.IndexReader(delta_root))
     pd.testing.assert_frame_equal(got, surface(query.IndexReader(rebuild_root)))
     assert len(got)

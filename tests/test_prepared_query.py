@@ -9,10 +9,11 @@ through the same ``IndexReader.matches``):
   surfaces that enumerate the match set agree with ``IndexReader.search``;
 - on the v1 build every surface returns exactly what it returned before
   query prep and the segment walks were unified (``V1_DIGESTS``);
-- every ``SearchSurfaces`` surface answers identically in process
-  (``IndexReader``) and through a ``QueryService``, on both builds and on
-  one whose doc ids are all >= 2^62, and both reject the same bad
-  parameters.
+- every ``SearchSurfaces`` surface, and every count-shaped aggregation
+  folded from its ``value_counts``, answers identically in process
+  (``IndexReader``, ``FederatedReader``) and through a ``QueryService``,
+  on both builds and on one whose doc ids are all >= 2^62, and all reject
+  the same bad parameters.
 """
 
 import hashlib
@@ -445,7 +446,43 @@ def _parity_calls(b) -> dict:
         "date_histogram": lambda: b.date_histogram(QUERY, mode="or"),
         "warm": lambda: b.warm([QUERY, "engines"]),
         "api size=0": lambda: api.search_request(b, size0),
+        **{name: (lambda call=call: call(b)) for name, call in AGGREGATIONS.items()},
     }
+
+
+# every count-shaped aggregation: a fold of ``value_counts`` partials
+AGGREGATIONS = {
+    "value_counts": lambda b: query.fold_counts(
+        b.value_counts(QUERY, ["lang", "dl", ("ts", 86_400_000_000)], mode="or", filters=FILTERS),
+        ["lang", "dl", ("ts", 86_400_000_000)]),
+    "search_stats": lambda b: extras.search_stats(b, QUERY, mode="or"),
+    "terms_stats_agg": lambda b: extras.terms_stats_agg(b, QUERY, size=100),
+    "terms_agg": lambda b: extras.terms_agg(b, QUERY, size=100),
+    "terms_agg shard_size=1": lambda b: extras.terms_agg(b, QUERY, size=100, shard_size=1),
+    "cardinality_agg": lambda b: extras.cardinality_agg(b, QUERY, field="tool"),
+    "rare_terms_agg": lambda b: extras.rare_terms_agg(b, QUERY, field="conv_id", max_doc_count=2),
+    "composite_agg": lambda b: extras.composite_agg(b, QUERY, after=("src0", "en")),
+    "multi_terms_agg": lambda b: extras.multi_terms_agg(b, QUERY, fields=("lang", "tool")),
+    "filters_agg": lambda b: extras.filters_agg(
+        b, QUERY, {"a": {"source": ["src0", "src1"]}, "b": {"lang": ["en"], "tool": ["t1"]}}),
+    "adjacency_matrix": lambda b: extras.adjacency_matrix(
+        b, QUERY, {"a": {"lang": ["en", "fr"]}, "b": {"lang": ["en"]}, "c": {"tool": ["t2"]}}),
+    "missing_agg": lambda b: extras.missing_agg(b, QUERY),
+    "string_stats_agg": lambda b: extras.string_stats_agg(b, QUERY, field="tool"),
+    "t_test_agg": lambda b: extras.t_test_agg(b, QUERY, group_a="src0", group_b="src1"),
+    "percentiles_agg": lambda b: extras.percentiles_agg(b, QUERY, qs=(0.1, 0.25, 0.5, 0.9)),
+    "percentile_ranks_agg": lambda b: extras.percentile_ranks_agg(b, QUERY, [10, 40, 60]),
+    "boxplot_agg": lambda b: extras.boxplot_agg(b, QUERY),
+    "range_agg": lambda b: extras.range_agg(b, QUERY, [(None, 30), (30, 60), (60, None)]),
+    "histogram_agg": lambda b: extras.histogram_agg(b, QUERY, interval=7),
+    "extended_stats_agg": lambda b: extras.extended_stats_agg(b, QUERY),
+    "stats_agg": lambda b: extras.stats_agg(b, QUERY),
+    "mad_agg": lambda b: extras.mad_agg(b, QUERY),
+    "matrix_stats": lambda b: extras.matrix_stats(b, QUERY, ts_base_s=BASE_US // 10**6),
+    "cumulative_cardinality": lambda b: pipeline_aggs.cumulative_cardinality(b, QUERY),
+    "weighted_avg": lambda b: pipeline_aggs.weighted_avg(b, QUERY),
+    "bucket_script": lambda b: pipeline_aggs.bucket_script(b, QUERY),
+}
 
 
 # parameter values every backend must reject, each naming the bad value
@@ -460,7 +497,10 @@ BAD_CALLS = {
     "page_size must be >= 0, got -5": [
         lambda b: b.search_page(QUERY, page=2, page_size=-5, ordering="source"),
     ],
-    "interval_us must be > 0, got 0": [lambda b: b.date_histogram(QUERY, interval_us=0)],
+    "interval_us must be > 0, got 0": [
+        lambda b: b.date_histogram(QUERY, interval_us=0),
+        lambda b: b.value_counts(QUERY, ["dl", ("ts", 0)], mode="or"),
+    ],
     "mode must be 'and' or 'or', got 'AND'": [
         lambda b: b.search("spark windowing", mode="AND"),
         lambda b: b.match_counts("spark windowing", mode="AND"),
@@ -495,10 +535,13 @@ def _answers(b) -> dict:
 
 @pytest.mark.parametrize("fixture", ["v1", "v2", "big_ids"])
 def test_reader_and_service_answer_every_surface_identically(parity_roots, fixture):
-    """Every shared surface answers the same through the in-process backend
-    and through a two-actor QueryService, bad parameters included."""
+    """Every shared surface answers the same through the in-process backend,
+    through a one-member FederatedReader and through a two-actor
+    QueryService, bad parameters included."""
     root = parity_roots[fixture]
     local = _answers(query.IndexReader(root))
+    for name, out in _answers(federated.FederatedReader([root])).items():
+        assert _same(out, local[name]), name
     svc = query.QueryService(root, num_actors=2)
     try:
         assert len(svc.actors) == 2
@@ -507,6 +550,8 @@ def test_reader_and_service_answer_every_surface_identically(parity_roots, fixtu
         svc.shutdown()
     for name, out in local.items():
         assert _same(out, served[name]), name
+    for name in AGGREGATIONS:
+        assert len(_frame(local[name])) > 0, name
     for name in ("search or", "search must_not", "search min_should_match", "search_phrase",
                  "search_proximity", "search_page ordering", "date_histogram"):
         assert len(_frame(local[name])) > 0, name

@@ -168,20 +168,19 @@ def test_minimal_window_two_pointer_property(pos_a, pos_b, width):
 @given(st.lists(st.integers(0, 200), min_size=1, max_size=300))
 @settings(max_examples=100, deadline=None)
 def test_percentile_bincount_matches_numpy(values):
-    """The bincount-rank interpolation used by percentiles_agg equals
-    numpy's linear quantile on the raw values."""
+    """The histogram-rank interpolation every doc-length quantile uses
+    (``extras._quantile_cont``) equals numpy's linear quantile on the raw
+    values, with and without empty bins."""
+    from harvester_ray.index import extras
+
     vals = np.array(values, dtype=np.int64)
     counts = np.bincount(vals)
-    n = vals.size
-    cum = np.cumsum(counts)
+    uniq, ucounts = np.unique(vals, return_counts=True)
     for q in (0.25, 0.5, 0.75):
-        h = (n - 1) * q
-        lo = int(np.floor(h))
-        hi = min(lo + 1, n - 1)
-        x_lo = int(np.searchsorted(cum, lo + 1))
-        x_hi = int(np.searchsorted(cum, hi + 1))
-        got = x_lo + (h - lo) * (x_hi - x_lo)
-        np.testing.assert_allclose(got, np.quantile(vals, q), atol=1e-9)
+        want = np.quantile(vals, q)
+        got = extras._quantile_cont(np.arange(counts.size), counts, q)
+        np.testing.assert_allclose(got, want, atol=1e-9)
+        assert extras._quantile_cont(uniq, ucounts, q) == got
 
 
 from hypothesis import given, settings

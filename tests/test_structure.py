@@ -6,7 +6,10 @@ from the reader), per-segment LRUs (bounded by entry count, not bytes) and
 per-surface RPC paths cannot grow back. The build and delta commits map
 module-level functions, so no per-call actor pool grows back either. Every
 disjunction is scored by one dense scorer, so no block-max pruned path (or
-the per-block score metadata it read) grows back."""
+the per-block score metadata it read) grows back. Every count-shaped
+aggregation folds the one ``value_counts`` op, so no hand-rolled walk of
+the match set grows back next to it: only the consumers that need doc ids
+enumerate matches."""
 
 import ast
 import inspect
@@ -297,3 +300,34 @@ def test_build_and_compact_write_no_block_score_columns(tmp_path):
     for names in built + columns():
         assert "block_last_doc" in names
         assert not {"block_max_tf", "block_min_dl"} & names, names
+
+
+# -- one count op ------------------------------------------------------------------
+
+# The consumers that need the matched doc ids themselves: a seeded sample,
+# an early stop that depends on segment order, a whole-segment postings
+# join, the index rewrites, and the argmax row per group.
+MATCHES_ALLOWED = {
+    ("index/extras.py", "search_random"),
+    ("index/extras.py", "count_terminate_after"),
+    ("index/extras.py", "significant_terms"),
+    ("index/extras.py", "delete_by_query"),
+    ("index/extras.py", "update_by_query"),
+    ("index/pipeline_aggs.py", "_match_frame"),
+}
+
+
+def test_only_doc_id_consumers_enumerate_matches():
+    calls = set(_calls("matches"))
+    assert calls == MATCHES_ALLOWED, f"IndexReader.matches outside its doc-id consumers: {sorted(calls - MATCHES_ALLOWED)}"
+
+
+@pytest.mark.parametrize(
+    "name", ["count_matches", "date_buckets", "sum_by_key", "add_counts", "_add_bincount"]
+)
+def test_hand_rolled_count_folds_are_gone(name):
+    stray = [
+        p.relative_to(PKG).as_posix() for p in sorted(PKG.rglob("*.py"))
+        if re.search(rf"\b{name}\b", p.read_text())
+    ]
+    assert not stray, f"{name} in {stray}"
