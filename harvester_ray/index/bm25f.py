@@ -23,7 +23,7 @@ import pandas as pd
 
 from .. import analyzer
 from . import bm25
-from .query import IndexReader, shared_analyzer_version, topk_over
+from .query import IndexReader, PreparedQuery, shared_analyzer_version
 
 
 def search_weighted_fields(
@@ -220,9 +220,9 @@ def search_cross_fields(
     Parity: per-(term, field, doc) scores quantize to 1e-4 fixed-point
     BIGINTs BEFORE the max/sum (the dis_max discipline) so the ranking key
     is exact integer arithmetic on both sides. Engine shape: one
-    exhaustive single-term pass per (term, field) through the normal
-    segment scorer with the blended idf injected. Every field index must
-    share one analyzer version."""
+    exhaustive single-term ``scored`` pass per (term, field) with the
+    blended idf injected. Every field index must share one analyzer
+    version."""
     shared_analyzer_version(readers.values())
     terms = readers[min(readers)].prepare(query_text, "or").terms
     empty = pd.DataFrame({"doc_id": pd.array([], dtype="int64"), "score": []})
@@ -239,7 +239,8 @@ def search_cross_fields(
             r = readers[field]
             w = float(weights.get(field, 1.0))
             idf = float(bm25.idf(r.n_docs, dfb[t]))
-            d, s = topk_over(r.segments(), [t], {t: idf}, r.avgdl, r.n_docs + 1, "or")
+            hits = r.scored(PreparedQuery([t], {t: dfb[t]}, [t], {t: idf}, False), "or")
+            d, s = np.asarray(hits["doc_id"], np.int64), np.asarray(hits["score"], np.float64)
             if d.size:
                 all_docs.append(d)
                 all_fp.append(np.floor(s * w * 1e4 + 0.5).astype(np.int64))

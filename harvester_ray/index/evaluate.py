@@ -41,30 +41,15 @@ QUERY_SET: list[str] = [
 
 
 def _term_membership(reader, docs: np.ndarray, terms: list[str]) -> np.ndarray:
-    """rel[i] = number of ``terms`` whose posting lists contain docs[i],
-    answered from the index itself (segment binary search + posting decode,
-    only the segments that contain the docs are touched)."""
-    rel = np.zeros(docs.size, dtype=np.int64)
-    if docs.size == 0:
-        return rel
-    for _, seg, _ in reader.segments():
-        pos = np.searchsorted(seg.doc_ids, docs)
-        pos_c = np.clip(pos, 0, max(seg.doc_ids.size - 1, 0))
-        here = seg.doc_ids.size > 0
-        mask = (seg.doc_ids[pos_c] == docs) if here else np.zeros(docs.size, bool)
-        if not mask.any():
-            continue
-        present = docs[mask]
-        for t in terms:
-            p = seg.postings(t)
-            if p is None:
-                continue
-            d = p[0]
-            idx = np.searchsorted(d, present)
-            idx_c = np.clip(idx, 0, max(d.size - 1, 0))
-            hit = (d[idx_c] == present) if d.size else np.zeros(present.size, bool)
-            rel[np.flatnonzero(mask)[hit]] += 1
-    return rel
+    """rel[i] = number of ``terms`` the live copy of docs[i] holds,
+    answered from the index itself (``doc_terms``: the query terms'
+    postings in the segments holding the docs)."""
+    rows = reader.doc_terms(docs, terms)
+    held, n = np.unique(np.asarray(rows["doc_id"], np.int64), return_counts=True)
+    if held.size == 0:
+        return np.zeros(docs.size, np.int64)
+    i = np.minimum(np.searchsorted(held, docs), held.size - 1)
+    return np.where(held[i] == docs, n[i], 0)
 
 
 def ndcg_at_k(rel: np.ndarray) -> float:

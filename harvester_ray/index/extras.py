@@ -12,6 +12,7 @@ field.py:14-39). Implemented natively against the segment index.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
@@ -22,19 +23,15 @@ from .. import analyzer
 from . import bm25
 from .query import (
     IndexReader,
-    _topk,
+    _entries,
     check_counts,
-    exclude_terms,
     fold_counts,
     key_name,
     match_one_segment,
     merge_topk,
-    or_exhaustive,
-    phrase_match_segment,
     prepare_terms,
     score_spans,
     search_segment,
-    span_matches,
 )
 
 
@@ -48,78 +45,30 @@ def key_counts(reader: IndexReader, query_text: str, keys: list, mode: str) -> p
 def doc_top_terms(
     reader: IndexReader, doc_id: int, max_terms: int = 12
 ) -> list[str]:
-    """A document's highest tf·idf terms — the MLT query-term selection.
-
-    Scans only the one segment containing the doc (binary search over
-    segment doc tables), and recovers the doc's terms from ONE vectorized
-    whole-segment decode (``SegmentReader.all_postings``) rather than
-    decoding every term's posting list separately."""
-    for _, seg, _ in reader.segments():
-        pos = np.searchsorted(seg.doc_ids, doc_id)
-        if pos >= seg.doc_ids.size or seg.doc_ids[pos] != doc_id:
-            continue
-        term_rows, df_s, d_all, f_all = seg.all_postings()
-        hit = np.flatnonzero(d_all == doc_id)
-        if hit.size == 0:
-            return []
-        seg_of = np.searchsorted(np.cumsum(df_s), hit, side="right")
-        terms = seg._term_strings.take(pa.array(term_rows[seg_of])).to_pylist()
-        tfs = f_all[hit]
-        dfs = reader.df(terms)
-        scores = [
-            (float(tf) * float(bm25.idf(reader.n_docs, dfs[t])), t)
-            for t, tf in zip(terms, tfs)
-        ]
-        scores.sort(key=lambda x: (-x[0], x[1]))
-        return [t for _, t in scores[:max_terms]]
-    return []
+    """A document's highest tf·idf terms — the MLT query-term selection —
+    from its live copy's postings (``doc_terms``: one whole-segment decode
+    of the segment holding it)."""
+    rows = reader.doc_terms([doc_id])
+    terms = rows["term"].to_pylist()
+    dfs = reader.df(terms)
+    scores = [
+        (float(tf) * float(bm25.idf(reader.n_docs, dfs[t])), t)
+        for t, tf in zip(terms, rows["tf"].to_pylist())
+    ]
+    scores.sort(key=lambda x: (-x[0], x[1]))
+    return [t for _, t in scores[:max_terms]]
 
 
 def termvectors(reader: IndexReader, doc_id: int) -> pd.DataFrame:
     """ES ``_termvectors`` API: one document's full term list with term
     frequencies and within-doc token ordinals, answered from the INDEX's
-    own structures (no corpus re-read): one vectorized whole-segment
-    postings decode + one whole-segment positional decode of the single
-    segment holding the doc — the same access pattern doc_top_terms uses,
-    extended with the `.pos` stream. Returns flat (term, tf, pos) rows
+    own structures (no corpus re-read): the live copy's postings and
+    positions (``doc_terms``, one whole-segment postings and positions
+    decode of the segment holding it). Returns flat (term, tf, pos) rows
     ordered (term asc, pos asc); empty if the doc is absent, deleted, or
     the segment lacks positions."""
-    empty = pd.DataFrame({
-        "term": pd.Series(dtype=object),
-        "tf": pd.Series(dtype=np.int64),
-        "pos": pd.Series(dtype=np.int64),
-    })
-    for _, seg, live_docs in reader.segments():
-        p = np.searchsorted(seg.doc_ids, doc_id)
-        if p >= seg.doc_ids.size or seg.doc_ids[p] != doc_id:
-            continue
-        if live_docs is not None and not live_docs[p]:
-            continue
-        if not seg.has_positions:
-            return empty
-        term_rows, df_s, d_all, f_all = seg.all_postings()
-        hit = np.flatnonzero(d_all == doc_id)
-        if hit.size == 0:
-            return empty
-        pos_all = seg.all_positions(f_all)
-        offs = np.cumsum(f_all)
-        counts = f_all[hit]
-        starts = offs[hit] - counts
-        # gather each hit posting's contiguous position slice, vectorized
-        total = int(counts.sum())
-        gather = np.repeat(starts, counts) + (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(counts) - counts, counts)
-        )
-        seg_of = np.searchsorted(np.cumsum(df_s), hit, side="right")
-        terms = seg._term_strings.take(pa.array(term_rows[seg_of])).to_pylist()
-        out = pd.DataFrame({
-            "term": np.repeat(np.asarray(terms, dtype=object), counts),
-            "tf": np.repeat(counts.astype(np.int64), counts),
-            "pos": pos_all[gather],
-        })
-        return out.sort_values(["term", "pos"]).reset_index(drop=True)
-    return empty
+    rows = reader.doc_terms([doc_id], positions=True).to_pandas()
+    return rows[["term", "tf", "pos"]].sort_values(["term", "pos"]).reset_index(drop=True)
 
 
 def termvectors_sql(
@@ -341,6 +290,7 @@ def suggest_tokens(prep, vocabs, max_edits: int, prefix_length: int) -> pd.DataF
     within the edit window. ``vocabs`` gets the ``(prefix, min_len,
     max_len)`` of every token to correct in one call and returns their
     candidate maps in order."""
+    check_counts(max_edits=max_edits)
     fix = [t for t in prep.terms if prep.dfs[t] == 0 and len(t) >= prefix_length]
     cands = dict(zip(fix, vocabs([
         (t[:prefix_length], len(t) - max_edits, len(t) + max_edits) for t in fix
@@ -419,6 +369,7 @@ def suggest_phrases(
     satisfy that)."""
     import itertools
 
+    check_counts(max_edits=max_edits)
     toks = analyzer.tokenize_query(query_text, reader.analyzer_version)  # order kept
     empty = pd.DataFrame({"phrase": pd.Series(dtype=object),
                           "score": pd.Series(dtype=np.int64)})
@@ -467,6 +418,7 @@ def phrase_suggest_sql(
     """Oracle for ``suggest_phrases``: per-token candidate CTEs with the
     same prefix/length/edit constraints and (distance, df desc, term)
     ranking, cross-joined, scored ``Π (df+1)`` as BIGINT."""
+    check_counts(max_edits=max_edits)
     toks = analyzer.tokenize_query(query_text)
     tok_expr = analyzer.sql_tokenize_expr(text_col)
     ctes = [
@@ -511,22 +463,16 @@ def search_after(
     ``k`` results strictly after the ``(score, doc_id)`` cursor in the
     total order (rounded score desc, doc_id asc). The cursor compares
     ROUNDED scores so a page boundary is stable across processes (the same
-    rounding the API response carries). Deep cursors score each segment's
-    full match set (``scored_query``) — the per-shard cost ES pays on deep
-    pagination too — rather than inflating a top-k heap by the cursor
-    depth."""
+    rounding the API response carries). Deep cursors score the full match
+    set (``scored``) — the per-shard cost ES pays on deep pagination too —
+    rather than inflating a top-k heap by the cursor depth."""
     check_counts(k=k)
-    parts = [(docs, scores) for _, _, docs, scores in scored_query(reader, query_text, mode)]
-    if not parts:
-        return _no_hits()
-    docs = np.concatenate([d for d, _ in parts])
-    scores = np.round(np.concatenate([s for _, s in parts]), round_digits)
+    docs, scores = _docs_scores(_scored(reader, query_text, mode), round_digits)
     if after is not None:
         cs, cd = float(after[0]), int(after[1])
         keep = (scores < cs) | ((scores == cs) & (docs > cd))
         docs, scores = docs[keep], scores[keep]
-    order = np.lexsort((docs, -scores))[:k]
-    return pd.DataFrame({"doc_id": docs[order], "score": scores[order]})
+    return _first_k(docs, scores, k)
 
 
 def search_stats(
@@ -571,7 +517,7 @@ def fuzzy_search(
     Levenshtein edits sharing the first ``prefix_length`` chars — the same
     prefix-bounded candidate walk did_you_mean uses — then score the
     expansion as a disjunction, each term with its own idf."""
-    check_counts(k=k)
+    check_counts(k=k, max_edits=max_edits, max_expansions=max_expansions)
     tok = _single_token(reader, query_text, "fuzzy_search takes exactly one token")
     terms = _fuzzy_terms(reader, tok, max_edits, prefix_length)[:max_expansions]
     return reader._search_terms(terms, k, "or").to_pandas()
@@ -605,7 +551,7 @@ def match_fuzzy(
     lexicographically (Lucene rewrite cap) and scored as one disjunction
     with per-term idf — so a typo'd token still contributes its neighbors'
     postings next to the clean tokens'."""
-    check_counts(k=k)
+    check_counts(k=k, max_edits=max_edits, max_expansions=max_expansions)
     union = {
         t for tok in reader.prepare(query_text, "or").terms if len(tok) >= prefix_length
         for t in _fuzzy_terms(reader, tok, max_edits, prefix_length)
@@ -623,6 +569,7 @@ def match_fuzzy_predicate_sql(
 ) -> str:
     """The term predicate for oracle.bm25_expansion_sql matching
     ``match_fuzzy``'s per-token candidate rules."""
+    check_counts(max_edits=max_edits)
     toks = sorted(set(analyzer.tokenize_query(query_text)))
     parts = []
     for tok in toks:
@@ -640,13 +587,13 @@ def match_fuzzy_predicate_sql(
 def explain(reader: IndexReader, query_text: str, doc_id: int | None = None) -> pd.DataFrame:
     """Per-term BM25 score breakdown for one document (the ES ``_explain``
     API, which the reference exposes indirectly through OpenSearch's
-    explain=true search flag): for each query term matched by the doc,
-    the term's tf in the doc, corpus df, and its BM25 contribution.
+    explain=true search flag): for each query term matched by the doc's
+    live copy, the term's tf in the doc, corpus df, and its BM25
+    contribution.
 
     ``doc_id=None`` explains the top-1 AND-mode hit (self-contained for
-    the driver gate). Touches only the ONE segment containing the doc
-    (binary search over segment doc tables) and decodes only the query
-    terms' posting lists."""
+    the driver gate). Only the query terms' postings are read
+    (``doc_terms``)."""
     empty = pd.DataFrame({
         "term": pd.Series(dtype=object),
         "tf": pd.Series(dtype=np.int64),
@@ -661,76 +608,45 @@ def explain(reader: IndexReader, query_text: str, doc_id: int | None = None) -> 
         if top.num_rows == 0:
             return empty
         doc_id = int(top["doc_id"][0].as_py())
-    for _, seg, _ in reader.segments():
-        pos = np.searchsorted(seg.doc_ids, doc_id)
-        if pos >= seg.doc_ids.size or seg.doc_ids[pos] != doc_id:
-            continue
-        dl = float(seg.doc_lengths(np.array([doc_id], dtype=np.int64))[0])
-        rows = []
-        for t in prep.terms:
-            p = seg.postings(t)
-            if p is None:
-                continue
-            docs, tfs = p[0], p[1]
-            i = np.searchsorted(docs, doc_id)
-            if i >= docs.size or docs[i] != doc_id:
-                continue
-            tf = int(tfs[i])
-            s = float(bm25.score(np.array([tf], dtype=np.int64),
-                                 np.array([dl]), prep.idf[t], reader.avgdl)[0])
-            rows.append((t, tf, int(prep.dfs[t]), round(s, 4)))
-        if not rows:
-            return empty
-        out = pd.DataFrame(rows, columns=["term", "tf", "df", "score"])
-        return out.sort_values("term").reset_index(drop=True)
-    return empty
+    rows = reader.doc_terms([doc_id], prep.live)
+    if rows.num_rows == 0:
+        return empty
+    terms = rows["term"].to_pylist()
+    tf = np.asarray(rows["tf"], np.int64)
+    scores = bm25.score(
+        tf, np.asarray(rows["dl"], np.float64), np.array([prep.idf[t] for t in terms]), reader.avgdl
+    )
+    out = pd.DataFrame({
+        "term": terms, "tf": tf, "df": [int(prep.dfs[t]) for t in terms],
+        "score": [round(float(s), 4) for s in scores],
+    })
+    return out.sort_values("term").reset_index(drop=True)
 
 
-def _entries(seg, live: list[str], mode: str) -> dict | None:
-    """The segment's dictionary entries of the ``live`` terms, or None when
-    the segment cannot match (no term, or a missing AND term)."""
-    entries = {t: e for t in live if (e := seg.entry(t)) is not None}
-    if not entries or (mode == "and" and len(entries) < len(live)):
-        return None
-    return entries
+def _scored(reader: IndexReader, query_text: str, mode: str, keys=()) -> pa.Table:
+    """Every match of the query BM25-scored, with the ``keys`` columns
+    (``SearchSurfaces.scored``)."""
+    return reader.scored(reader.prepare(query_text, mode), mode, keys)
 
 
-def scored_matches(reader: IndexReader, live: list[str], idf_map: dict, mode: str):
-    """Yield ``(segment, live_docs, docs, scores)`` per segment with a
-    match, EVERY matching doc BM25-scored (``or_exhaustive``; AND through
-    min_should_match) — for ops that rank, group or fold all matches."""
-    msm = len(live) if mode == "and" else None
-    for _, seg, live_docs in reader.segments():
-        entries = _entries(seg, live, mode)
-        if entries is None:
-            continue
-        docs, scores = or_exhaustive(
-            seg, entries, idf_map, reader.avgdl, k=2**31,
-            live_docs=live_docs, min_should_match=msm,
-        )
-        if docs.size:
-            yield seg, live_docs, docs, scores
+def _docs_scores(t: pa.Table, digits: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``doc_id`` and ``score`` columns of a ``scored`` table, the
+    scores rounded to ``digits`` when given."""
+    scores = np.asarray(t["score"], np.float64)
+    return np.asarray(t["doc_id"], np.int64), scores if digits is None else np.round(scores, digits)
 
 
-def scored_query(reader: IndexReader, query_text: str, mode: str):
-    """``scored_matches`` of the prepared query; nothing when it cannot
-    match."""
-    prep = reader.prepare(query_text, mode)
-    return iter(()) if prep.empty else scored_matches(reader, prep.live, prep.idf, mode)
+def _first_k(docs: np.ndarray, scores: np.ndarray, k: int) -> pd.DataFrame:
+    """(doc_id, score) of the first ``k`` by score desc, doc_id asc."""
+    order = np.lexsort((docs, -scores))[:k]
+    return pd.DataFrame({"doc_id": docs[order], "score": scores[order]})
 
 
-def _span_topk(reader: IndexReader, match, k: int, positions: str | None = None) -> pd.DataFrame:
-    """(doc_id, score) top-k of a span query: ``match(seg)`` gives each
-    segment's (docs, span tf); scored by ``score_spans``, rounded to 4."""
-    out = score_spans(
-        *span_matches(reader.segments(), match, positions=positions),
-        reader.n_docs, reader.avgdl, k,
-    ).to_pandas()
+def _hits(table: pa.Table) -> pd.DataFrame:
+    """(doc_id, score) of a top-k table, scores rounded to 4."""
+    out = table.to_pandas()
     out["score"] = out["score"].round(4)
     return out[["doc_id", "score"]]
-
-
-_NO_SPANS = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 
 def _no_hits() -> pd.DataFrame:
@@ -762,36 +678,22 @@ def author_suggestions(
     the ES analog is a match query with a must_not term on
     authors.name.keyword.
 
-    Per segment: exhaustive OR scoring (global df), the entry anti-filter
-    evaluated once per DISTINCT attr value (attr cardinality ≪ matches),
-    then a LOCAL top-k cut — merge fan-in is O(segments × k). Scores round
-    to 4 before the cut with doc_id tie-break, so oracle LIMIT selection is
-    identical."""
+    Every match is scored with its attribute (``scored``); the entry
+    anti-filter is evaluated once per DISTINCT attr value (attr cardinality
+    ≪ matches). Scores round to 4 before the cut with doc_id tie-break, so
+    oracle LIMIT selection is identical."""
     check_counts(k=k)
     name_norm = author_name.strip().lower()
-    docs_parts, score_parts = [], []
-    for seg, _, docs, scores in scored_query(reader, author_name, "or"):
-        vals = pd.Series(np.asarray(seg.attr_values(authors_field, docs),
-                                    dtype=object)).fillna("")
-        codes, uniques = pd.factorize(vals)
-        is_author = np.fromiter(
-            (any(p.strip().lower() == name_norm for p in str(u).split(sep))
-             for u in uniques),
-            dtype=bool, count=len(uniques),
-        )
-        keep = ~is_author[codes]
-        docs, scores = docs[keep], np.round(scores[keep], 4)
-        if docs.size == 0:
-            continue
-        order = np.lexsort((docs, -scores))[:k]
-        docs_parts.append(docs[order])
-        score_parts.append(scores[order])
-    if not docs_parts:
-        return _no_hits()
-    docs = np.concatenate(docs_parts)
-    scores = np.concatenate(score_parts)
-    order = np.lexsort((docs, -scores))[:k]
-    return pd.DataFrame({"doc_id": docs[order], "score": scores[order]})
+    t = _scored(reader, author_name, "or", [authors_field])
+    vals = pd.Series(np.asarray(t[authors_field], dtype=object)).fillna("")
+    codes, uniques = pd.factorize(vals)
+    is_author = np.fromiter(
+        (any(p.strip().lower() == name_norm for p in str(u).split(sep))
+         for u in uniques),
+        dtype=bool, count=len(uniques),
+    )
+    docs, scores = _docs_scores(t.filter(pa.array(~is_author[codes])), 4)
+    return _first_k(docs, scores, k)
 
 
 def search_collapse(
@@ -808,35 +710,20 @@ def search_collapse(
     best doc by (score desc, doc_id asc) — then the groups' best docs are
     ranked globally and cut at k.
 
-    Per segment the matched set is scored exhaustively (global-df idf) and
-    reduced to ONE row per field value before leaving the segment, so the
-    merge fan-in is O(segments × distinct values), never O(matches).
-    Scores are rounded to 4 decimals BEFORE group selection on both engine
-    and oracle sides, so representative choice is byte-identical."""
+    The match set is scored exhaustively (global-df idf) with its field
+    value (``scored``). Scores are rounded to 4 decimals BEFORE group
+    selection on both engine and oracle sides, so representative choice is
+    byte-identical."""
     check_counts(k=k)
-    empty = pd.DataFrame({
-        field: pd.Series(dtype=object),
-        "doc_id": pd.Series(dtype=np.int64),
-        "score": pd.Series(dtype=np.float64),
-    })
-    vals_parts, docs_parts, score_parts = [], [], []
-    for seg, _, docs, scores in scored_query(reader, query_text, mode):
-        scores = np.round(scores, 4)
-        vals = seg.attr_values(field, docs)
-        # one row per field value leaves the segment
-        order = np.lexsort((docs, -scores, vals))
-        vals, docs, scores = vals[order], docs[order], scores[order]
-        first = np.empty(vals.size, dtype=bool)
-        first[0] = True
-        first[1:] = vals[1:] != vals[:-1]
-        vals_parts.append(vals[first])
-        docs_parts.append(docs[first])
-        score_parts.append(scores[first])
-    if not vals_parts:
-        return empty
-    vals = np.concatenate(vals_parts)
-    docs = np.concatenate(docs_parts)
-    scores = np.concatenate(score_parts)
+    t = _scored(reader, query_text, mode, [field])
+    if t.num_rows == 0:
+        return pd.DataFrame({
+            field: pd.Series(dtype=object),
+            "doc_id": pd.Series(dtype=np.int64),
+            "score": pd.Series(dtype=np.float64),
+        })
+    vals = np.asarray(t[field])
+    docs, scores = _docs_scores(t, 4)
     order = np.lexsort((docs, -scores, vals))
     vals, docs, scores = vals[order], docs[order], scores[order]
     first = np.empty(vals.size, dtype=bool)
@@ -1066,17 +953,8 @@ def search_boosted_terms(
     check_counts(k=k)
     boosts = parse_boosted_query(query_text, reader.analyzer_version)
     prep = prepare_terms(boosts, "or", reader.df, reader.n_docs)
-    idf_map = {t: idf * boosts[t] for t, idf in prep.idf.items()}
-    parts = [
-        (docs, np.round(scores, 4))
-        for _, _, docs, scores in scored_matches(reader, prep.live, idf_map, "or")
-    ]
-    if not parts:
-        return _no_hits()
-    docs = np.concatenate([p[0] for p in parts])
-    scores = np.concatenate([p[1] for p in parts])
-    order = np.lexsort((docs, -scores))[:k]
-    return pd.DataFrame({"doc_id": docs[order], "score": scores[order]})
+    prep = replace(prep, idf={t: idf * boosts[t] for t, idf in prep.idf.items()})
+    return _first_k(*_docs_scores(reader.scored(prep, "or"), 4), k)
 
 
 def boosted_terms_sql(
@@ -1138,72 +1016,18 @@ def search_span_near(
     (doc_id, span_w) — the MINIMAL covering-window width — ranked tightest
     first (span_w asc, doc_id asc): exact integers, no float scoring.
 
-    Per segment: candidates are the AND-intersection of the terms' posting
-    lists (so the per-doc work is bounded by conjunctive match count, the
-    same bound Lucene's span iterator pays); each candidate's minimal
-    window is the classic two-pointer sweep over its term-tagged position
-    multiset. Requires ``store_positions=True``."""
-    check_counts(k=k)
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "span_w": pd.Series(dtype=np.int64)})
+    The ``near`` span kind: candidates are the docs holding every term (so
+    the per-doc work is bounded by conjunctive match count, the same bound
+    Lucene's span iterator pays); each candidate's minimal window is the
+    classic two-pointer sweep over its term-tagged positions. Requires
+    ``store_positions=True``."""
+    check_counts(k=k, slop=slop)
     terms = reader.prepare(phrase, "and").terms
     if len(terms) < 2:
-        return empty
-    W = len(terms) + slop
-    rows_d, rows_w = [], []
-    for _, seg, live_docs in reader.segments():
-        if not seg.has_positions:
-            raise ValueError(
-                "span_near needs positions — build_index(store_positions=True)"
-            )
-        cand = match_one_segment(seg, terms, "and", live_docs, None)
-        if cand.size == 0:
-            continue
-        # one positional decode per term; slice per candidate doc
-        per_term = []
-        ok = True
-        for t in terms:
-            hit = seg.positions(t)
-            if hit is None:
-                ok = False
-                break
-            per_term.append(hit)  # (docs, tfs, flat positions)
-        if not ok:
-            continue
-        for d in cand:
-            tagged = []
-            for ti, (docs, tfs, flat) in enumerate(per_term):
-                j = int(np.searchsorted(docs, d))
-                offs = np.cumsum(tfs)
-                start = int(offs[j] - tfs[j])
-                pos = flat[start:int(offs[j])]
-                tagged.append(np.stack([pos, np.full(pos.size, ti)], axis=1))
-            ev = np.concatenate(tagged)
-            ev = ev[np.argsort(ev[:, 0], kind="mergesort")]
-            need = len(terms)
-            count = np.zeros(need, dtype=np.int64)
-            have = 0
-            best = np.iinfo(np.int64).max
-            lo = 0
-            for hi in range(ev.shape[0]):
-                c = int(ev[hi, 1])
-                if count[c] == 0:
-                    have += 1
-                count[c] += 1
-                while have == need:
-                    best = min(best, int(ev[hi, 0] - ev[lo, 0]) + 1)
-                    cl = int(ev[lo, 1])
-                    count[cl] -= 1
-                    if count[cl] == 0:
-                        have -= 1
-                    lo += 1
-            if best <= W:
-                rows_d.append(int(d))
-                rows_w.append(best)
-    if not rows_d:
-        return empty
-    out = pd.DataFrame({"doc_id": np.asarray(rows_d, dtype=np.int64),
-                        "span_w": np.asarray(rows_w, dtype=np.int64)})
+        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
+                             "span_w": pd.Series(dtype=np.int64)})
+    docs, width, _, _ = reader.span_matches(("near", slop, *terms))
+    out = pd.DataFrame({"doc_id": docs, "span_w": width})
     return out.sort_values(["span_w", "doc_id"], kind="mergesort").head(
         k
     ).reset_index(drop=True)
@@ -1220,7 +1044,7 @@ def span_near_sql(
 ) -> str:
     """Oracle for search_span_near: per-term position lists, T-way join,
     min over combos of (greatest − least + 1)."""
-    check_counts(k=k)
+    check_counts(k=k, slop=slop)
     terms = sorted(set(analyzer.tokenize_query(phrase)))
     W = len(terms) + slop
     tok = analyzer.sql_tokenize_expr(text_col)
@@ -1329,31 +1153,16 @@ def search_boosting(
     Parity: positive scores quantize to 1e-4 fixed-point; ``negative_boost``
     must be a multiple of 0.1 so the ranking key — ``fp·10`` kept,
     ``fp·(10·boost)`` demoted — is exact integer arithmetic on both sides.
-    Per segment the negative set is one unscored match enumeration; the
-    demotion mask is a sorted membership test, so the negative query adds
-    posting decode but no extra exchange."""
+    Two fan-outs: the scored positive matches and the negative match set,
+    combined with one sorted membership test."""
     check_counts(k=k)
     nbn = round(negative_boost * 10)
     if abs(nbn / 10.0 - negative_boost) > 1e-9:
         raise ValueError("negative_boost must be a multiple of 0.1 for exact ranking")
-    neg_terms = reader.prepare(negative, "or").terms
-    docs_parts, key_parts = [], []
-    for seg, live_docs, docs, scores in scored_query(reader, positive, mode):
-        fp = np.floor(scores * 1e4 + 0.5).astype(np.int64)
-        key = fp * 10
-        if neg_terms:
-            neg = match_one_segment(seg, neg_terms, "or", live_docs, None)
-            if neg.size:
-                pos = np.searchsorted(neg, docs)
-                np.clip(pos, 0, neg.size - 1, out=pos)
-                demote = neg[pos] == docs
-                key[demote] = fp[demote] * nbn
-        docs_parts.append(docs)
-        key_parts.append(key)
-    if not docs_parts:
-        return _no_hits()
-    docs = np.concatenate(docs_parts)
-    keys = np.concatenate(key_parts)
+    docs, scores = _docs_scores(_scored(reader, positive, mode))
+    fp = np.floor(scores * 1e4 + 0.5).astype(np.int64)
+    demote = np.isin(docs, np.asarray(_scored(reader, negative, "or")["doc_id"], np.int64))
+    keys = np.where(demote, fp * nbn, fp * 10)
     order = np.lexsort((docs, -keys))[:k]
     return pd.DataFrame({
         "doc_id": docs[order],
@@ -1386,40 +1195,23 @@ def search_parents(
     with many on-topic turns) or ``max`` (best single turn). Parity: per-child
     scores are quantized to 1e-4 fixed-point integers (floor(s·1e4 + 0.5))
     BEFORE aggregation, so the cross-row SUM is an integer sum — immune to
-    float accumulation order — and ties rank by parent key ascending.
-
-    Scale shape: per segment ONE exhaustive vectorized score pass, then a
-    sort+reduceat fold to one row per (segment, parent-with-hits) — partials
-    leaving a segment are bounded by its distinct parents, never its matches.
-    Driver merge is O(segments × parents-with-hits); at 100 TB that merge
-    becomes one small Dataset groupby over the partial rows, same combiner.
-    """
+    float accumulation order — and ties rank by parent key ascending. One
+    exhaustive scored pass with the parent key (``scored``), folded to one
+    row per parent-with-hits."""
     check_counts(k=k)
-    empty = pd.DataFrame({
-        parent_field: pd.Series(dtype=object),
-        "score": pd.Series(dtype=np.float64),
-        "n_hits": pd.Series(dtype=np.int64),
-    })
-    partials: list[pd.DataFrame] = []
-    for seg, _, docs, scores in scored_query(reader, query_text, mode):
-        fp = np.floor(scores * 1e4 + 0.5).astype(np.int64)
-        parents = seg.attr_values(parent_field, docs)
-        order = np.argsort(parents, kind="mergesort")
-        parents, fp = parents[order], fp[order]
-        first = np.empty(parents.size, dtype=bool)
-        first[0] = True
-        first[1:] = parents[1:] != parents[:-1]
-        starts = np.flatnonzero(first)
-        agg = (np.add if score_mode == "sum" else np.maximum).reduceat(fp, starts)
-        counts = np.diff(np.append(starts, parents.size))
-        partials.append(pd.DataFrame({
-            parent_field: parents[starts], "fp": agg, "n_hits": counts,
-        }))
-    if not partials:
-        return empty
-    merged = pd.concat(partials).groupby(parent_field, as_index=False).agg(
+    t = _scored(reader, query_text, mode, [parent_field])
+    if t.num_rows == 0:
+        return pd.DataFrame({
+            parent_field: pd.Series(dtype=object),
+            "score": pd.Series(dtype=np.float64),
+            "n_hits": pd.Series(dtype=np.int64),
+        })
+    merged = pd.DataFrame({
+        parent_field: np.asarray(t[parent_field]),
+        "fp": np.floor(np.asarray(t["score"], np.float64) * 1e4 + 0.5).astype(np.int64),
+    }).groupby(parent_field, as_index=False).agg(
         fp=("fp", "sum" if score_mode == "sum" else "max"),
-        n_hits=("n_hits", "sum"),
+        n_hits=("fp", "size"),
     )
     merged = merged.sort_values(
         ["fp", parent_field], ascending=[False, True], kind="mergesort"
@@ -1440,39 +1232,20 @@ def top_hits(
 ) -> pd.DataFrame:
     """ES ``top_hits`` aggregation (the N-per-group generalization of
     ``collapse``): groups ranked by their best hit, each carrying its own
-    top ``per_group`` docs. Per segment the match set reduces to at most
-    ``per_group`` rows per group before leaving (sort + run-position mask),
-    so the merge fan-in is O(segments × groups × per_group). Scores round
-    to 4 before any selection, ties by doc_id asc — identical on both
-    sides."""
-    empty = pd.DataFrame({
-        field: pd.Series(dtype=object),
-        "group_rank": pd.Series(dtype=np.int64),
-        "hit_rank": pd.Series(dtype=np.int64),
-        "doc_id": pd.Series(dtype=np.int64),
-        "score": pd.Series(dtype=np.float64),
-    })
-    parts = []
-    for seg, _, docs, scores in scored_query(reader, query_text, mode):
-        scores = np.round(scores, 4)
-        vals = seg.attr_values(field, docs)
-        order = np.lexsort((docs, -scores, vals))
-        vals, docs, scores = vals[order], docs[order], scores[order]
-        first = np.empty(vals.size, dtype=bool)
-        first[0] = True
-        first[1:] = vals[1:] != vals[:-1]
-        run_first = np.zeros(vals.size, dtype=np.int64)
-        starts = np.flatnonzero(first)
-        run_first[starts] = starts
-        np.maximum.accumulate(run_first, out=run_first)
-        pos = np.arange(vals.size, dtype=np.int64) - run_first
-        keep = pos < per_group
-        parts.append((vals[keep], docs[keep], scores[keep]))
-    if not parts:
-        return empty
-    vals = np.concatenate([p[0] for p in parts])
-    docs = np.concatenate([p[1] for p in parts])
-    scores = np.concatenate([p[2] for p in parts])
+    top ``per_group`` docs, from the scored match set with its group value
+    (``scored``; sort + run-position mask). Scores round to 4 before any
+    selection, ties by doc_id asc — identical on both sides."""
+    t = _scored(reader, query_text, mode, [field])
+    if t.num_rows == 0:
+        return pd.DataFrame({
+            field: pd.Series(dtype=object),
+            "group_rank": pd.Series(dtype=np.int64),
+            "hit_rank": pd.Series(dtype=np.int64),
+            "doc_id": pd.Series(dtype=np.int64),
+            "score": pd.Series(dtype=np.float64),
+        })
+    vals = np.asarray(t[field])
+    docs, scores = _docs_scores(t, 4)
     order = np.lexsort((docs, -scores, vals))
     vals, docs, scores = vals[order], docs[order], scores[order]
     first = np.empty(vals.size, dtype=bool)
@@ -1584,7 +1357,7 @@ def rescore(
     Window membership and the final order both use 4-decimal-rounded
     component scores with doc_id tie-break, so the oracle's LIMIT-based cut
     selects the identical window. Needs ``store_positions=True``."""
-    check_counts(k=k)
+    check_counts(k=k, slop=slop)
     empty = _no_hits()
     prim = reader.search(query_text, k=2**31, mode=mode).to_pandas()
     if prim.empty:
@@ -1758,24 +1531,11 @@ def search_span_first(
     first ``end`` token positions of the document (title-ish leading text
     without a separate field). tf = number of qualifying occurrences,
     df = live docs with at least one (span-frequency scoring, the same
-    contract as search_phrase/search_proximity). One positional decode of
-    the single term per segment; a reduceat over posting boundaries counts
-    qualifying positions — no per-doc loop."""
-    check_counts(k=k)
+    contract as search_phrase/search_proximity). The ``first`` span kind:
+    one mask over the term's packed occurrence keys per segment."""
+    check_counts(k=k, end=end)
     tok = _single_token(reader, term, "span_first takes exactly one term")
-
-    def match(seg):
-        hit = seg.positions(tok)
-        if hit is None:
-            return _NO_SPANS
-        docs, tfs, pos = hit
-        offs = np.zeros(tfs.size, dtype=np.int64)
-        np.cumsum(tfs[:-1], out=offs[1:])
-        cnt = np.add.reduceat((pos < end).astype(np.int64), offs)
-        keep = cnt > 0
-        return docs[keep], cnt[keep]
-
-    return _span_topk(reader, match, k, "span_first")
+    return _hits(reader.search_spans(("first", tok, end), k))
 
 
 def search_match_phrase_prefix(
@@ -1792,58 +1552,15 @@ def search_match_phrase_prefix(
     dictionaries' prefix ranges, lexicographically capped at
     ``max_expansions`` (the match_fuzzy contract). Scored like the rest of
     the span family: tf = number of matching start positions, df = live
-    docs with ≥1 match. Per segment the fixed chain's packed
-    (doc,start)-keys are intersected ONCE, then each expansion only
-    intersects its own positions against that chain — the lead terms are
-    never re-decoded per expansion."""
-    check_counts(k=k)
+    docs with ≥1 match. The ``phrase_prefix`` span kind intersects the
+    fixed chain's keys once per segment (the phrase chain), then each
+    expansion only against that chain."""
+    check_counts(k=k, max_expansions=max_expansions)
     toks = analyzer.tokenize_query(phrase, reader.analyzer_version)  # order kept
     if not toks:
         return _no_hits()
-    fixed, prefix = toks[:-1], toks[-1]
-    expansions = reader.terms_with_prefix(prefix)[:max_expansions]
-    last_i = len(fixed)
-
-    def match(seg):
-        keys: np.ndarray | None = None
-        for i, t in enumerate(fixed):
-            res = seg.positions(t)
-            if res is None:
-                return _NO_SPANS
-            docs, tfs, pos = res
-            local = np.searchsorted(seg.doc_ids, docs)
-            tok_local = np.repeat(local, tfs)
-            shifted = pos - i
-            ok = shifted >= 0
-            kk = (tok_local[ok].astype(np.int64) << 31) | shifted[ok]
-            keys = kk if keys is None else np.intersect1d(
-                keys, kk, assume_unique=True
-            )
-            if keys.size == 0:
-                return _NO_SPANS
-        start_parts = []
-        for e in expansions:
-            res = seg.positions(e)
-            if res is None:
-                continue
-            docs, tfs, pos = res
-            local = np.searchsorted(seg.doc_ids, docs)
-            tok_local = np.repeat(local, tfs)
-            shifted = pos - last_i
-            ok = shifted >= 0
-            kk = (tok_local[ok].astype(np.int64) << 31) | shifted[ok]
-            hit = kk if keys is None else np.intersect1d(
-                keys, kk, assume_unique=True
-            )
-            if hit.size:
-                start_parts.append(hit >> 31)
-        if not start_parts:
-            return _NO_SPANS
-        # one token per position → keys are distinct across expansions
-        uniq, ptf = np.unique(np.concatenate(start_parts), return_counts=True)
-        return seg.doc_ids[uniq], ptf.astype(np.int64)
-
-    return _span_topk(reader, match, k, "match_phrase_prefix")
+    expansions = reader.terms_with_prefix(toks[-1])[:max_expansions]
+    return _hits(reader.search_spans(("phrase_prefix", tuple(toks[:-1]), tuple(expansions)), k))
 
 
 def matrix_stats(
@@ -2065,51 +1782,26 @@ def search_bool(
     must_not: str = "",
     k: int = 10,
 ) -> pd.DataFrame:
-    """The full ES ``bool`` query in one scorer: ``must`` terms are all
-    required and always score; ``should`` terms are optional but add their
-    BM25 contribution when present; ``must_not`` terms exclude. (With an
-    empty ``must``, should-terms become the match set — plain OR.) Scoring
-    order is fixed (sorted term order, must and should interleaved by term
-    string) so scores are bit-comparable with the oracle's grouped sum."""
+    """The full ES ``bool`` query: ``must`` terms are all required and
+    always score; ``should`` terms are optional but add their BM25
+    contribution when present; ``must_not`` terms exclude. (With an empty
+    ``must``, should-terms become the match set — plain OR.) Two fan-outs
+    of the one dense scorer: every doc holding a must or should term,
+    scored in sorted term order (bit-comparable with the oracle's grouped
+    sum), kept when the must set holds it."""
     check_counts(k=k)
     must_terms = reader.prepare(must, "and").terms
     should_terms = reader.prepare(should, "or").terms
     neg_terms = reader.prepare(must_not, "or").terms
-    empty = _no_hits()
     prep = prepare_terms(must_terms + should_terms, "or", reader.df, reader.n_docs)
     if not prep.terms or any(prep.dfs[t] == 0 for t in must_terms):
-        return empty
-    scoring, idf = prep.live, prep.idf
-    parts = []
-    for _, seg, live_docs in reader.segments():
-        if neg_terms:
-            live_docs = exclude_terms(seg, live_docs, neg_terms)
-        cand = match_one_segment(
-            seg, must_terms if must_terms else scoring,
-            "and" if must_terms else "or", live_docs, None,
-        )
-        if cand.size == 0:
-            continue
-        dl = seg.doc_lengths(cand).astype(np.float64)
-        scores = np.zeros(cand.size, dtype=np.float64)
-        for t in scoring:  # fixed sorted order — deterministic accumulation
-            p = seg.postings(t)
-            if p is None:
-                continue
-            d, f = p
-            idx = np.searchsorted(d, cand)
-            idx_c = np.clip(idx, 0, max(d.size - 1, 0))
-            hit = (d[idx_c] == cand) if d.size else np.zeros(cand.size, bool)
-            tf = np.where(hit, f[idx_c], 0).astype(np.float64)
-            scores += np.where(
-                hit, bm25.score(np.maximum(tf, 1.0), dl, idf[t], reader.avgdl), 0.0
-            )
-        parts.append((cand, scores))
-    if not parts:
-        return empty
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+        return _no_hits()
+    docs, scores = _docs_scores(reader.scored(prep, "or", neg_terms=neg_terms))
+    if must_terms:
+        must_set = _scored(reader, must, "and")["doc_id"]
+        keep = np.isin(docs, np.asarray(must_set, np.int64))
+        docs, scores = docs[keep], scores[keep]
+    return _hits(merge_topk([(docs, scores)], k))
 
 
 def delete_by_query(index_root: str, query_text: str, *, mode: str = "or") -> dict:
@@ -2202,10 +1894,11 @@ def assemble_context(
     """RAG context assembly: the ranked prefix of the BM25 top-``k_max``
     that fits a token budget (take-while over the cumulative indexed doc
     length — the greedy packing most retrieval-augmented prompt builders
-    use). Lengths come from the dl sidecars already in memory; no text is
-    touched until the caller fetches the chosen docs. Ordering is the
-    rounded-score total order with doc-id tie-break (the cursor contract).
-    Returns (rank, doc_id, n_tokens, cum_tokens)."""
+    use). Lengths come from the hits' live copies (``doc_terms`` of the
+    query terms, which every hit holds); no text is touched until the
+    caller fetches the chosen docs. Ordering is the rounded-score total
+    order with doc-id tie-break (the cursor contract). Returns (rank,
+    doc_id, n_tokens, cum_tokens)."""
     check_counts(k_max=k_max)
     ranked = reader.search(query_text, k=k_max, mode=mode).to_pandas()
     if ranked.empty:
@@ -2220,12 +1913,9 @@ def assemble_context(
         ["score", "doc_id"], ascending=[False, True], kind="mergesort"
     ).reset_index(drop=True)
     ids = ranked["doc_id"].to_numpy(np.int64)
-    dl = np.zeros(ids.size, dtype=np.int64)
-    for _, seg, _ in reader.segments():
-        idx = np.searchsorted(seg.doc_ids, ids)
-        idx_c = np.clip(idx, 0, max(seg.doc_ids.size - 1, 0))
-        hit = (seg.doc_ids.size > 0) & (seg.doc_ids[idx_c] == ids)
-        dl = np.where(hit, seg.dl[idx_c], dl)
+    rows = reader.doc_terms(ids, reader.prepare(query_text, mode).live)
+    held, first = np.unique(np.asarray(rows["doc_id"], np.int64), return_index=True)
+    dl = np.asarray(rows["dl"], np.int64)[first][np.searchsorted(held, ids)]
     cum = np.cumsum(dl)
     keep = cum <= budget_tokens
     out = pd.DataFrame({
@@ -2282,119 +1972,44 @@ def search_query_string(
     """The combined simple_query_string scorer: a doc matches when it holds
     EVERY bare term, EVERY quoted phrase (adjacent), at least one
     dictionary expansion of EVERY ``term*`` prefix, and no negated term.
-    Score = Σ bare-term BM25 + Σ phrase BM25 (span frequency / span df,
-    the search_phrase contract) + Σ BM25 of the doc's present expansions
-    (per-expansion idf, the search_prefix contract). Expansion sets are
-    global and lexicographically capped. Requires positions when the query
-    has phrases."""
-    check_counts(k=k)
+    Score = Σ bare-term BM25 + Σ BM25 of the doc's present expansions
+    (per-expansion idf, the search_prefix contract) — one ``scored``
+    fan-out — + Σ phrase BM25 (span frequency / span df, the search_phrase
+    contract). Expansion sets are global and lexicographically capped.
+    Requires positions when the query has phrases."""
+    check_counts(k=k, max_expansions=max_expansions)
     c = parse_query_string(qs, reader.analyzer_version)
     plain, prefixes, negs = c["plain"], c["prefixes"], c["negs"]
     phrases = [analyzer.tokenize_query(h, reader.analyzer_version) for h in c["phrases"]]
-    empty = _no_hits()
     if not (plain or phrases):
         raise ValueError("query string needs at least one bare term or phrase")
-    expmap: dict[str, list[str]] = {}
-    for x in prefixes:
-        expmap[x] = reader.terms_with_prefix(x)[:max_expansions]
-        if not expmap[x]:
-            return empty
-    all_exp = sorted({e for xs in expmap.values() for e in xs})
-    dfs = reader.df(plain + all_exp)
-    if any(dfs.get(t, 0) == 0 for t in plain):
-        return empty
-    idf = {
-        t: float(bm25.idf(reader.n_docs, dfs[t]))
-        for t in set(plain) | set(all_exp) if dfs.get(t, 0) > 0
-    }
+    expmap = {x: reader.terms_with_prefix(x)[:max_expansions] for x in prefixes}
+    if not all(expmap.values()):
+        return _no_hits()
+    expansions = [e for xs in expmap.values() for e in xs]
+    prep = prepare_terms(plain + expansions, "or", reader.df, reader.n_docs)
+    if any(prep.dfs[t] == 0 for t in plain):
+        return _no_hits()
 
-    collected = []
-    df_phrase = [0] * len(phrases)
-    for _, seg, live_docs in reader.segments():
-        kept = exclude_terms(seg, live_docs, negs) if negs else live_docs
-        if plain:
-            cand = match_one_segment(seg, plain, "and", kept, None)
-        else:
-            cand = None  # constrained by phrases below
-        ph_docs = []
-        dead_seg = False
-        for hi, h in enumerate(phrases):
-            if not seg.has_positions:
-                raise ValueError("phrases need store_positions=True")
-            d_h, ptf_h = phrase_match_segment(seg, h)
-            ords = seg.ordinals(d_h)
-            if live_docs is not None:
-                live = live_docs[ords]
-                d_h, ptf_h, ords = d_h[live], ptf_h[live], ords[live]
-            df_phrase[hi] += int(d_h.size)  # span df: tombstones only
-            if kept is not None:
-                keep = kept[ords]
-                d_h, ptf_h = d_h[keep], ptf_h[keep]
-            ph_docs.append((d_h, ptf_h))
-            if d_h.size == 0:
-                dead_seg = True
-        if dead_seg:
-            continue
-        for d_h, _ in ph_docs:
-            cand = d_h if cand is None else np.intersect1d(
-                cand, d_h, assume_unique=True
-            )
-        for x in prefixes:
-            hit_parts = [
-                seg.postings(e)[0] for e in expmap[x]
-                if seg.postings(e) is not None
-            ]
-            if not hit_parts:
-                cand = np.empty(0, np.int64)
-                break
-            xdocs = np.unique(np.concatenate(hit_parts))
-            cand = xdocs if cand is None else np.intersect1d(
-                cand, xdocs, assume_unique=True
-            )
-        if cand is None or cand.size == 0:
-            continue
-        if not plain and kept is not None:
-            cand = cand[kept[seg.ordinals(cand)]]
-        tf_map = {}
-        for t in sorted(set(plain) | set(all_exp)):
-            p = seg.postings(t)
-            if p is None:
-                continue
-            d, f = p
-            idx = np.searchsorted(d, cand)
-            idx_c = np.clip(idx, 0, max(d.size - 1, 0))
-            hit = (d[idx_c] == cand) if d.size else np.zeros(cand.size, bool)
-            tf_map[t] = np.where(hit, f[idx_c], 0).astype(np.float64)
-        ptf_map = {}
-        for hi, (d_h, ptf_h) in enumerate(ph_docs):
-            idx = np.searchsorted(d_h, cand)
-            idx_c = np.clip(idx, 0, max(d_h.size - 1, 0))
-            hit = (d_h[idx_c] == cand) if d_h.size else np.zeros(cand.size, bool)
-            ptf_map[hi] = np.where(hit, ptf_h[idx_c], 0).astype(np.float64)
-        collected.append((cand, seg.doc_lengths(cand).astype(np.float64),
-                          tf_map, ptf_map))
-    if not collected:
-        return empty
-    parts = []
-    for cand, dl, tf_map, ptf_map in collected:
-        scores = np.zeros(cand.size, dtype=np.float64)
-        for t in sorted(tf_map):
-            tf = tf_map[t]
-            hit = tf > 0
-            if hit.any():
-                scores += np.where(
-                    hit, bm25.score(np.maximum(tf, 1.0), dl, idf[t], reader.avgdl), 0.0
-                )
-        for hi in sorted(ptf_map):
-            if df_phrase[hi] == 0:
-                continue
-            h_idf = float(bm25.idf(reader.n_docs, df_phrase[hi]))
-            ptf = ptf_map[hi]
-            scores += bm25.score(np.maximum(ptf, 1.0), dl, h_idf, reader.avgdl)
-        parts.append((cand, scores))
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+    def match_set(terms: list[str], mode: str) -> np.ndarray:
+        t = reader.scored(prepare_terms(terms, mode, reader.df, reader.n_docs), mode)
+        return np.asarray(t["doc_id"], np.int64)
+
+    spans = [reader.span_matches(("phrase", *h)) for h in phrases]
+    sets = [match_set(plain, "and")] if plain else []
+    sets += [match_set(xs, "or") for xs in expmap.values()] + [s[0] for s in spans]
+    cand = sets[0]
+    for s in sets[1:]:
+        cand = np.intersect1d(cand, s)
+    if negs:
+        cand = np.setdiff1d(cand, match_set(negs, "or"))
+    t = reader.scored(prep, "or")
+    scores = pd.Series(np.asarray(t["score"]), index=np.asarray(t["doc_id"]))
+    scores = scores.reindex(cand, fill_value=0.0)
+    for s in spans:
+        ph = score_spans(*s, reader.n_docs, reader.avgdl, s[0].size)
+        scores += pd.Series(np.asarray(ph["score"]), index=np.asarray(ph["doc_id"])).reindex(cand)
+    return _hits(merge_topk([(cand, scores.to_numpy(np.float64))], k))
 
 
 def search_span_not(
@@ -2408,45 +2023,14 @@ def search_span_not(
     """ES ``span_not``: occurrences of ``include_term`` that are NOT within
     ``distance`` token positions of any ``exclude_term`` occurrence (the
     "apple but not near pie" pattern). tf = surviving occurrences, df =
-    live docs with ≥1 (the span-family contract). Vectorized: both terms'
-    positions pack into ``(local_doc << 31) | pos`` keys; a binary-search
-    range probe per include token finds whether an exclude key lands in
-    its ±distance window — no per-doc loop."""
-    check_counts(k=k)
+    live docs with ≥1 (the span-family contract). The ``not`` span kind: a
+    binary-search range probe per include occurrence over the exclude
+    term's packed keys — no per-doc loop."""
+    check_counts(k=k, distance=distance)
     what = "span_not takes exactly one include and one exclude term"
     inc = _single_token(reader, include_term, what)
     exc = _single_token(reader, exclude_term, what)
-
-    def match(seg):
-        hit = seg.positions(inc)
-        if hit is None:
-            return _NO_SPANS
-        docs, tfs, pos = hit
-        local = np.searchsorted(seg.doc_ids, docs)
-        tok_local = np.repeat(local, tfs).astype(np.int64)
-        inc_keys = (tok_local << 31) | pos
-        ex = seg.positions(exc)
-        if ex is None:
-            good = np.ones(inc_keys.size, dtype=bool)
-        else:
-            edocs, etfs, epos = ex
-            elocal = np.repeat(
-                np.searchsorted(seg.doc_ids, edocs), etfs
-            ).astype(np.int64)
-            ex_keys = np.sort((elocal << 31) | epos)
-            lo = (tok_local << 31) | np.maximum(pos - distance, 0)
-            hi = (tok_local << 31) | (pos + distance)
-            good = np.searchsorted(ex_keys, lo) >= np.searchsorted(
-                ex_keys, hi, side="right"
-            )
-        cnt = np.add.reduceat(
-            good.astype(np.int64),
-            np.concatenate(([0], np.cumsum(tfs)[:-1])),
-        ) if tfs.size else np.zeros(0, np.int64)
-        keep = cnt > 0
-        return docs[keep], cnt[keep]
-
-    return _span_topk(reader, match, k, "span_not")
+    return _hits(reader.search_spans(("not", inc, exc, distance), k))
 
 
 def multi_terms_agg(
@@ -2678,7 +2262,7 @@ def search_match_bool_prefix(
     prefix ranges, lexicographically capped at ``max_expansions`` (the
     Lucene MultiTermQuery rewrite contract shared by match_fuzzy /
     wildcard); the fixed lead terms are always scored, cap or not."""
-    check_counts(k=k)
+    check_counts(k=k, max_expansions=max_expansions)
     toks = analyzer.tokenize_query(query_text, reader.analyzer_version)  # last = prefix
     expansions = reader.terms_with_prefix(toks[-1])[:max_expansions] if toks else []
     out = reader._search_terms(toks[:-1] + expansions, k, "or").to_pandas()
@@ -2702,54 +2286,18 @@ def search_terms_set(
     Scored as bool should scoring: the BM25 sum of the doc's matched terms.
     Terms are exact dictionary terms (terms_set does not analyze input).
 
-    Per segment: full vectorized decode of the term set, sort/reduceat
-    score aggregation (the or_exhaustive shape), per-doc match counts from
-    the posting-stream run lengths, the minimum vector gathered in ONE
-    ``attr_values`` take — no per-doc Python."""
+    One ``scored`` fan-out per required count N: the docs whose field is N
+    (at most 1 for the first) with ``min_should_match=N``."""
     check_counts(k=k)
     prep = prepare_terms(terms, "or", reader.df, reader.n_docs)
-    parts = []
-    for seg, uniq, sums, n_matched in _term_sums(reader, prep):
-        keep = n_matched >= np.asarray(seg.attr_values(min_field, uniq), dtype=np.int64)
-        parts.append((uniq[keep], sums[keep]))
-    if not parts:
-        return _no_hits()
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
-
-
-def _term_sums(reader: IndexReader, prep):
-    """Yield ``(segment, docs, score sums, matched-term counts)`` per
-    segment with a live doc: every posting of the live terms scored and
-    summed per doc in sorted term order (deterministic accumulation),
-    tombstoned docs dropped."""
-    for _, seg, live_docs in reader.segments():
-        docs_parts, score_parts = [], []
-        for t in prep.live:
-            p = seg.postings(t)
-            if p is None:
-                continue
-            d, f = p
-            docs_parts.append(d)
-            score_parts.append(bm25.score(
-                f.astype(np.float64), seg.doc_lengths(d).astype(np.float64),
-                prep.idf[t], reader.avgdl,
-            ))
-        if not docs_parts:
-            continue
-        alld = np.concatenate(docs_parts)
-        alls = np.concatenate(score_parts)
-        order = np.argsort(alld, kind="stable")
-        alld, alls = alld[order], alls[order]
-        uniq, starts = np.unique(alld, return_index=True)
-        sums = np.add.reduceat(alls, starts)
-        n_matched = np.diff(np.append(starts, alld.size))
-        if live_docs is not None:
-            live = live_docs[seg.ordinals(uniq)]
-            uniq, sums, n_matched = uniq[live], sums[live], n_matched[live]
-        if uniq.size:
-            yield seg, uniq, sums, n_matched
+    t = pa.concat_tables(
+        [reader.scored(prep, "or", filters={min_field: {"lte": 1}})]
+        + [
+            reader.scored(prep, "or", filters={min_field: [n]}, min_should_match=n)
+            for n in range(2, len(prep.live) + 1)
+        ]
+    )
+    return _hits(merge_topk([_docs_scores(t)], k))
 
 
 def search_span_or(
@@ -2765,23 +2313,7 @@ def search_span_or(
     with >=1 occurrence, one shared idf. Positions are not needed — the
     union's occurrence count is just the sum of the clause tfs."""
     check_counts(k=k)
-    return _span_or_terms(reader, reader.prepare(terms_text, "or").terms, k)
-
-
-def _span_or_terms(reader: IndexReader, terms: list[str], k: int) -> pd.DataFrame:
-    """``span_or`` over already-analyzed terms."""
-    def match(seg):
-        posts = [p for p in (seg.postings(t) for t in terms) if p is not None]
-        if not posts:
-            return _NO_SPANS
-        alld = np.concatenate([p[0] for p in posts])
-        allf = np.concatenate([p[1].astype(np.int64) for p in posts])
-        order = np.argsort(alld, kind="stable")
-        alld, allf = alld[order], allf[order]
-        uniq, starts = np.unique(alld, return_index=True)
-        return uniq, np.add.reduceat(allf, starts)
-
-    return _span_topk(reader, match, k)
+    return _hits(reader.search_spans(("or", *reader.prepare(terms_text, "or").terms), k))
 
 
 def search_span_multi(
@@ -2798,38 +2330,9 @@ def search_span_multi(
     (tf = total occurrences of ANY expanded term, one shared df/idf).
     Deliberately different ranking from ``search_prefix``'s per-term-idf
     disjunction — the degeneracy test asserts they diverge."""
-    check_counts(k=k)
+    check_counts(k=k, max_expansions=max_expansions)
     pfx = _single_token(reader, prefix, "span_multi prefix must normalize to exactly one token")
-    return _span_or_terms(reader, reader.terms_with_prefix(pfx)[:max_expansions], k)
-
-
-def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the concatenated [lo_i, hi_i) index ranges: returns
-    (owner_row, flat_index) — the run-length-expansion trick, no Python
-    loop. Empty ranges contribute nothing."""
-    cnt = hi - lo
-    total = int(cnt.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    owner = np.repeat(np.arange(lo.size, dtype=np.int64), cnt)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(cnt) - cnt, cnt
-    )
-    return owner, lo[owner] + offs
-
-
-def _span_tokens(seg, term: str) -> np.ndarray | None:
-    """All occurrences of ``term`` in the segment as sorted packed
-    ``(local_doc << 31) | position`` keys (doc-major, positions ascending
-    within doc — the postings layout guarantees sortedness)."""
-    res = seg.positions(term)
-    if res is None:
-        return None
-    docs, tfs, pos = res
-    local = np.repeat(
-        np.searchsorted(seg.doc_ids, docs), tfs
-    ).astype(np.int64)
-    return (local << 31) | pos
+    return _hits(reader.search_spans(("or", *reader.terms_with_prefix(pfx)[:max_expansions]), k))
 
 
 def search_span_containing(
@@ -2853,45 +2356,15 @@ def search_span_containing(
 
     df = live docs with >=1 match; span-frequency pseudo-term scoring (the
     span-family contract shared with span_near/span_first/span_not).
-    Fully vectorized: packed (doc << 31 | pos) keys, two binary searches
-    per side, run-length pair materialization — no per-doc loop."""
-    check_counts(k=k)
+    The ``containing``/``within`` span kinds: packed occurrence keys, two
+    binary searches per side, run-length pair materialization — no per-doc
+    loop."""
+    check_counts(k=k, slop=slop)
     what = "span_containing takes single-token clauses"
     t1, t2, t3 = (_single_token(reader, x, what) for x in (big[0], big[1], little))
     if mode not in ("containing", "within"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    def match(seg):
-        k1 = _span_tokens(seg, t1)
-        k2 = _span_tokens(seg, t2)
-        k3 = _span_tokens(seg, t3)
-        if k1 is None or k2 is None or k3 is None:
-            return _NO_SPANS
-        # ordered big windows: p2 in (p1, p1 + slop + 1], same doc
-        lo2 = np.searchsorted(k2, k1 + 1)
-        hi2 = np.searchsorted(k2, k1 + slop + 1, side="right")
-        owner, idx2 = _expand_ranges(lo2, hi2)
-        if owner.size == 0:
-            return _NO_SPANS
-        span_lo = k1[owner]          # packed (doc, p1)
-        span_hi = k2[idx2]           # packed (doc, p2), same doc by range
-        a = np.searchsorted(k3, span_lo)
-        b = np.searchsorted(k3, span_hi, side="right")
-        if mode == "containing":
-            good = b > a             # span encloses >=1 little occurrence
-            keys = span_lo[good]     # one key per qualifying span
-        else:
-            _, idx3 = _expand_ranges(a, b)
-            keys = k3[np.unique(idx3)]  # distinct enclosed little tokens
-        return _span_counts(seg, keys)
-
-    return _span_topk(reader, match, k, "span_containing")
-
-
-def _span_counts(seg, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(docs, span count) of packed ``(local_doc << 31) | pos`` span keys."""
-    uniq_local, cnt = np.unique(keys >> 31, return_counts=True)
-    return seg.doc_ids[uniq_local], cnt.astype(np.int64)
+    return _hits(reader.search_spans((mode, t1, t2, t3, slop), k))
 
 
 def extended_stats_agg(
@@ -3142,28 +2615,18 @@ def search_function_score(
     OR-mode BM25 sum is MULTIPLIED by
     ``decay ** ((|ts − origin| / scale)²)`` — computed as
     ``exp(ln(decay) · m·m)`` with ``m = dist/scale`` so engine and oracle
-    share one float expression (no pow()), offset = 0. Scoring is
-    exhaustive per segment; per-segment top-k after the multiply is exact
-    because the decay is per-doc."""
+    share one float expression (no pow()), offset = 0. Every match is
+    scored with its epoch-µs timestamp (``scored``); the top-k after the
+    multiply is exact because the decay is per-doc."""
     check_counts(k=k)
     import math
 
-    ln_decay = math.log(decay)
-    parts = []
-    for seg, uniq, sums, _ in _term_sums(reader, reader.prepare(query_text, "or")):
-        ts = (
-            seg.attr_values(ts_field, uniq)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        dist = np.abs(origin_us - ts).astype(np.float64)
-        m_ = dist / float(scale_us)
-        final = sums * np.exp(ln_decay * (m_ * m_))
-        parts.append(_topk(uniq, final, k))
-    if not parts:
-        return _no_hits()
-    out = merge_topk(parts, k).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["doc_id", "score"]]
+    ts_us = (ts_field, 1)
+    t = _scored(reader, query_text, "or", [ts_us])
+    docs, scores = _docs_scores(t)
+    dist = np.abs(origin_us - np.asarray(t[key_name(ts_us)], np.int64)).astype(np.float64)
+    m_ = dist / float(scale_us)
+    return _hits(merge_topk([(docs, scores * np.exp(math.log(decay) * (m_ * m_)))], k))
 
 
 def search_has_parent(
@@ -3229,41 +2692,13 @@ def search_intervals(
     """ES ``intervals`` query, ``all_of(ordered=true, max_gaps=N)``: the
     tokens must appear IN ORDER with at most ``max_gaps`` total non-matching
     tokens inside the interval — i.e. an ordered chain p1 < p2 < … < pT
-    with span pT − p1 − (T−1) ≤ max_gaps. Sits between match_phrase
-    (max_gaps=0 adjacency… though phrase also fixes per-link distance) and
-    unordered span_near.
-
-    tf = number of positions of the FIRST token that anchor a valid chain;
-    df = live docs with ≥1; pseudo-term scoring (the span-family contract).
-
-    Exactness of the greedy chain: taking the EARLIEST next-token position
-    after the current one minimizes the chain's end for a given anchor, so
-    an anchor has a valid chain iff its greedy chain is valid — one
-    vectorized searchsorted per link, no per-doc loop."""
-    check_counts(k=k)
-    toks = analyzer.tokenize_query(terms_text, reader.analyzer_version)  # order kept
-    if len(toks) < 2:
+    with span pT − p1 − (T−1) ≤ max_gaps. That is ordered proximity with
+    ``slop=max_gaps`` (``search_proximity``: tf = positions of the FIRST
+    token that anchor a valid greedy chain, df = live docs with ≥1,
+    pseudo-term scoring)."""
+    check_counts(k=k, max_gaps=max_gaps)
+    if len(analyzer.tokenize_query(terms_text, reader.analyzer_version)) < 2:
         raise ValueError("intervals needs at least two ordered tokens")
+    return _hits(reader.search_proximity(terms_text, k=k, slop=max_gaps))
 
-    def match(seg):
-        keys = [_span_tokens(seg, t) for t in toks]
-        if any(kk is None for kk in keys):
-            return _NO_SPANS
-        anchor = keys[0]
-        cur = anchor
-        for nxt in keys[1:]:
-            # earliest occurrence of the next token strictly after cur,
-            # within the same packed doc (doc boundary = key monotonicity)
-            idx = np.searchsorted(nxt, cur + 1)
-            ok = idx < nxt.size
-            cand = np.where(ok, nxt[np.minimum(idx, nxt.size - 1)], -1)
-            same_doc = ok & ((cand >> 31) == (cur >> 31))
-            cur = np.where(same_doc, cand, np.int64(-1))
-            alive = cur >= 0
-            anchor, cur = anchor[alive], cur[alive]
-            if anchor.size == 0:
-                return _NO_SPANS
-        span_ok = (cur - anchor) <= (len(toks) - 1 + max_gaps)
-        return _span_counts(seg, anchor[span_ok])
 
-    return _span_topk(reader, match, k, "intervals")

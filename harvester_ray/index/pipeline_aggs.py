@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .extras import key_counts, scored_query
+from .extras import _scored, key_counts
 from .query import IndexReader, key_name
 
 HOUR_US = 3_600_000_000
@@ -202,12 +202,12 @@ def weighted_avg(
     doc length, weight = UTC hour-of-day + 1 derived from the timestamp
     attribute (an integer weight so the whole aggregation stays in integers;
     ``(epoch_us // 3600s) % 24 + 1`` on both sides), from the
-    ``(dl, hour)`` counts. One (Σv·w, Σw) pair; the quotient is emitted
-    with 6-digit half-away fixed-point."""
-    hour = (ts_field, HOUR_US)
+    ``(dl, hour of day)`` counts (at most 24 per doc length). One (Σv·w,
+    Σw) pair; the quotient is emitted with 6-digit half-away fixed-point."""
+    hour = (ts_field, HOUR_US, 24)
     h = key_counts(reader, query_text, ["dl", hour], mode)
     c = np.asarray(h["count"], np.int64).astype(object)
-    w = (np.asarray(h[key_name(hour)], np.int64) // HOUR_US % 24 + 1).astype(object)
+    w = (np.asarray(h[key_name(hour)], np.int64) + 1).astype(object)
     # Python ints: Σv·w at corpus scale exceeds what 2·num·10^6 can hold
     # in int64, and the quotient must stay exact (HUGEINT in the oracle)
     w_sum = int((w * c).sum())
@@ -274,33 +274,18 @@ def diversified_sampler(
     de-duplicated sample ES feeds into sub-aggs. Scores quantize to 1e-4
     fixed-point BEFORE ranking (CLAUDE.md rank-composition rule) so the
     (score, doc_id) order is exact integer on both sides."""
-    empty = pd.DataFrame({
-        "doc_id": pd.Series(dtype=np.int64),
-        field: pd.Series(dtype=object),
-        "score": pd.Series(dtype=np.float64),
-    })
-    parts: list[pd.DataFrame] = []
-    for seg, _, docs, scores in scored_query(reader, query_text, mode):
-        fp = np.floor(scores * 1e4 + 0.5).astype(np.int64)
-        order = np.lexsort((docs, -fp))
-        part = pd.DataFrame({
-            "doc_id": docs[order],
-            field: seg.attr_values(field, docs[order]),
-            "fp": fp[order],
+    t = _scored(reader, query_text, mode, [field])
+    if t.num_rows == 0:
+        return pd.DataFrame({
+            "doc_id": pd.Series(dtype=np.int64),
+            field: pd.Series(dtype=object),
+            "score": pd.Series(dtype=np.float64),
         })
-        # per-segment pre-truncation, cap-first: a row beyond rank max_per
-        # within its key IN THIS SEGMENT is beyond it globally too (its
-        # same-segment superiors all outrank it globally), and after the
-        # cap a row beyond segment rank k is blocked by ≥ k globally-kept
-        # rows — so cap, then head(k); the merge sees ≤ k rows per segment
-        part = part[part.groupby(field).cumcount() < max_per].head(k)
-        parts.append(part)
-    if not parts:
-        return empty
-    allm = pd.concat(parts, ignore_index=True)
-    allm = allm.sort_values(
-        ["fp", "doc_id"], ascending=[False, True], kind="mergesort"
-    )
+    allm = pd.DataFrame({
+        "doc_id": np.asarray(t["doc_id"], np.int64),
+        field: np.asarray(t[field]),
+        "fp": np.floor(np.asarray(t["score"], np.float64) * 1e4 + 0.5).astype(np.int64),
+    }).sort_values(["fp", "doc_id"], ascending=[False, True], kind="mergesort")
     allm["rank_in_key"] = allm.groupby(field).cumcount()
     out = allm[allm["rank_in_key"] < max_per].head(k).reset_index(drop=True)
     return pd.DataFrame({

@@ -70,7 +70,7 @@ class SegmentCache:
     - ``pos``: term → int32 positions of those postings in ``doc_ids``;
     - ``score``: ``(term, idf, avgdl)`` → float64 per-posting BM25 scores;
     - ``packed``: term → int64 ``(local_doc << 31) | pos`` occurrence keys;
-    - ``match``: phrase/proximity → ``(docs, span tf)``, before the
+    - ``match``: a span spec (``SPANS``) → ``(docs, span tf)``, before the
       live-docs mask and filters (which apply per query).
 
     Hits, misses, evictions and held bytes are counted per kind."""
@@ -820,6 +820,13 @@ class SearchSurfaces:
         """Raise when the backend cannot answer (an in-process one always
         can)."""
 
+    def _tables(self, op: str, *args) -> list[pa.Table]:
+        """The per-segment tables of an op that returns a list of them, in
+        buffers of their own: a table the service reads out of its graph's
+        channel is a view of that shared-memory buffer, and the actors' next
+        write waits until no such view is left."""
+        return [t.take(np.arange(t.num_rows)) for part in self._fanout(op, *args) for t in part]
+
     def _check(self, **counts: int) -> None:
         """What every surface runs before any work: the backend can answer,
         and no count (``k``, ``slop``, ``page_size``) is negative."""
@@ -935,16 +942,73 @@ class SearchSurfaces:
         return self._spans(phrase, k, slop, filters)
 
     def _spans(self, phrase: str, k: int, slop: int | None, filters) -> pa.Table:
-        """Span top-k: the parts' matches are scored once the global span
-        df is known (a query-time aggregate, so scoring cannot complete
-        per segment group)."""
+        """Phrase (``slop`` None) or proximity top-k of ``phrase``'s tokens,
+        in order with duplicates kept."""
         self._check(k=k)
-        terms = analyzer.tokenize_query(phrase, self.analyzer_version)  # order + duplicates kept
+        terms = analyzer.tokenize_query(phrase, self.analyzer_version)
         if not terms:
             return _empty_result()
-        parts = self._fanout("spans", terms, slop, filters)
+        spec = ("phrase", *terms) if slop is None else ("prox", slop, *terms)
+        return score_spans(*self.span_matches(spec, filters), self.n_docs, self.avgdl, k)
+
+    def search_spans(self, spec: tuple, k: int = 10, filters: dict | None = None) -> pa.Table:
+        """Top-k of the span query ``spec`` (a ``SPANS`` kind and its
+        arguments), each match scored as one pseudo-term (``score_spans``)."""
+        self._check(k=k)
+        return score_spans(*self.span_matches(spec, filters), self.n_docs, self.avgdl, k)
+
+    def span_matches(self, spec: tuple, filters: dict | None = None) -> tuple:
+        """``(docs, span tf, dl, span df)`` of the span query ``spec`` over
+        every segment (``OPS["spans"]``): the parts are scored once the
+        global span df is known, a query-time aggregate, so scoring cannot
+        complete per segment group."""
+        parts = self._fanout("spans", spec, filters)
         docs, tf, dl = (np.concatenate([p[i] for p in parts]) for i in range(3))
-        return score_spans(docs, tf, dl, sum(p[3] for p in parts), self.n_docs, self.avgdl, k)
+        return docs, tf, dl, sum(p[3] for p in parts)
+
+    def scored(
+        self,
+        prep: PreparedQuery,
+        mode: str,
+        keys=(),
+        *,
+        filters: dict | None = None,
+        neg_terms: list[str] | None = None,
+        min_should_match: int | None = None,
+    ) -> pa.Table:
+        """Every match of ``prep`` BM25-scored by the one dense scorer
+        (``OPS["scored"]``), one row per doc: ``doc_id``, ``score`` and a
+        column per ``value_counts`` key of ``keys``. For the surfaces that
+        rank, group or fold all matches; ``filters``, ``neg_terms`` and
+        ``min_should_match`` act as in ``search``."""
+        self._check()
+        keys = list(keys)
+        tables = [] if prep.empty else self._tables(
+            "scored", prep.live, prep.idf, self.avgdl, mode, filters, neg_terms,
+            min_should_match, keys,
+        )
+        if not tables:
+            return pa.table({
+                "doc_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64()),
+                **{key_name(key): pa.array([], pa.null()) for key in keys},
+            })
+        return pa.concat_tables(tables, promote_options="permissive")
+
+    def doc_terms(
+        self, doc_ids, terms: list[str] | None = None, *, positions: bool = False
+    ) -> pa.Table:
+        """The live copy of each of ``doc_ids`` as postings rows (``doc_id,
+        term, tf, dl``; ``OPS["doc_terms"]``) of ``terms``, or of every term
+        when None; with ``positions`` one row per occurrence with its
+        ``pos`` (every term only). A doc a delta deleted answers nothing,
+        one it rewrote answers with its new text."""
+        self._check()
+        tables = self._tables("doc_terms", np.asarray(doc_ids, np.int64), terms, positions)
+        if not tables:
+            cols = ["doc_id", "term", "tf"] + (["pos"] if positions else []) + ["dl"]
+            types = {"term": pa.string()}
+            return pa.table({c: pa.array([], types.get(c, pa.int64())) for c in cols})
+        return pa.concat_tables(tables)
 
     def match_counts(
         self,
@@ -983,20 +1047,22 @@ class SearchSurfaces:
         """The partials of every count-shaped aggregation: per segment with
         a match, each distinct tuple of ``keys`` over its matching docs with
         their ``count`` (``OPS["value_counts"]``). A key is an attribute
-        column, ``"dl"`` (the doc length), or ``(ts_field, interval_us)``
-        (the floored epoch-µs bucket of a timestamp attribute); the columns
-        are named by ``key_name``. The partials stay per segment (``terms``'
-        ``shard_size`` cut is per segment); ``fold_counts`` sums them."""
+        column, ``"dl"`` (the doc length), ``(ts_field, interval_us)`` (the
+        floored epoch-µs bucket of a timestamp attribute) or ``(ts_field,
+        interval_us, period)`` (that bucket's number modulo ``period``, e.g.
+        the hour of day); the columns are named by ``key_name``. The
+        partials stay per segment (``terms``' ``shard_size`` cut is per
+        segment); ``fold_counts`` sums them."""
         self._check()
         keys = list(keys)
-        for key in keys:
-            if not isinstance(key, str) and key[1] <= 0:
-                raise ValueError(f"interval_us must be > 0, got {key[1]!r}")
+        for key in [k for k in keys if not isinstance(k, str)]:
+            for name, value in zip(("interval_us", "period"), key[1:]):
+                if value <= 0:
+                    raise ValueError(f"{name} must be > 0, got {value!r}")
         prep = self.prepare(query_text, mode)
         if prep.empty:
             return []
-        parts = self._fanout("value_counts", prep.live, mode, filters, keys)
-        return [t for part in parts for t in part]
+        return self._tables("value_counts", prep.live, mode, filters, keys)
 
     def search_page(
         self,
@@ -1085,6 +1151,23 @@ class SearchSurfaces:
         its ``max_expansions``."""
         return sorted(self.vocab([(prefix, 0, 1 << 30)])[0])
 
+    def _search_terms(self, terms: list[str], k: int, mode: str) -> pa.Table:
+        """Top-k over already-analyzed terms (dictionary expansions)."""
+        self._check(k=k)
+        return self._topk(prepare_terms(terms, mode, self.df, self.n_docs), k, mode)
+
+    def search_prefix(self, prefix: str, k: int = 10, max_expansions: int = 50) -> pa.Table:
+        """Prefix (wildcard ``pre*``) top-k: expand against the segment
+        dictionaries (sorted — two binary searches each), take the first
+        ``max_expansions`` distinct live terms in lexicographic order (Lucene
+        MultiTermQuery rewrite cap), then score as a disjunction where each
+        expanded term keeps its own idf."""
+        self._check(k=k, max_expansions=max_expansions)
+        pfx = self.prepare(prefix, "or").terms
+        if len(pfx) != 1:
+            raise ValueError("prefix must normalize to exactly one token")
+        return self._search_terms(self.terms_with_prefix(pfx[0])[:max_expansions], k, "or")
+
     def date_histogram(
         self,
         query_text: str,
@@ -1164,22 +1247,6 @@ class IndexReader(SearchSurfaces):
             return iter(())
         return iter_matches(self.segments(), prep.live, mode, filters)
 
-    def _search_terms(self, terms: list[str], k: int, mode: str) -> pa.Table:
-        """Top-k over already-analyzed terms (dictionary expansions)."""
-        self._check(k=k)
-        return self._topk(prepare_terms(terms, mode, self.df, self.n_docs), k, mode)
-
-    def search_prefix(self, prefix: str, k: int = 10, max_expansions: int = 50) -> pa.Table:
-        """Prefix (wildcard ``pre*``) top-k: expand against the segment
-        dictionaries (sorted — two binary searches each), take the first
-        ``max_expansions`` distinct live terms in lexicographic order (Lucene
-        MultiTermQuery rewrite cap), then score as a disjunction where each
-        expanded term keeps its own idf."""
-        pfx = self.prepare(prefix, "or").terms
-        if len(pfx) != 1:
-            raise ValueError("prefix must normalize to exactly one token")
-        return self._search_terms(self.terms_with_prefix(pfx[0])[:max_expansions], k, "or")
-
     def _expand_pattern(self, kernel, pattern: str, k: int, max_expansions: int) -> pa.Table:
         """Top-k disjunction over the dictionary terms one vectorized Arrow
         ``kernel`` selects per segment, capped at the first
@@ -1205,6 +1272,7 @@ class IndexReader(SearchSurfaces):
         MultiTermQuery rewrite cap), score as a disjunction with per-term
         idf. ``*`` is the only wildcard; the rest of the pattern is
         analyzed like a term."""
+        self._check(k=k, max_expansions=max_expansions)
         raw = pattern.strip().lower()
         if not raw or raw.replace("*", "") == "":
             return _empty_result()
@@ -1222,6 +1290,7 @@ class IndexReader(SearchSurfaces):
         per-term idf. Both Arrow and DuckDB run RE2, so the oracle
         (``regexp_full_match``) sees the identical term set for any RE2
         pattern."""
+        self._check(k=k, max_expansions=max_expansions)
         raw = pattern.strip().lower()
         if not raw:
             return _empty_result()
@@ -1312,23 +1381,22 @@ def topk_many(segments, batch: list[tuple], avgdl: float) -> list[tuple[np.ndarr
     return [topk_over(segments, terms, idf, avgdl, k, mode) for terms, idf, k, mode in batch]
 
 
-def span_matches(
-    segments, match, filters: dict[str, list] | None = None, positions: str | None = None
+def spans(
+    segments, spec: tuple, filters: dict[str, list] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Span matches of every segment, ready for ``score_spans``:
-    ``match(seg)`` gives one segment's ``(docs, tf)`` (phrase, proximity or
-    span occurrence counts); tombstoned docs drop, the rest count toward the
-    span df, then the facet filter applies (filter context: the df is
-    pre-filter). Returns ``(docs, tf, dl, df)``. ``positions`` names the
-    query in the error raised for a segment built without positions."""
+    """Matches of the span query ``spec`` in every segment, ready for
+    ``score_spans``: ``span_match`` gives one segment's ``(docs, tf)``;
+    tombstoned docs drop, the rest count toward the span df, then the facet
+    filter applies (filter context: the df is pre-filter). Returns ``(docs,
+    tf, dl, df)``. Every kind but ``or`` needs positions."""
     doc_parts, tf_parts, dl_parts = [], [], []
     df = 0
     for _, seg, live_docs in segments:
-        if positions and not seg.has_positions:
+        if spec[0] != "or" and not seg.has_positions:
             raise ValueError(
-                f"{positions} needs positions — build_index(store_positions=True)"
+                f"{spec[0]} span query needs positions — build_index(store_positions=True)"
             )
-        docs, tf = match(seg)
+        docs, tf = span_match(seg, spec)
         if docs.size == 0:
             continue
         ords = seg.ordinals(docs)
@@ -1350,20 +1418,6 @@ def span_matches(
     return (
         np.concatenate(doc_parts), np.concatenate(tf_parts),
         np.concatenate(dl_parts), df,
-    )
-
-
-def spans(segments, terms: list[str], slop: int | None, filters):
-    """``span_matches`` of the exact phrase ``terms`` (``slop`` None) or of
-    their ordered proximity within ``slop``."""
-    if slop is None:
-        return span_matches(
-            segments, lambda seg: phrase_match_segment(seg, terms), filters,
-            positions="phrase search",
-        )
-    return span_matches(
-        segments, lambda seg: proximity_match_segment(seg, terms, slop), filters,
-        positions="proximity search",
     )
 
 
@@ -1443,8 +1497,11 @@ def vocabs_with_prefixes(segments, specs: list[tuple[str, int, int]]) -> list[se
 def key_name(key) -> str:
     """The column of a ``value_counts`` key: an attribute and ``"dl"`` keep
     their names, a ``(ts_field, interval_us)`` bucket is
-    ``"ts_field@interval_us"``."""
-    return key if isinstance(key, str) else f"{key[0]}@{key[1]}"
+    ``"ts_field@interval_us"`` and a ``(ts_field, interval_us, period)`` one
+    ``"ts_field@interval_us%period"``."""
+    return key if isinstance(key, str) else "@".join(map(str, key[:2])) + "".join(
+        f"%{p}" for p in key[2:]
+    )
 
 
 def _key_column(seg: SegmentReader, docs: np.ndarray, key) -> pa.Array:
@@ -1452,9 +1509,10 @@ def _key_column(seg: SegmentReader, docs: np.ndarray, key) -> pa.Array:
         return pa.array(seg.doc_lengths(docs))
     if isinstance(key, str):
         return seg.attr_column(key, docs)
-    ts_field, interval_us = key
+    ts_field, interval_us, *period = key
     us = seg.attr_values(ts_field, docs).astype("datetime64[us]").astype(np.int64)
-    return pa.array((us // interval_us) * interval_us)
+    bucket = us // interval_us
+    return pa.array(bucket % period[0] if period else bucket * interval_us)
 
 
 def value_counts(
@@ -1494,91 +1552,287 @@ def fold_counts(parts: list[pa.Table], keys: list) -> pa.Table:
     return t.sort_by([(n, "ascending") for n in names]) if names else t
 
 
-def proximity_match_segment(
-    seg: SegmentReader, terms: list[str], slop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Docs of one segment containing ``terms`` in order within a span of
-    ``len(terms) + slop`` positions, with the span frequency (distinct valid
-    start positions). Fully vectorized greedy chain over packed
-    ``(local_doc << 31) | pos`` keys: for each candidate start, the minimal
-    next-occurrence of each subsequent term is found with one searchsorted
-    per term; the greedy chain minimizes the final position for a given
-    start, so its span test is equivalent to the exists-any-chain test.
-    Results are cached (kind ``match``)."""
-    return seg.cached(
-        "match", ("prox", slop, *terms),
-        lambda: _proximity_match_segment_uncached(seg, terms, slop),
-    )
+def _entries(seg: SegmentReader, terms: list[str], mode: str) -> dict | None:
+    """The segment's dictionary entries of ``terms``, or None when the
+    segment cannot match (no term, or a missing AND term)."""
+    entries = {t: e for t in terms if (e := seg.entry(t)) is not None}
+    if not entries or (mode == "and" and len(entries) < len(terms)):
+        return None
+    return entries
 
 
-def _proximity_match_segment_uncached(
-    seg: SegmentReader, terms: list[str], slop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    mask = (np.int64(1) << 31) - 1
+def scored(
+    segments, terms: list[str], idf_map: dict[str, float], avgdl: float, mode: str,
+    filters: dict | None, neg_terms: list[str] | None, min_should_match: int | None,
+    keys: list,
+) -> list[pa.Table]:
+    """Per segment with a match: EVERY matching doc BM25-scored by
+    ``or_exhaustive`` (AND through ``min_should_match=len(terms)``), as one
+    table of ``doc_id``, ``score`` and each ``value_counts`` key of
+    ``keys``; ``neg_terms`` and ``filters`` act as in ``topk_over``."""
+    msm = len(terms) if mode == "and" else min_should_match
+    out = []
+    for _, seg, live_docs in segments:
+        entries = _entries(seg, terms, mode)
+        if entries is None:
+            continue
+        if neg_terms:
+            live_docs = exclude_terms(seg, live_docs, neg_terms)
+        docs, scores = or_exhaustive(
+            seg, entries, idf_map, avgdl, 2**31, live_docs=live_docs,
+            include=seg.allowed_docs(filters), min_should_match=msm,
+        )
+        if docs.size:
+            out.append(pa.table({
+                "doc_id": docs, "score": scores,
+                **{key_name(k): _key_column(seg, docs, k) for k in keys},
+            }))
+    return out
 
-    starts = seg.packed_positions(terms[0])
-    if starts is None or starts.size == 0:
-        return empty
-    chain = starts
+
+def doc_terms(
+    segments, doc_ids: np.ndarray, terms: list[str] | None, positions: bool
+) -> list[pa.Table]:
+    """Per segment holding the LIVE copy of any of ``doc_ids``: that copy's
+    postings of ``terms`` (None: of every term, from one whole-segment
+    decode) as ``doc_id, term, tf, dl`` rows; with ``positions`` (every term
+    only; a segment without them answers nothing) one row per occurrence
+    with its ``pos``. A dead copy never answers, so a doc a delta rewrote
+    answers with its new text."""
+    asked = np.unique(doc_ids)
+    out = []
+    for _, seg, live_docs in segments:
+        if asked.size == 0 or seg.doc_ids.size == 0 or (positions and not seg.has_positions):
+            continue
+        ords = np.minimum(seg.ordinals(asked), seg.doc_ids.size - 1)
+        held = seg.doc_ids[ords] == asked
+        if live_docs is not None:
+            held &= live_docs[ords]
+        docs = asked[held]
+        if docs.size == 0:
+            continue
+        if terms is None:
+            term_rows, df_s, d_all, f_all = seg.all_postings()
+            hit = np.flatnonzero(np.isin(d_all, docs))
+            rows = {
+                "doc_id": d_all[hit],
+                "term": seg._term_strings.take(
+                    pa.array(term_rows[np.searchsorted(np.cumsum(df_s), hit, side="right")])
+                ),
+                "tf": f_all[hit],
+            }
+            if positions:
+                # each hit posting's contiguous slice of the position stream
+                end = np.cumsum(f_all)[hit]
+                owner, at = _expand_ranges(end - f_all[hit], end)
+                rows = {c: v.take(owner) if c == "term" else v[owner] for c, v in rows.items()}
+                rows["pos"] = seg.all_positions(f_all)[at]
+        else:
+            hits = []
+            for t in terms:
+                p = seg.postings(t)
+                if p is None:
+                    continue
+                i = np.minimum(np.searchsorted(p[0], docs), p[0].size - 1)
+                i = i[p[0][i] == docs]
+                hits.append((t, p[0][i], p[1][i]))
+            rows = {
+                "doc_id": np.concatenate([_NO_KEYS] + [d for _, d, _ in hits]),
+                "term": pa.array([t for t, d, _ in hits for _ in range(d.size)], pa.string()),
+                "tf": np.concatenate([_NO_KEYS] + [f.astype(np.int64) for _, _, f in hits]),
+            }
+        if rows["doc_id"].size:
+            out.append(pa.table({**rows, "dl": seg.doc_lengths(rows["doc_id"])}))
+    return out
+
+
+# -- span queries ----------------------------------------------------------------
+# A span query is a spec, plain data that crosses to the actors and keys the
+# ``match`` cache: ``(kind, *args)``, one of ``SPANS``. Each kind gives one
+# segment's matching docs and their span tf over its whole doc space, before
+# the live-docs mask; most work on packed ``(local_doc << 31) | pos``
+# occurrence keys (``SegmentReader.packed_positions``), sorted and unique.
+
+_POS = (np.int64(1) << 31) - 1
+_NO_KEYS = np.empty(0, np.int64)
+
+
+def span_match(seg: SegmentReader, spec: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``(docs, span tf)`` of ``spec`` in one segment, cached (kind
+    ``match``)."""
+    return seg.cached("match", spec, lambda: SPANS[spec[0]](seg, *spec[1:]))
+
+
+def _doc_counts(seg: SegmentReader, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(docs, span count) of packed span keys."""
+    local, cnt = np.unique(keys >> 31, return_counts=True)
+    return seg.doc_ids[local], cnt.astype(np.int64)
+
+
+def _phrase_keys(seg: SegmentReader, terms, keys=None, offset: int = 0):
+    """Packed ``(local_doc << 31) | start`` keys where ``terms`` occur
+    adjacently in order from ``start + offset``, intersected with ``keys``
+    when given; None for no terms. Term i contributes its keys shifted back
+    by ``offset + i`` (``packed - i`` wherever pos >= i: no borrow into the
+    doc field), so a phrase is one sorted-set intersection per term on a
+    warm cache. Positions and local docs are < 2^31, so keys fit int64."""
+    for i, t in enumerate(terms, offset):
+        packed = seg.packed_positions(t)
+        if packed is None:
+            return _NO_KEYS
+        k = packed[(packed & _POS) >= i] - i if i else packed
+        keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)
+        if keys.size == 0:
+            break
+    return keys
+
+
+def _phrase(seg, *terms):
+    """Exact phrase: phrase frequency per doc (Lucene PhraseQuery)."""
+    return _doc_counts(seg, _phrase_keys(seg, terms))
+
+
+def _phrase_prefix(seg, fixed: tuple, expansions: tuple):
+    """The ``fixed`` phrase followed by any of ``expansions``: the fixed
+    chain is intersected once, then each expansion only against it. One
+    token per position, so the starts are distinct across expansions."""
+    chain = _phrase_keys(seg, fixed)
+    starts = [_phrase_keys(seg, (e,), chain, len(fixed)) for e in expansions]
+    return _doc_counts(seg, np.concatenate([_NO_KEYS, *starts]))
+
+
+def _proximity(seg, slop: int, *terms):
+    """``terms`` in order within a span of ``len(terms) + slop`` positions;
+    tf = distinct valid start positions. For each candidate start the
+    minimal next occurrence of each later term is one searchsorted per
+    term; the greedy chain minimizes the final position for a start, so its
+    span test is equivalent to the exists-any-chain test."""
+    starts = chain = seg.packed_positions(terms[0])
+    if starts is None:
+        return _doc_counts(seg, _NO_KEYS)
     for t in terms[1:]:
         keys = seg.packed_positions(t)
-        if keys is None or keys.size == 0:
-            return empty
+        if chain.size == 0 or keys is None or keys.size == 0:
+            return _doc_counts(seg, _NO_KEYS)
         idx = np.searchsorted(keys, chain, side="right")
         ok = idx < keys.size
         nxt = keys[np.minimum(idx, keys.size - 1)]
         ok &= (nxt >> 31) == (chain >> 31)  # same doc
         starts, chain = starts[ok], nxt[ok]
-        if starts.size == 0:
-            return empty
-    span = (chain & mask) - (starts & mask)  # >= n-1 by construction
-    ok = span <= (len(terms) - 1 + slop)
-    starts = starts[ok]
-    if starts.size == 0:
-        return empty
-    uniq, ptf = np.unique(starts >> 31, return_counts=True)
-    return seg.doc_ids[uniq], ptf.astype(np.int64)
+    span = (chain & _POS) - (starts & _POS)  # >= n-1 by construction
+    return _doc_counts(seg, starts[span <= len(terms) - 1 + slop])
 
 
-def phrase_match_segment(
-    seg: SegmentReader, terms: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Docs of one segment containing ``terms`` as an exact adjacent phrase,
-    with the phrase frequency. Vectorized adjacency: term i contributes keys
-    ``(local_doc << 31) | (pos - i)``; a phrase occurrence is a key present
-    for EVERY term, found by iterative sorted-set intersection. Positions are
-    < 2^31 (1M-char truncation) and local doc indices < 2^31, so the packed
-    key fits int64. Results are cached (kind ``match``)."""
-    return seg.cached(
-        "match", ("phrase", *terms),
-        lambda: _phrase_match_segment_uncached(seg, terms),
+def _first(seg, term: str, end: int):
+    """``span_first``: occurrences within the first ``end`` positions."""
+    keys = seg.packed_positions(term)
+    return _doc_counts(seg, _NO_KEYS if keys is None else keys[(keys & _POS) < end])
+
+
+def _not(seg, inc: str, exc: str, distance: int):
+    """``span_not``: ``inc`` occurrences with no ``exc`` occurrence within
+    ``distance`` positions (one range probe per occurrence)."""
+    keys = seg.packed_positions(inc)
+    if keys is None:
+        return _doc_counts(seg, _NO_KEYS)
+    ex = seg.packed_positions(exc)
+    if ex is not None:
+        lo = keys - np.minimum(keys & _POS, distance)
+        keys = keys[np.searchsorted(ex, lo) >= np.searchsorted(ex, keys + distance, side="right")]
+    return _doc_counts(seg, keys)
+
+
+def _or(seg, *terms):
+    """``span_or``: the union of the terms as one span source, tf = total
+    occurrences per doc (the sum of the terms' tfs; no positions)."""
+    posts = [p for p in (seg.postings(t) for t in terms) if p is not None]
+    if not posts:
+        return _doc_counts(seg, _NO_KEYS)
+    alld = np.concatenate([p[0] for p in posts])
+    allf = np.concatenate([p[1].astype(np.int64) for p in posts])
+    order = np.argsort(alld, kind="stable")
+    alld, allf = alld[order], allf[order]
+    uniq, starts = np.unique(alld, return_index=True)
+    return uniq, np.add.reduceat(allf, starts)
+
+
+def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated [lo_i, hi_i) index ranges as (owner row, index):
+    run-length expansion, no Python loop."""
+    cnt = hi - lo
+    owner = np.repeat(np.arange(lo.size, dtype=np.int64), cnt)
+    offs = np.arange(owner.size, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return owner, lo[owner] + offs
+
+
+def _containing(seg, t1: str, t2: str, little: str, slop: int, within: bool = False):
+    """``span_containing`` (``within`` False): the big spans — ordered
+    windows [p1, p2] of ``t1`` then ``t2`` with 1 <= p2 - p1 <= slop + 1 —
+    that enclose a ``little`` occurrence, one tf per span; ``span_within``:
+    the ``little`` occurrences some big span encloses."""
+    k1, k2, k3 = (seg.packed_positions(t) for t in (t1, t2, little))
+    if k1 is None or k2 is None or k3 is None:
+        return _doc_counts(seg, _NO_KEYS)
+    owner, idx2 = _expand_ranges(
+        np.searchsorted(k2, k1 + 1), np.searchsorted(k2, k1 + slop + 1, side="right")
     )
+    span_lo, span_hi = k1[owner], k2[idx2]  # same doc by the range
+    a = np.searchsorted(k3, span_lo)
+    b = np.searchsorted(k3, span_hi, side="right")
+    if not within:
+        return _doc_counts(seg, span_lo[b > a])
+    return _doc_counts(seg, k3[np.unique(_expand_ranges(a, b)[1])])
 
 
-def _phrase_match_segment_uncached(
-    seg: SegmentReader, terms: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    mask = (np.int64(1) << 31) - 1
-    keys: np.ndarray | None = None
-    for i, t in enumerate(terms):
-        packed = seg.packed_positions(t)
-        if packed is None:
-            return empty
-        # (local << 31) | (pos - i) == packed - i whenever pos >= i (no
-        # borrow into the doc field) — one vectorized subtract per term on
-        # a warm cache instead of re-decoding positions per query
-        if i == 0:
-            k = packed
-        else:
-            k = packed[(packed & mask) >= i] - i
-        keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)
-        if keys.size == 0:
-            return empty
-    start_local = (keys >> 31).astype(np.int64)
-    uniq, ptf = np.unique(start_local, return_counts=True)
-    return seg.doc_ids[uniq], ptf.astype(np.int64)
+def _near(seg, slop: int, *terms):
+    """Unordered ``span_near``: docs holding every term within a window of
+    ``len(terms) + slop`` positions, with the MINIMAL covering window's
+    width as tf. Candidates are the docs holding every term; each one's
+    window is the two-pointer sweep over its term-tagged positions."""
+    keys = [seg.packed_positions(t) for t in terms]
+    if any(k is None for k in keys):
+        return _doc_counts(seg, _NO_KEYS)
+    cand = keys[0] >> 31
+    for k in keys[1:]:
+        cand = np.intersect1d(cand, k >> 31)
+    local, width = [], []
+    for d in cand:
+        ev = np.concatenate([
+            np.stack([k[lo:hi] & _POS, np.full(hi - lo, ti)], axis=1)
+            for ti, k in enumerate(keys)
+            for lo, hi in [np.searchsorted(k, [d << 31, (d + 1) << 31])]
+        ])
+        ev = ev[np.argsort(ev[:, 0], kind="mergesort")]
+        count = np.zeros(len(terms), dtype=np.int64)
+        have, best, lo = 0, np.iinfo(np.int64).max, 0
+        for hi in range(ev.shape[0]):
+            c = int(ev[hi, 1])
+            have += count[c] == 0
+            count[c] += 1
+            while have == len(terms):
+                best = min(best, int(ev[hi, 0] - ev[lo, 0]) + 1)
+                cl = int(ev[lo, 1])
+                count[cl] -= 1
+                have -= count[cl] == 0
+                lo += 1
+        if best <= len(terms) + slop:
+            local.append(d)
+            width.append(best)
+    return seg.doc_ids[np.asarray(local, np.int64)], np.asarray(width, np.int64)
+
+
+# span kind -> ``fn(segment, *args)``: ``(docs, tf)`` over the segment
+SPANS = {
+    "phrase": _phrase,
+    "prox": _proximity,
+    "phrase_prefix": _phrase_prefix,
+    "first": _first,
+    "not": _not,
+    "or": _or,
+    "containing": _containing,
+    "within": lambda seg, *args: _containing(seg, *args, within=True),
+    "near": _near,
+}
 
 
 def match_one_segment(
@@ -1627,6 +1881,8 @@ OPS = {
     "search": topk_over,
     "search_many": topk_many,
     "spans": spans,
+    "scored": scored,
+    "doc_terms": doc_terms,
     "attr_page": attr_page,
     "prefix_vocab": vocabs_with_prefixes,
     "value_counts": value_counts,
@@ -1678,7 +1934,7 @@ class QuerySegmentActor:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """This actor's part of a ``search_phrase`` fan-out: (docs,
         phrase_tf, dl, df_pre_filter)."""
-        return self.run(("spans", (terms, None, filters)))
+        return self.run(("spans", (("phrase", *terms), filters)))
 
     def stats(self) -> dict:
         """Serving observability (the soak leg's per-actor memory + cache

@@ -859,10 +859,14 @@ def test_has_parent_inherits_and_orders():
     assert got["score"].iloc[2] == by_conv["c1"]
 
 
+# counts and window/expansion sizes a negative value would silently break
+COUNT_PARAMS = {"k", "slop", "max_gaps", "distance", "end", "max_expansions", "max_edits"}
+
+
 def _count_params(fn) -> list[str]:
     import inspect
 
-    return [p for p in inspect.signature(fn).parameters if p == "k" or p.startswith("k_")]
+    return [p for p in inspect.signature(fn).parameters if p in COUNT_PARAMS or p.startswith("k_")]
 
 
 TOPK_FUNCTIONS = sorted(
@@ -874,6 +878,8 @@ TOPK_FUNCTIONS = sorted(
 
 def test_topk_functions_found():
     assert {"search_after", "search_collapse", "assemble_context"} <= set(TOPK_FUNCTIONS)
+    assert {"search_intervals", "search_span_first", "search_span_not", "suggest_phrases",
+            "search_match_bool_prefix"} <= set(TOPK_FUNCTIONS)
 
 
 @pytest.mark.parametrize("name", TOPK_FUNCTIONS)
@@ -893,6 +899,37 @@ def test_negative_k_raises_before_any_work(name):
     for count in _count_params(fn):
         with pytest.raises(ValueError, match=f"^{count} must be >= 0, got -1$"):
             fn(**{**args, count: -1})
+
+
+def _surface_counts():
+    import inspect
+
+    return sorted(
+        (name, count)
+        for name, fn in inspect.getmembers(query.IndexReader, inspect.isfunction)
+        if not name.startswith("_") for count in _count_params(fn)
+    )
+
+
+def test_surface_counts_found():
+    assert {("did_you_mean", "max_edits"), ("search_regexp", "max_expansions"),
+            ("search_proximity", "slop"), ("search_prefix", "max_expansions")} <= set(_surface_counts())
+
+
+@pytest.mark.parametrize("name,count", _surface_counts())
+def test_negative_count_raises_on_every_reader_surface(idx, name, count):
+    """The same for every ``IndexReader``/``SearchSurfaces`` surface: a
+    negative window or expansion size (``max_expansions=-1`` was a slice
+    that dropped the last expansion) raises with its value."""
+    import inspect
+
+    fn = getattr(query.IndexReader(idx), name)
+    args = {
+        p: "spark" for p, spec in inspect.signature(fn).parameters.items()
+        if spec.default is inspect.Parameter.empty
+    }
+    with pytest.raises(ValueError, match=f"^{count} must be >= 0, got -1$"):
+        fn(**{**args, count: -1})
 
 
 def test_negative_k_no_longer_drops_rows(idx):

@@ -12,7 +12,9 @@
 - a delta that leaves no live doc holding a dictionary term: spelling and
   fuzzy candidates (``SearchSurfaces.vocab``) and every prefix, wildcard
   and regexp expansion answer like a rebuild, so a dead term never takes a
-  ``max_expansions`` slot.
+  ``max_expansions`` slot;
+- a delta that rewrites a doc: every per-doc surface reads only its live
+  copy (``doc_terms``), like a rebuild, on both backends.
 """
 
 import numpy as np
@@ -20,10 +22,10 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
-from harvester_ray.index import build, extras, incremental, query
+from harvester_ray.index import build, evaluate, extras, incremental, query
 from test_prepared_query import BIG, FILTERS, QUERY, _corpus, _frame, _parity_calls, _same
 
-ATTRS = ["source", "lang", "ts", "conv_id", "tool"]
+ATTRS = ["source", "lang", "ts", "conv_id", "tool", "need"]
 PHRASE = "sparks windowing"
 PROXIMITY = "sparks engines"
 
@@ -243,3 +245,60 @@ def test_service_did_you_mean_answers_like_a_rebuild(respelled):
         svc.shutdown()
     pd.testing.assert_frame_equal(got, query.IndexReader(rebuild_root).did_you_mean("zebrx plainn"))
     assert got["suggestion"].tolist() == ["plain", "zebre"]
+
+
+# -- per-doc surfaces after a rewrite ------------------------------------------------
+
+TINY = pd.DataFrame({
+    "doc_id": [1, 2, 3, 4],
+    "text": ["zebra apple one", "zebra pear two", "mango kiwi three", "plain four"],
+})
+REWRITE = "mango kiwi banana"  # doc 1's new text
+PER_DOC_SURFACES = {
+    "explain mango": lambda b: extras.explain(b, "mango", doc_id=1),
+    "explain zebra": lambda b: extras.explain(b, "zebra", doc_id=1),
+    "explain zebra apple": lambda b: extras.explain(b, "zebra apple", doc_id=1),
+    "doc_top_terms": lambda b: pd.DataFrame({"term": extras.doc_top_terms(b, 1)}),
+    "more_like_this": lambda b: extras.more_like_this(b, 1, k=3).to_pandas(),
+    "termvectors": lambda b: extras.termvectors(b, 1),
+    "term_membership": lambda b: pd.DataFrame({"rel": evaluate._term_membership(
+        b, np.array([1, 2, 3], np.int64), ["kiwi", "mango", "zebra"])}),
+    "assemble_context": lambda b: extras.assemble_context(b, "banana zebra", budget_tokens=100),
+}
+
+
+@pytest.fixture(scope="module")
+def rewritten(tmp_path_factory):
+    """Doc 1 rewritten by a delta (its old copy stays in the first
+    segment, dead), and a rebuild of the merged corpus."""
+    delta_root = str(tmp_path_factory.mktemp("rewritten"))
+    build.build_index(rd.from_pandas(TINY), delta_root, concurrency=1, store_positions=True)
+    delta = pd.DataFrame({"doc_id": [1], "text": [REWRITE], "state": ["active"]})
+    incremental.build_incremental(delta_root, rd.from_pandas(delta), integrity_check=False)
+    merged = TINY.assign(text=TINY["text"].where(TINY["doc_id"] != 1, REWRITE))
+    rebuild_root = str(tmp_path_factory.mktemp("rewritten_rebuild"))
+    build.build_index(rd.from_pandas(merged), rebuild_root, concurrency=1, store_positions=True)
+    return delta_root, rebuild_root
+
+
+@pytest.mark.parametrize("backend", ["reader", "service"])
+def test_per_doc_surfaces_read_only_the_live_copy(rewritten, backend):
+    delta_root, rebuild_root = rewritten
+    want = {n: call(query.IndexReader(rebuild_root)) for n, call in PER_DOC_SURFACES.items()}
+    if backend == "reader":
+        got = {n: call(query.IndexReader(delta_root)) for n, call in PER_DOC_SURFACES.items()}
+    else:
+        svc = query.QueryService(delta_root, num_actors=2)
+        try:
+            assert len(svc.actors) == 2
+            got = {n: call(svc) for n, call in PER_DOC_SURFACES.items()}
+        finally:
+            svc.shutdown()
+    for name, out in got.items():
+        pd.testing.assert_frame_equal(out, want[name], check_exact=True, obj=name)
+    # the rebuild's answers, not empty ones
+    assert got["explain mango"][["term", "tf", "df", "score"]].values.tolist() == [["mango", 1, 2, 0.6683]]
+    assert got["explain zebra"].empty and got["explain zebra apple"].empty
+    assert got["doc_top_terms"]["term"].tolist() == ["banana", "kiwi", "mango"]
+    assert got["term_membership"]["rel"].tolist() == [2, 1, 2]
+    assert set(got["termvectors"]["term"]) == {"banana", "kiwi", "mango"}

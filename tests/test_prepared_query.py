@@ -9,11 +9,12 @@ through the same ``IndexReader.matches``):
   surfaces that enumerate the match set agree with ``IndexReader.search``;
 - on the v1 build every surface returns exactly what it returned before
   query prep and the segment walks were unified (``V1_DIGESTS``);
-- every ``SearchSurfaces`` surface, and every count-shaped aggregation
-  folded from its ``value_counts``, answers identically in process
-  (``IndexReader``, ``FederatedReader``) and through a ``QueryService``,
-  on both builds and on one whose doc ids are all >= 2^62, and all reject
-  the same bad parameters.
+- every ``SearchSurfaces`` surface, every count-shaped aggregation folded
+  from its ``value_counts``, and every span, scored and per-doc extra
+  folded from the ``spans``, ``scored`` and ``doc_terms`` ops, answers
+  identically in process (``IndexReader``, ``FederatedReader``) and
+  through a ``QueryService``, on both builds and on one whose doc ids are
+  all >= 2^62, and all reject the same bad parameters.
 """
 
 import hashlib
@@ -53,13 +54,14 @@ def _corpus() -> pd.DataFrame:
     t["ts"] = BASE + ((i * 7919) % (3 * 86400) * 1_000_000).astype("timedelta64[us]")
     t["conv_id"] = [f"c{d // 4}" for d in i]
     t["tool"] = [None if d % 4 == 0 else f"t{d % 5}" for d in i]
+    t["need"] = i % 3  # a per-doc minimum_should_match
     return t
 
 
 def _build(root: str, df: pd.DataFrame, version: str, deleted=DELETED) -> None:
     build.build_index(
         rd.from_pandas(df).repartition(3), root, concurrency=1,
-        attr_cols=["source", "lang", "ts", "conv_id", "tool"],
+        attr_cols=["source", "lang", "ts", "conv_id", "tool", "need"],
         store_positions=True, analyzer_version=version,
     )
     gone = df[df["doc_id"].isin(deleted)][["doc_id"]].assign(text="", state="deleted")
@@ -447,6 +449,7 @@ def _parity_calls(b) -> dict:
         "warm": lambda: b.warm([QUERY, "engines"]),
         "api size=0": lambda: api.search_request(b, size0),
         **{name: (lambda call=call: call(b)) for name, call in AGGREGATIONS.items()},
+        **{name: (lambda call=call: call(b)) for name, call in EXTRAS.items()},
     }
 
 
@@ -485,6 +488,56 @@ AGGREGATIONS = {
 }
 
 
+def _top_doc(b) -> int:
+    return b.search(QUERY, k=1, mode="and")["doc_id"][0].as_py()
+
+
+# every span, scored and per-doc extra: a fold of ``spans``, ``scored`` or
+# ``doc_terms`` parts (and the expansion surfaces next to them)
+EXTRAS = {
+    "search_span_first": lambda b: extras.search_span_first(b, "sparks", end=1000),
+    "search_span_not": lambda b: extras.search_span_not(b, "sparks", "engines", distance=1),
+    "search_span_or": lambda b: extras.search_span_or(b, "sparks engines"),
+    "search_span_multi": lambda b: extras.search_span_multi(b, "spar"),
+    "search_span_containing": lambda b: extras.search_span_containing(
+        b, ("sparks", "engines"), "windowing", slop=3),
+    "search_span_within": lambda b: extras.search_span_containing(
+        b, ("sparks", "engines"), "windowing", slop=3, mode="within"),
+    "search_match_phrase_prefix": lambda b: extras.search_match_phrase_prefix(b, "sparks wind"),
+    "search_span_near": lambda b: extras.search_span_near(b, "sparks windowing", slop=1),
+    "search_intervals": lambda b: extras.search_intervals(b, "sparks engines", max_gaps=1),
+    "termvectors": lambda b: extras.termvectors(b, _top_doc(b)),
+    "doc_top_terms": lambda b: pd.DataFrame({"term": extras.doc_top_terms(b, _top_doc(b))}),
+    "more_like_this": lambda b: extras.more_like_this(b, _top_doc(b), k=5),
+    "explain": lambda b: extras.explain(b, QUERY),
+    "explain doc_id": lambda b: extras.explain(b, "sparks engines", _top_doc(b)),
+    "assemble_context": lambda b: extras.assemble_context(b, QUERY, budget_tokens=400),
+    "evaluate_ranking": lambda b: evaluate.evaluate_ranking(b, [QUERY, "sparks engines"]),
+    "evaluate_ranking_mrr": lambda b: evaluate.evaluate_ranking_mrr(b, [QUERY]),
+    "evaluate_ranking_err": lambda b: evaluate.evaluate_ranking_err(b, [QUERY]),
+    "search_after": lambda b: extras.search_after(b, QUERY, k=50, mode="or"),
+    "search_after cursor": lambda b: extras.search_after(b, QUERY, after=(1.0, 0), k=5, mode="or"),
+    "author_suggestions": lambda b: extras.author_suggestions(b, "sparks src1", authors_field="source"),
+    "search_collapse": lambda b: extras.search_collapse(b, QUERY),
+    "search_boosted_terms": lambda b: extras.search_boosted_terms(b, "the sparks^2 windowing"),
+    "search_boosting": lambda b: extras.search_boosting(b, QUERY, "engines"),
+    "search_parents": lambda b: extras.search_parents(b, QUERY),
+    "search_parents max": lambda b: extras.search_parents(b, QUERY, score_mode="max"),
+    "top_hits": lambda b: extras.top_hits(b, QUERY),
+    "diversified_sampler": lambda b: pipeline_aggs.diversified_sampler(b, QUERY, max_per=2),
+    "search_bool": lambda b: extras.search_bool(b, must="sparks", should="windowing", must_not="engines"),
+    "search_bool should": lambda b: extras.search_bool(b, should="sparks windowing", must_not="engines"),
+    "search_query_string": lambda b: extras.search_query_string(b, '"sparks windowing" wind* -zzz'),
+    "search_terms_set": lambda b: extras.search_terms_set(b, ["spark", "window"], min_field="need"),
+    "search_function_score": lambda b: extras.search_function_score(
+        b, QUERY, origin_us=BASE_US, scale_us=86_400_000_000),
+    "search_prefix": lambda b: b.search_prefix("spar", k=10),
+    "fuzzy_search": lambda b: extras.fuzzy_search(b, "sparkz", k=10),
+    "match_fuzzy": lambda b: extras.match_fuzzy(b, TYPO, k=10),
+    "search_match_bool_prefix": lambda b: extras.search_match_bool_prefix(b, "the sparks wind"),
+}
+
+
 # parameter values every backend must reject, each naming the bad value
 BAD_CALLS = {
     "k must be >= 0, got -1": [
@@ -493,7 +546,28 @@ BAD_CALLS = {
         lambda b: b.search_phrase("sparks windowing", k=-1),
         lambda b: b.search_proximity("sparks engines", k=-1),
     ],
-    "slop must be >= 0, got -1": [lambda b: b.search_proximity("sparks engines", slop=-1)],
+    "slop must be >= 0, got -1": [
+        lambda b: b.search_proximity("sparks engines", slop=-1),
+        lambda b: extras.search_span_near(b, "sparks windowing", slop=-1),
+        lambda b: extras.search_span_containing(b, ("sparks", "engines"), "windowing", slop=-1),
+    ],
+    "max_gaps must be >= 0, got -3": [lambda b: extras.search_intervals(b, "sparks engines", max_gaps=-3)],
+    "end must be >= 0, got -1": [lambda b: extras.search_span_first(b, "sparks", end=-1)],
+    "distance must be >= 0, got -2": [lambda b: extras.search_span_not(b, "sparks", "engines", distance=-2)],
+    "max_expansions must be >= 0, got -1": [
+        lambda b: b.search_prefix("spar", max_expansions=-1),
+        lambda b: extras.search_match_phrase_prefix(b, "sparks wind", max_expansions=-1),
+        lambda b: extras.search_match_bool_prefix(b, "the sparks wind", max_expansions=-1),
+        lambda b: extras.search_span_multi(b, "spar", max_expansions=-1),
+        lambda b: extras.search_query_string(b, "sparks wind*", max_expansions=-1),
+        lambda b: extras.fuzzy_search(b, "sparkz", max_expansions=-1),
+        lambda b: extras.match_fuzzy(b, TYPO, max_expansions=-1),
+    ],
+    "max_edits must be >= 0, got -1": [
+        lambda b: b.did_you_mean(TYPO, max_edits=-1),
+        lambda b: extras.fuzzy_search(b, "sparkz", max_edits=-1),
+        lambda b: extras.suggest_phrases(b, TYPO, max_edits=-1),
+    ],
     "page_size must be >= 0, got -5": [
         lambda b: b.search_page(QUERY, page=2, page_size=-5, ordering="source"),
     ],
@@ -535,9 +609,9 @@ def _answers(b) -> dict:
 
 @pytest.mark.parametrize("fixture", ["v1", "v2", "big_ids"])
 def test_reader_and_service_answer_every_surface_identically(parity_roots, fixture):
-    """Every shared surface answers the same through the in-process backend,
-    through a one-member FederatedReader and through a two-actor
-    QueryService, bad parameters included."""
+    """Every shared surface, aggregation and extra answers the same through
+    the in-process backend, through a one-member FederatedReader and
+    through a two-actor QueryService, bad parameters included."""
     root = parity_roots[fixture]
     local = _answers(query.IndexReader(root))
     for name, out in _answers(federated.FederatedReader([root])).items():
@@ -550,7 +624,7 @@ def test_reader_and_service_answer_every_surface_identically(parity_roots, fixtu
         svc.shutdown()
     for name, out in local.items():
         assert _same(out, served[name]), name
-    for name in AGGREGATIONS:
+    for name in [*AGGREGATIONS, *EXTRAS]:
         assert len(_frame(local[name])) > 0, name
     for name in ("search or", "search must_not", "search min_should_match", "search_phrase",
                  "search_proximity", "search_page ordering", "date_histogram"):
@@ -588,5 +662,27 @@ def test_async_submit_answers_like_search(parity_roots, fixture):
             assert got.equals(want, check_metadata=True), kwargs
         with pytest.raises(ValueError, match=re.escape("k must be >= 0, got -1")):
             svc.submit(QUERY, k=-1, must_not="engines")
+    finally:
+        svc.shutdown()
+
+
+def test_held_service_tables_do_not_block_the_next_fanout(parity_roots):
+    """Tables a surface hands back (``value_counts`` partials, ``scored``
+    and ``doc_terms`` rows) are copied out of the service's channel: a view
+    of it, held by the caller, would make the actors' next write wait
+    forever."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    svc = query.QueryService(parity_roots["v1"], num_actors=2)
+    try:
+        held = [
+            svc.value_counts(QUERY, ["lang"], mode="or"),
+            svc.scored(svc.prepare(QUERY, "or"), "or", ["lang"]),
+            svc.doc_terms([_top_doc(svc)], ["sparks"]),
+        ]
+        with ThreadPoolExecutor(1) as pool:
+            again = pool.submit(lambda: svc.scored(svc.prepare(QUERY, "or"), "or", ["lang"]))
+            assert again.result(timeout=120).equals(held[1])
+        assert held[0] and len(held[2]) > 0
     finally:
         svc.shutdown()

@@ -2,7 +2,8 @@
 
 Every cached value is a pure function of its immutable segment, so what the
 cache holds must never change an answer: one fixture index answers every
-query surface at the derived budget and at a budget so small that every
+query surface (and a span extra: every span kind shares the ``match``
+cache) at the derived budget and at a budget so small that every
 kind evicts, in process and through ``QueryService``, and both runs must
 agree. After every call the cache holds at most its budget.
 """
@@ -14,7 +15,7 @@ import pytest
 import ray
 import ray.data as rd
 
-from harvester_ray.index import build, query
+from harvester_ray.index import build, extras, query
 from test_extras import DOCS  # the sf0.001 documents table
 
 KINDS = {"postings", "pos", "score", "packed", "match"}
@@ -130,6 +131,7 @@ def _reader_answers(root: str) -> tuple[dict, dict]:
         calls[f"phrase {p}"] = lambda p=p: reader.search_phrase(p, k=7)
         calls[f"phrase filtered {p}"] = lambda p=p: reader.search_phrase(p, k=7, filters=FILTERS)
         calls[f"proximity {p}"] = lambda p=p: reader.search_proximity(p, k=7, slop=2)
+        calls[f"span_first {p}"] = lambda p=p: extras.search_span_first(reader, p.split()[0], end=5, k=7)
     answers = {}
     for _ in range(2):  # the second pass reads what the first one cached
         for name, call in calls.items():
@@ -169,6 +171,7 @@ def _service_answers(root: str, monkeypatch) -> tuple[dict, list]:
             calls[f"phrase {p}"] = lambda p=p: svc.search_phrase(p, k=7)
             calls[f"phrase filtered {p}"] = lambda p=p: svc.search_phrase(p, k=7, filters=FILTERS)
             calls[f"proximity {p}"] = lambda p=p: svc.search_proximity(p, k=7, slop=2)
+            calls[f"span_first {p}"] = lambda p=p: extras.search_span_first(svc, p.split()[0], end=5, k=7)
         answers = {}
         for _ in range(2):
             for name, call in calls.items():

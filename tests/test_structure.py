@@ -9,7 +9,10 @@ disjunction is scored by one dense scorer, so no block-max pruned path (or
 the per-block score metadata it read) grows back. Every count-shaped
 aggregation folds the one ``value_counts`` op, so no hand-rolled walk of
 the match set grows back next to it: only the consumers that need doc ids
-enumerate matches."""
+enumerate matches. Every span, scored and per-doc extra folds the
+``spans``, ``scored`` or ``doc_terms`` op, so the walk over a reader's
+segments stays in the executor (and a short named list), and BM25 is
+computed in the few places that score."""
 
 import ast
 import inspect
@@ -326,6 +329,85 @@ def test_only_doc_id_consumers_enumerate_matches():
     "name", ["count_matches", "date_buckets", "sum_by_key", "add_counts", "_add_bincount"]
 )
 def test_hand_rolled_count_folds_are_gone(name):
+    stray = [
+        p.relative_to(PKG).as_posix() for p in sorted(PKG.rglob("*.py"))
+        if re.search(rf"\b{name}\b", p.read_text())
+    ]
+    assert not stray, f"{name} in {stray}"
+
+
+# -- the segment walk stays in the executor ----------------------------------------
+
+# ``.segments()`` is called by the executor (the in-process fan-out, the
+# doc-id enumeration, the federated chain) and by a named list, each with
+# its reason in CHANGES.md: the index check, the resumable per-segment
+# export, the structural profile, the query-less attribute scans, the
+# similarity models and the dictionary pattern expansion.
+SEGMENTS_ALLOWED = {
+    ("index/query.py", "IndexReader._fanout"),
+    ("index/query.py", "IndexReader.matches"),
+    ("index/federated.py", "FederatedReader.segments"),
+    ("index/fsck.py", "fsck"),
+    ("index/extras.py", "export_search"),
+    ("index/extras.py", "profile_search"),
+    ("index/extras.py", "search_exists"),
+    ("index/extras.py", "attr_value_suggest"),
+    ("index/extras.py", "search_has_parent"),
+    ("index/similarities.py", "_collection_freqs"),
+    ("index/similarities.py", "search_similarity"),
+    ("index/query.py", "IndexReader._expand_pattern"),
+}
+
+
+def test_segments_are_walked_only_by_the_executor():
+    calls = {(rel, q) for rel, q in _calls("segments") if rel.startswith("index/")}
+    assert calls == SEGMENTS_ALLOWED, (
+        f"segment walks outside the executor: {sorted(calls - SEGMENTS_ALLOWED)}; "
+        f"allowed but gone: {sorted(SEGMENTS_ALLOWED - calls)}"
+    )
+    assert not {(rel, q) for rel, q in _calls("segments") if not rel.startswith("index/")}
+
+
+def test_no_top_k_runs_over_a_hand_rolled_segment_walk():
+    stray = [
+        (path.relative_to(PKG).as_posix(), q)
+        for path in sorted(PKG.rglob("*.py")) for node, q in _module_calls(path)
+        if ast.unparse(node.func).endswith("topk_over")
+        and any(isinstance(n, ast.Call) and ast.unparse(n.func).endswith(".segments")
+                for a in node.args for n in ast.walk(a))
+    ]
+    assert not stray, f"topk_over over .segments(): {stray}"
+
+
+# -- one BM25 scorer ------------------------------------------------------------------
+
+# ``bm25.score`` runs where postings are scored (the cached per-term scores,
+# the candidate AND path), where span matches are scored as one pseudo-term,
+# in the verification scorers and in ``explain``'s per-term breakdown.
+BM25_SCORE_ALLOWED = {
+    "index/query.py": {
+        "SegmentReader.scored_postings", "search_segment", "score_spans", "brute_force_topk",
+    },
+    "index/oracle.py": None,
+    "index/extras.py": {"explain"},
+}
+
+
+def test_bm25_scores_only_in_the_scorers():
+    calls = [
+        (path.relative_to(PKG).as_posix(), q)
+        for path in sorted((PKG / "index").rglob("*.py")) for node, q in _module_calls(path)
+        if ast.unparse(node.func) == "bm25.score"
+    ]
+    assert ("index/query.py", "SegmentReader.scored_postings") in calls
+    stray = [(rel, q) for rel, q in calls if not _allowed(BM25_SCORE_ALLOWED, rel, q)]
+    assert not stray, f"hand-rolled BM25 outside the scorers: {stray}"
+
+
+@pytest.mark.parametrize("name", [
+    "_span_topk", "_NO_SPANS", "_span_tokens", "scored_matches", "scored_query", "_term_sums",
+])
+def test_hand_rolled_span_and_score_walks_are_gone(name):
     stray = [
         p.relative_to(PKG).as_posix() for p in sorted(PKG.rglob("*.py"))
         if re.search(rf"\b{name}\b", p.read_text())
